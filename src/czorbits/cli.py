@@ -18,7 +18,8 @@ from czorbits.errors import (
     VerificationError,
 )
 from czorbits.graph import to_dot, to_json
-from czorbits.io import format_circuit, format_orbit_map, format_orbit_summary, parse_matrix
+from czorbits.io import format_circuit, format_orbit_map, format_orbit_summary
+from czorbits.io import parse_matrix, write_atomic
 from czorbits.matrices import GateMatrix
 from czorbits.synth import evaluate
 from czorbits.verify import run_verification
@@ -103,9 +104,10 @@ def _read_matrix_arg(args, parser: argparse.ArgumentParser, ws: Workspace) -> Ga
     if (args.matrix is None) == (args.element is None):
         parser.error("provide exactly one of FILE or --element ID")
     if args.element is not None:
-        if not 0 <= args.element < len(ws.c2):
-            parser.error(f"--element must be in [0, {len(ws.c2) - 1}]")
-        return ws.c2.element(args.element)
+        try:
+            return ws.c2.element(args.element)
+        except ValueError as exc:
+            parser.error(f"--element: {exc}")
     if args.matrix == "-":
         text = sys.stdin.read()
     else:
@@ -149,10 +151,9 @@ def main(argv=None) -> int:
 
         if args.command == "orbits":
             table_dir.mkdir(parents=True, exist_ok=True)
-            map_path = table_dir / "orbit_map.txt"
-            map_path.write_bytes(format_orbit_map(ws.atlas).encode())
+            write_atomic(table_dir / "orbit_map.txt", format_orbit_map(ws.atlas).encode())
             summary = format_orbit_summary(ws.atlas, ws.c2)
-            (table_dir / "orbit_summary.txt").write_bytes(summary.encode())
+            write_atomic(table_dir / "orbit_summary.txt", summary.encode())
             out.write(summary)
             return 0
 

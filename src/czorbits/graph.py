@@ -1,18 +1,20 @@
 """CZ-connectivity graph on the 20 orbits.
 
-The weight between orbits i and j is |CZ*O_i intersect O_j|, computed by
-pushing every group element through CZ and reading orbit ids. The result
-is a 9-regular graph whose every edge carries weight 512; it must match
-the embedded reference diagram up to isomorphism.
+The weight between orbits i and j is |CZ*O_i intersect O_j|, counted by
+reading the orbit of CZ*u from the integer left action of CZ for every
+element u. The result is a 9-regular graph whose every edge carries
+weight 512; it must match the embedded reference diagram up to isomorphism.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional, Union
 
+import numpy as np
+
 from czorbits.errors import VerificationError
 from czorbits.groups import GroupTable
-from czorbits.matrices import CZ, GateMatrix
+from czorbits.matrices import CNOT_T1, CNOT_T2
 from czorbits.orbits import OrbitAtlas
 
 # Reference 20-node diagram, one entry per unordered edge (90 total,
@@ -76,44 +78,36 @@ class CzGraph:
         return frozenset((a, b) for a, b, _ in self.edges())
 
 
-def build_graph(
-    atlas: OrbitAtlas,
-    c2: GroupTable,
-    gate: GateMatrix = CZ,
-    check: bool = True,
-) -> CzGraph:
-    """Weight matrix of the pushforward through `gate`.
+def build_graph(atlas: OrbitAtlas, action: np.ndarray) -> CzGraph:
+    """Weight matrix of the pushforward through a left action.
 
-    weight[i][j] counts elements of O_{i+1} landing in O_{j+1}. With
-    check=True the structural law (symmetry, weights in {0, 512}, zero
-    diagonal) is enforced; disable it only for degenerate probes.
+    action[e] is the id of gate*element(e), as GroupTable.left gives it;
+    weight[i][j] counts elements of O_{i+1} landing in O_{j+1}.
     """
     n = atlas.n_orbits
-    weight = [[0] * n for _ in range(n)]
-    witnesses: dict[tuple[int, int], int] = {}
-    for eid in range(len(c2)):
-        i = atlas.orbit_of[eid]
-        mid = c2.contains(gate * c2.element(eid))
-        if mid is None:
-            raise VerificationError("pushforward left the group")
-        j = atlas.orbit_of[mid]
-        weight[i - 1][j - 1] += 1
-        witnesses.setdefault((i, j), eid)
-
-    if check:
-        block = 512
-        for i in range(n):
-            if weight[i][i] != 0:
-                raise VerificationError(f"orbit {i + 1} connects to itself")
-            for j in range(n):
-                if weight[i][j] != weight[j][i]:
-                    raise VerificationError("weight matrix is asymmetric")
-                if weight[i][j] not in (0, block):
-                    raise VerificationError(
-                        f"weight[{i + 1}][{j + 1}] = {weight[i][j]}, "
-                        f"expected 0 or {block}"
-                    )
+    orbit = np.asarray(atlas.orbit_of) - 1
+    pair = orbit * n + orbit[action]
+    weight = np.bincount(pair, minlength=n * n).reshape(n, n).tolist()
+    # the first index of each pair is its minimal element id
+    pairs, first = np.unique(pair, return_index=True)
+    witnesses = {(p // n + 1, p % n + 1): e for p, e in zip(pairs.tolist(), first.tolist())}
     return CzGraph(weight, witnesses)
+
+
+def check_weight_law(graph: CzGraph) -> None:
+    """Enforce the structural law: symmetric, weights in {0, 512}, zero diagonal."""
+    weight, block = graph.weight, 512
+    for i in range(graph.n):
+        if weight[i][i] != 0:
+            raise VerificationError(f"orbit {i + 1} connects to itself")
+        for j in range(graph.n):
+            if weight[i][j] != weight[j][i]:
+                raise VerificationError("weight matrix is asymmetric")
+            if weight[i][j] not in (0, block):
+                raise VerificationError(
+                    f"weight[{i + 1}][{j + 1}] = {weight[i][j]}, "
+                    f"expected 0 or {block}"
+                )
 
 
 def _edge_set(g: Union[CzGraph, Iterable[tuple[int, int]]]) -> frozenset:
@@ -193,19 +187,19 @@ def check_isomorphic(
     return dict(sorted(mapping.items())) if extend() else None
 
 
-def cnot_graph_equivalence(
-    atlas: OrbitAtlas,
-    c2: GroupTable,
-    graph: Optional[CzGraph] = None,
-) -> bool:
-    """True iff both CNOT pushforward graphs equal the CZ graph exactly."""
-    from czorbits.matrices import CNOT_T1, CNOT_T2
+def cnot_graph_equivalence(atlas: OrbitAtlas, c2: GroupTable, graph: CzGraph) -> bool:
+    """True iff both CNOT pushforward graphs equal the CZ graph exactly.
 
-    if graph is None:
-        graph = build_graph(atlas, c2)
-    for gate in (CNOT_T2, CNOT_T1):
-        other = build_graph(atlas, c2, gate=gate)
-        if other.weight != graph.weight:
+    The CNOT onto wire w is H_w*CZ*H_w (checked exactly), so its left
+    action composes three generator actions.
+    """
+    cz = c2.left("CZ")
+    for wire, cnot in (("2", CNOT_T2), ("1", CNOT_T1)):
+        h = c2.alphabet["H" + wire]
+        if h * c2.alphabet["CZ"] * h != cnot:
+            raise VerificationError(f"H{wire}*CZ*H{wire} is not the CNOT onto wire {wire}")
+        lh = c2.left("H" + wire)
+        if build_graph(atlas, lh[cz[lh]]).weight != graph.weight:
             return False
     return True
 

@@ -4,21 +4,20 @@ A GroupTable holds the elements of a finitely generated matrix group in
 canonical encoding order (the element id is the rank in that order), a
 hash index from encoding to id, and one generating word per element.
 Closure uses right multiplication, so stored words read left-to-right
-as matrix products.
+as matrix products, and it keeps those products as an integer Cayley table.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, Mapping, Optional
 
+import numpy as np
+
 from czorbits.errors import VerificationError
-from czorbits.matrices import C1_GENERATORS, C2_GENERATORS, I2, GateMatrix
+from czorbits.matrices import C1_GENERATORS, C2_GENERATORS, I2, I4, GateMatrix
 
 CLOSURE_CAP = 10**6
-
-# C1 words use the labels H and P; the two-qubit alphabet suffixes them
-# with the wire number.
-_WIRE_SUFFIX = {1: "1", 2: "2"}
 
 
 class GroupTable:
@@ -31,6 +30,7 @@ class GroupTable:
         elements: list[GateMatrix],
         words: list[tuple[str, ...]],
         pairs: Optional[list[tuple[int, int]]] = None,
+        right: Optional[np.ndarray] = None,
     ) -> None:
         self.name = name
         self.alphabet = dict(alphabet)
@@ -39,6 +39,9 @@ class GroupTable:
         # pairs: for tables built from tensor products, the (left id,
         # right id) factorization of each element over the source table
         self.pairs = pairs
+        # right: for tables built by closure, right[e, g] (int32) is the id
+        # of element(e) times the g-th generator of the alphabet
+        self.right = right
         self._index = {m.data: i for i, m in enumerate(elements)}
 
     def __len__(self) -> int:
@@ -51,17 +54,44 @@ class GroupTable:
     def dim(self) -> int:
         return self.elements[0].dim
 
+    @property
+    def identity_id(self) -> int:
+        return self._index[(I2 if self.dim == 2 else I4).data]
+
+    def _check_id(self, eid: int) -> int:
+        if not 0 <= eid < len(self.elements):
+            raise ValueError(f"element id {eid} is not in [0, {len(self.elements) - 1}]")
+        return eid
+
     def element(self, eid: int) -> GateMatrix:
-        return self.elements[eid]
+        return self.elements[self._check_id(eid)]
 
     def contains(self, m: GateMatrix) -> Optional[int]:
         """Element id of m, or None when m is not in the group."""
         return self._index.get(m.data)
 
     def word_of(self, eid: int) -> tuple[str, ...]:
-        if not 0 <= eid < len(self.words):
-            raise ValueError(f"invalid element id {eid}")
-        return self.words[eid]
+        return self.words[self._check_id(eid)]
+
+    def left(self, label: str) -> np.ndarray:
+        """Left action of generator g: out[e] is the id of g * element(e).
+
+        No matrix product: g * 1 = g and g * (e * h) = (g * e) * h, so a
+        breadth-first walk over `right` from the identity fills every entry.
+        """
+        ident = self.identity_id
+        out = np.full(len(self), -1, dtype=np.int32)
+        out[ident] = self.right[ident, list(self.alphabet).index(label)]
+        frontier = np.array([ident])
+        while frontier.size:
+            reached = []
+            for column in self.right.T:
+                dst = column[frontier]
+                fresh = out[dst] < 0
+                out[dst[fresh]] = column[out[frontier[fresh]]]
+                reached.append(dst[fresh])
+            frontier = np.concatenate(reached)
+        return out
 
     def evaluate(self, word: Iterable[str]) -> GateMatrix:
         """Exact left-to-right product of the word's generators."""
@@ -81,7 +111,8 @@ def closure(generators: Mapping[str, GateMatrix], name: str = "group",
     Elements are discovered in word-length order (ties broken by frontier
     position, then generator order), so the first word found for each
     element is a shortest one. Final ids follow canonical encoding order,
-    which is independent of discovery order.
+    which is independent of discovery order. Every product m * g the
+    search makes is kept, in final ids, as the table's `right`.
     """
     gens = list(generators.items())
     if not gens:
@@ -93,29 +124,40 @@ def closure(generators: Mapping[str, GateMatrix], name: str = "group",
         if not g.is_unitary():
             raise ValueError(f"generator {label!r} is not unitary")
 
-    ident = GateMatrix.identity(dim)
-    found: dict[bytes, tuple[str, ...]] = {ident.data: ()}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            word = found[m.data]
-            for label, g in gens:
-                prod = m * g
-                if prod.data not in found:
-                    found[prod.data] = word + (label,)
-                    nxt.append(prod)
-                    if len(found) > cap:
-                        raise VerificationError(
-                            f"closure of {name} exceeded {cap} elements; "
-                            "the representation is not closing"
-                        )
-        frontier = nxt
+    # encodings in discovery order; the list is also the breadth-first queue
+    found = [GateMatrix.identity(dim).data]
+    words: list[tuple[str, ...]] = [()]
+    index = {found[0]: 0}
+    # right[i * len(gens) + g]: discovery number of found[i] * gens[g]
+    right = array("i")
+    pos = 0
+    while pos < len(found):
+        m, word = GateMatrix(dim, found[pos]), words[pos]
+        for label, g in gens:
+            prod = (m * g).data
+            j = index.get(prod)
+            if j is None:
+                j = index[prod] = len(found)
+                found.append(prod)
+                words.append(word + (label,))
+                if len(found) > cap:
+                    raise VerificationError(
+                        f"closure of {name} exceeded {cap} elements; "
+                        "the representation is not closing"
+                    )
+            right.append(j)
+        pos += 1
+    del index
 
-    order = sorted(found)
-    elements = [GateMatrix(dim, data) for data in order]
-    words = [found[data] for data in order]
-    return GroupTable(name, dict(gens), elements, words)
+    order = sorted(range(len(found)), key=found.__getitem__)
+    rank = np.empty(len(order), dtype=np.int32)
+    rank[order] = np.arange(len(order), dtype=np.int32)
+    table = rank[np.frombuffer(right, dtype=np.int32).reshape(-1, len(gens))[order]]
+    elements = [GateMatrix(dim, found[i]) for i in order]
+    words = [words[i] for i in order]
+    # free the discovery-order data before the table builds its own index
+    del found, order, right
+    return GroupTable(name, dict(gens), elements, words, right=table)
 
 
 def build_c1() -> GroupTable:

@@ -10,6 +10,7 @@ has "element_id orbit_id" lines, the summary file
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 from czorbits.errors import InputFormatError
@@ -62,8 +63,18 @@ def format_table(table: GroupTable) -> str:
     return "".join(parts)
 
 
-def write_table(path: Path, table: GroupTable) -> None:
-    path.write_text(format_table(table))
+def write_atomic(path: Path, data: bytes) -> None:
+    """Write via a temporary file in the same directory, then rename over path."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_table(path: Path) -> tuple[str, list[GateMatrix]]:

@@ -13,7 +13,7 @@ from functools import total_ordering
 from typing import Iterable, Sequence
 
 from czorbits import kernels
-from czorbits.encoding import ENTRY_BYTES
+from czorbits.encoding import ENTRY_BYTES, unpack_entries
 from czorbits.ring import IMAG_UNIT, MINUS_ONE, ONE, ZERO, CycloNum
 
 
@@ -96,7 +96,13 @@ class GateMatrix:
         return GateMatrix.from_entries(rows)
 
     def is_unitary(self) -> bool:
-        return self * self.dagger() == GateMatrix.identity(self.dim)
+        # Galois conjugates of a unitary are unitary and an entry's four
+        # conjugates have |.|² summing to 4(a²+b²+c²+d²)/2^k, so a unitary
+        # entry has a²+b²+c²+d² <= 2^k; this also keeps M*M† in 32 bits.
+        for a, b, c, d, k in unpack_entries(self.data):
+            if a * a + b * b + c * c + d * d > 1 << k:
+                return False
+        return self * self.dagger() == (I2 if self.dim == 2 else I4)
 
     def to_numpy(self):
         import numpy as np

@@ -1,14 +1,18 @@
 """Left-coset partition of the two-qubit group under local Cliffords.
 
 Two elements are equivalent when they differ by left multiplication with
-an element of LC2; the classes are the left cosets LC2*U. The atlas maps
-every element id to its orbit id, keeps sorted member lists, and (after
-labeling) each orbit's CZ layer. Orbit ids are 1-based.
+an element of LC2; the classes are the left cosets LC2*U, found as the
+orbits of the integer left actions of LC2's generators on element ids.
+The atlas maps every element id to its orbit id, keeps sorted member
+lists, and (after labeling) each orbit's CZ layer. Orbit ids are 1-based.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Optional
+
+import numpy as np
 
 from czorbits.errors import NotInGroupError, VerificationError
 from czorbits.groups import GroupTable
@@ -21,11 +25,12 @@ class OrbitAtlas:
     def __init__(
         self,
         orbit_of: list[int],
-        members: list[tuple[int, ...]],
+        members: list[array],
         ident_eid: int,
         layers: Optional[list[int]] = None,
     ) -> None:
         self.orbit_of = orbit_of
+        # members[oid - 1]: the orbit's element ids, ascending, as int32
         self.members = members
         # element id of the identity matrix in the underlying table; BFS
         # layering is anchored at its orbit
@@ -36,7 +41,7 @@ class OrbitAtlas:
     def n_orbits(self) -> int:
         return len(self.members)
 
-    def orbit_members(self, oid: int) -> tuple[int, ...]:
+    def orbit_members(self, oid: int) -> array:
         return self.members[oid - 1]
 
     def representative(self, oid: int) -> int:
@@ -54,40 +59,31 @@ class OrbitAtlas:
 
 
 def partition(c2: GroupTable, lc2: GroupTable) -> OrbitAtlas:
-    """Split c2 into left cosets of lc2, labeled in discovery order."""
-    ident_eid = c2.contains(GateMatrix.identity(c2.dim))
-    if ident_eid is None:
-        raise VerificationError("group table lacks the identity")
+    """Split c2 into left cosets of lc2, labeled in discovery order.
 
-    orbit_of = [0] * len(c2)
-    members: list[tuple[int, ...]] = []
-    for eid in range(len(c2)):
-        if orbit_of[eid]:
-            continue
-        u = c2.element(eid)
-        oid = len(members) + 1
-        found = []
-        for v in lc2.elements:
-            mid = c2.contains(v * u)
-            if mid is None:
-                raise VerificationError(
-                    "coset product left the group; tables are inconsistent"
-                )
-            if orbit_of[mid] == 0:
-                orbit_of[mid] = oid
-                found.append(mid)
-            elif orbit_of[mid] != oid:
-                raise VerificationError(
-                    "cosets overlap; the equivalence relation is broken"
-                )
-        members.append(tuple(sorted(found)))
+    Every id takes the minimum of its neighbours' labels under lc2's
+    generators until nothing changes, leaving each coset labeled by its
+    minimal id; orbit ids follow those minima in increasing order.
+    """
+    actions = [c2.left(label) for label in lc2.alphabet]
+    low = np.arange(len(c2), dtype=np.int32)
+    while True:
+        nxt = low.copy()
+        for act in actions:
+            np.minimum(nxt, low[act], out=nxt)
+        if np.array_equal(nxt, low):
+            break
+        low = nxt
+    reps, orbit_index = np.unique(low, return_inverse=True)
+    orbit_of = (orbit_index + 1).tolist()
+    members = [array("i", np.flatnonzero(orbit_index == k).tolist()) for k in range(len(reps))]
     sizes = {len(m) for m in members}
     if len(members) != len(c2) // len(lc2) or sizes != {len(lc2)}:
         raise VerificationError(
             f"expected {len(c2) // len(lc2)} cosets of size {len(lc2)}, "
             f"got {len(members)} with sizes {sorted(sizes)}"
         )
-    return OrbitAtlas(orbit_of, members, ident_eid)
+    return OrbitAtlas(orbit_of, members, c2.identity_id)
 
 
 def assign_layers_and_labels(atlas: OrbitAtlas, graph) -> OrbitAtlas:

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from czorbits.graph import build_graph, check_isomorphic, cnot_graph_equivalence
+from czorbits.graph import cnot_graph_equivalence
 from czorbits.groups import GroupTable
 from czorbits.io import format_orbit_map, format_table
-from czorbits.matrices import GateMatrix
 from czorbits.synth import evaluate
 from czorbits.workspace import Workspace, build_workspace
 
@@ -180,6 +179,16 @@ def run_verification(ws: Workspace | None = None) -> VerificationReport:
         if c2.evaluate(c2.word_of(eid)) == c2.element(eid):
             ok += 1
     rep.add("word-roundtrip-sample", SAMPLE_SIZE, ok)
+
+    gens = list(c2.alphabet.values())
+    lefts = [c2.left(label) for label in c2.alphabet]
+    ok = 0
+    for _ in range(SAMPLE_SIZE):
+        col, eid = rng.randrange(len(gens)), rng.randrange(len(c2))
+        g, m = gens[col], c2.element(eid)
+        if c2.contains(m * g) == c2.right[eid, col] and c2.contains(g * m) == lefts[col][eid]:
+            ok += 1
+    rep.add("action-table-sample", SAMPLE_SIZE, ok)
 
     ws2 = build_workspace(fresh=True)
     same = (

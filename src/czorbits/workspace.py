@@ -1,8 +1,9 @@
 """One-stop construction of the full group/orbit/graph workspace.
 
-Building everything from scratch takes a couple of seconds, so commands
-simply rebuild in memory on every invocation; the table files on disk act
-as the deterministic persistence layer. When files are present they can
+Building everything from scratch takes tens of seconds on the pure-Python
+kernels and a few seconds on the compiled ones; commands simply rebuild in
+memory on every invocation, and the table files on disk act as the
+deterministic persistence layer. When files are present they can
 be validated by byte comparison against the regenerated content, which
 catches truncation or editing without trusting any cached state.
 """
@@ -15,9 +16,9 @@ from pathlib import Path
 from typing import Optional
 
 from czorbits.errors import InputFormatError
-from czorbits.graph import CzGraph, build_graph, check_isomorphic
+from czorbits.graph import CzGraph, build_graph, check_isomorphic, check_weight_law
 from czorbits.groups import GroupTable, build_c1, build_c2, build_lc2
-from czorbits.io import format_table
+from czorbits.io import format_table, write_atomic
 from czorbits.orbits import OrbitAtlas, assign_layers_and_labels, partition
 from czorbits.synth import Synthesizer
 
@@ -54,8 +55,11 @@ def build_workspace(fresh: bool = False) -> Workspace:
     lc2 = build_lc2(c1)
     c2 = build_c2()
     pre = partition(c2, lc2)
-    atlas = assign_layers_and_labels(pre, build_graph(pre, c2))
-    graph = build_graph(atlas, c2)
+    cz = c2.left("CZ")
+    pre_graph = build_graph(pre, cz)
+    check_weight_law(pre_graph)
+    atlas = assign_layers_and_labels(pre, pre_graph)
+    graph = build_graph(atlas, cz)
     bijection = check_isomorphic(graph)
     synthesizer = Synthesizer(c1, lc2, c2, atlas, graph)
     ws = Workspace(c1, lc2, c2, atlas, graph, bijection, synthesizer)
@@ -75,7 +79,7 @@ def write_tables(ws: Workspace, out_dir: Path) -> list[Path]:
     written = []
     for name in TABLE_NAMES:
         path = out_dir / f"{name}.tbl"
-        path.write_bytes(format_table(ws.table(name)).encode())
+        write_atomic(path, format_table(ws.table(name)).encode())
         written.append(path)
     return written
 
@@ -95,7 +99,7 @@ def ensure_tables(
                     f"missing table file {path} and regeneration is disabled"
                 )
             out_dir.mkdir(parents=True, exist_ok=True)
-            path.write_bytes(format_table(ws.table(name)).encode())
+            write_atomic(path, format_table(ws.table(name)).encode())
         elif validate:
             expected = format_table(ws.table(name)).encode()
             if path.read_bytes() != expected:

@@ -135,6 +135,27 @@ class TestExitCodes:
             main(["lookup", "--element", "92160", "--out-dir", str(atlas)])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("command", ["lookup", "synth"])
+    def test_negative_element_id(self, atlas, command):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--element", "-1", "--out-dir", str(atlas)])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("command", ["lookup", "synth"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "2\n1000000,0,0,0/0 0,0,0,0/0\n0,0,0,0/0 1000000,0,0,0/0\n",
+            "4\n" + "\n".join([" ".join(["524288,0,0,0/0"] * 4)] * 4) + "\n",
+        ],
+        ids=["diagonal-1e6", "all-ones-2^19"],
+    )
+    def test_large_coefficient_non_unitary(self, atlas, tmp_path, capsys, command, text):
+        path = tmp_path / "big.txt"
+        path.write_text(text)
+        assert main([command, str(path), "--out-dir", str(atlas)]) == 4
+        assert "not unitary" in capsys.readouterr().err
+
     def test_malformed_matrix(self, atlas, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("2\n1 0\n")

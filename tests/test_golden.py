@@ -1,0 +1,39 @@
+"""Golden digests: the six published outputs, byte for byte.
+
+The pins are the full sha256 of what `generate`, `orbits` and
+`graph --format json` write. A refactor that changes the tables, the orbit
+labels or the graph changes a digest, even when two builds of the new code
+agree with each other.
+"""
+
+import hashlib
+
+import pytest
+
+from czorbits.graph import to_json
+from czorbits.io import format_orbit_map, format_orbit_summary, format_table
+
+GOLDEN_SHA256 = {
+    "c1.tbl": "aca831ea4868d206a7ab99673323ab359a775222df8561910f3fcf66b7166251",
+    "lc2.tbl": "4522a55970e66fcb2594804238fb4d8b305794e7b5c936389382872c2a115c56",
+    "c2.tbl": "bee768a808e40b5ec936b5d92f2a00865a57afd5da46af825b512097466a682b",
+    "orbit_map.txt": "d6e982c5abacf75bf12efa300cd11ce6ac0daaa2700cac4b8aea738aa4cf3ad1",
+    "orbit_summary.txt": "4127de000936f3421753a7751ff6f46ba0724098056d965d47506c087448a6e0",
+    "graph.json": "b87524bc43635d21d933be3da9e9e284a0908788057f6de0c21768c3f6855b60",
+}
+
+
+def _output(ws, name: str) -> str:
+    if name.endswith(".tbl"):
+        return format_table(ws.table(name[: -len(".tbl")]))
+    if name == "orbit_map.txt":
+        return format_orbit_map(ws.atlas)
+    if name == "orbit_summary.txt":
+        return format_orbit_summary(ws.atlas, ws.c2)
+    return to_json(ws.graph, ws.atlas, ws.bijection)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+def test_output_matches_pinned_digest(ws, name):
+    digest = hashlib.sha256(_output(ws, name).encode()).hexdigest()
+    assert digest == GOLDEN_SHA256[name]

@@ -2,15 +2,18 @@
 
 import json
 
+import pytest
+
+from czorbits.errors import VerificationError
 from czorbits.graph import (
     REFERENCE_EDGES,
     build_graph,
     check_isomorphic,
+    check_weight_law,
     cnot_graph_equivalence,
     to_dot,
     to_json,
 )
-from czorbits.matrices import H, I2
 
 
 class TestIntersectionLaw:
@@ -102,11 +105,16 @@ class TestGateSubstitution:
         assert cnot_graph_equivalence(ws.atlas, ws.c2, ws.graph)
 
     def test_local_gate_degenerate_probe(self, ws):
-        probe = build_graph(ws.atlas, ws.c2, gate=H.tensor(I2), check=False)
+        probe = build_graph(ws.atlas, ws.c2.left("H1"))
         assert probe.weight[0][0] == 4608
         for i in range(20):
             for j in range(20):
                 assert probe.weight[i][j] == (4608 if i == j else 0)
+
+    def test_weight_law_rejects_degenerate_probe(self, ws):
+        check_weight_law(ws.graph)
+        with pytest.raises(VerificationError):
+            check_weight_law(build_graph(ws.atlas, ws.c2.left("H1")))
 
 
 class TestExports:

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from czorbits.errors import VerificationError
@@ -99,9 +100,52 @@ class TestWords:
         with pytest.raises(ValueError):
             ws.c1.word_of(-1)
 
+    @pytest.mark.parametrize("eid", [-1, 92160])
+    def test_invalid_id_rejected_on_every_path(self, ws, eid):
+        with pytest.raises(ValueError, match="not in"):
+            ws.c2.element(eid)
+        with pytest.raises(ValueError, match="not in"):
+            ws.c2.word_of(eid)
+        with pytest.raises(ValueError, match="not in"):
+            ws.synthesizer.synthesize_id(eid)
+
     def test_unknown_label_rejected(self, ws):
         with pytest.raises(ValueError):
             ws.c1.evaluate(("H", "X"))
+
+
+class TestActionTables:
+    def test_right_table_shape(self, ws):
+        assert ws.c2.right.shape == (92160, 5)
+        assert ws.c2.right.dtype == np.int32
+        assert ws.c1.right.shape == (192, 2)
+        assert ws.lc2.right is None
+
+    def test_right_matches_exact_products(self, ws):
+        rng = random.Random(61)
+        labels = list(ws.c2.alphabet)
+        for eid in rng.sample(range(len(ws.c2)), 200):
+            for col, label in enumerate(labels):
+                product = ws.c2.element(eid) * ws.c2.alphabet[label]
+                assert ws.c2.right[eid, col] == ws.c2.contains(product)
+
+    @pytest.mark.parametrize("label", ["H1", "P1", "H2", "P2", "CZ"])
+    def test_left_matches_exact_products(self, ws, label):
+        action = ws.c2.left(label)
+        assert sorted(action.tolist()) == list(range(len(ws.c2)))
+        gen = ws.c2.alphabet[label]
+        rng = random.Random(67)
+        for eid in rng.sample(range(len(ws.c2)), 200):
+            assert action[eid] == ws.c2.contains(gen * ws.c2.element(eid))
+
+    def test_left_of_whole_c1(self, ws):
+        for label, gen in ws.c1.alphabet.items():
+            expected = [ws.c1.contains(gen * m) for m in ws.c1.elements]
+            assert ws.c1.left(label).tolist() == expected
+
+    def test_left_rejects_unknown_label(self, ws):
+        with pytest.raises(ValueError):
+            ws.c2.left("X")
 
 
 class TestClosureValidation:

@@ -14,7 +14,7 @@ from czorbits.io import (
     format_table,
     parse_matrix,
     read_table,
-    write_table,
+    write_atomic,
 )
 from czorbits.matrices import CZ, H, I4
 from czorbits.synth import CZ_OP, Circuit, LocalOp
@@ -67,7 +67,7 @@ class TestMatrixFormat:
 class TestTableFormat:
     def test_round_trip(self, ws, tmp_path):
         path = tmp_path / "c1.tbl"
-        write_table(path, ws.c1)
+        write_atomic(path, format_table(ws.c1).encode())
         name, elements = read_table(path)
         assert name == "c1"
         assert elements == list(ws.c1.elements)
@@ -84,7 +84,7 @@ class TestTableFormat:
 
     def test_truncated_rejected(self, ws, tmp_path):
         path = tmp_path / "c1.tbl"
-        write_table(path, ws.c1)
+        write_atomic(path, format_table(ws.c1).encode())
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(InputFormatError):
@@ -92,10 +92,25 @@ class TestTableFormat:
 
     def test_trailing_data_rejected(self, ws, tmp_path):
         path = tmp_path / "c1.tbl"
-        write_table(path, ws.c1)
+        write_atomic(path, format_table(ws.c1).encode())
         path.write_bytes(path.read_bytes() + b"junk\n")
         with pytest.raises(InputFormatError):
             read_table(path)
+
+    def test_atomic_rewrite_leaves_no_temp_file(self, ws, tmp_path):
+        path = tmp_path / "c1.tbl"
+        path.write_bytes(b"stale\n")
+        write_atomic(path, format_table(ws.c1).encode())
+        assert read_table(path) == ("c1", list(ws.c1.elements))
+        assert [p.name for p in tmp_path.iterdir()] == ["c1.tbl"]
+
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "c1.tbl"
+        path.write_bytes(b"old\n")
+        with pytest.raises(TypeError):
+            write_atomic(path, "not bytes")
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["c1.tbl"]
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "c1.tbl"

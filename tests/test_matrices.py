@@ -19,7 +19,7 @@ from czorbits.matrices import (
     C2_GENERATORS,
     GateMatrix,
 )
-from czorbits.ring import MINUS_ONE, OMEGA, ONE, ZERO
+from czorbits.ring import MINUS_ONE, OMEGA, ONE, ZERO, CycloNum
 
 
 def random_word_matrix(rng, gens, length):
@@ -160,6 +160,11 @@ class TestPredicates:
     def test_is_unitary_negative(self):
         shear = GateMatrix.from_entries([[ONE, ONE], [ZERO, ONE]])
         assert not shear.is_unitary()
+
+    @pytest.mark.parametrize("dim,bits", [(2, 19), (4, 19), (4, 31)])
+    def test_is_unitary_large_coefficients(self, dim, bits):
+        big = CycloNum((1 << bits) - 1)
+        assert not GateMatrix.from_entries([[big] * dim] * dim).is_unitary()
 
     def test_scale(self):
         m = I2.scale(MINUS_ONE)
