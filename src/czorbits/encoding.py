@@ -1,4 +1,4 @@
-"""Byte encoding shared by the scalar ring, matrices, and the hot kernels.
+"""Byte encoding shared by the scalar ring, matrices, and the kernels.
 
 An entry (a, b, c, d, k) is packed as five big-endian 32-bit words. The four
 numerator coefficients are biased by 2**31 so that lexicographic byte order
@@ -14,8 +14,10 @@ import struct
 BIAS = 1 << 31
 ENTRY_BYTES = 20
 
-# Caps for externally supplied values; keep 64-bit intermediates in the
-# kernels safely in range. Values produced by the group engine stay tiny.
+# Caps for externally supplied values: the parser rejects |coefficient| >=
+# COEF_LIMIT and k > K_LIMIT, and the batched kernel refuses such inputs,
+# which keeps its int64 intermediates below 2^60. Values produced by the
+# group engine stay tiny.
 COEF_LIMIT = 1 << 20
 K_LIMIT = 16
 

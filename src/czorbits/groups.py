@@ -14,10 +14,13 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
+from czorbits import kernels
 from czorbits.errors import VerificationError
 from czorbits.matrices import C1_GENERATORS, C2_GENERATORS, I2, I4, GateMatrix
 
 CLOSURE_CAP = 10**6
+# queue entries multiplied by every generator in one batched kernel call
+CLOSURE_SLICE = 256
 
 
 class GroupTable:
@@ -113,6 +116,11 @@ def closure(generators: Mapping[str, GateMatrix], name: str = "group",
     element is a shortest one. Final ids follow canonical encoding order,
     which is independent of discovery order. Every product m * g the
     search makes is kept, in final ids, as the table's `right`.
+
+    The products come CLOSURE_SLICE queue entries at a time from one
+    `kernels.mat_mul_batch` call, and are visited in (queue position,
+    generator) order, the order of one product at a time. Entries found
+    while a slice is visited join the queue behind it.
     """
     gens = list(generators.items())
     if not gens:
@@ -130,23 +138,30 @@ def closure(generators: Mapping[str, GateMatrix], name: str = "group",
     index = {found[0]: 0}
     # right[i * len(gens) + g]: discovery number of found[i] * gens[g]
     right = array("i")
+    labels = [label for label, _ in gens]
+    gen_data = b"".join(g.data for _, g in gens)
+    size = len(found[0])
     pos = 0
     while pos < len(found):
-        m, word = GateMatrix(dim, found[pos]), words[pos]
-        for label, g in gens:
-            prod = (m * g).data
-            j = index.get(prod)
-            if j is None:
-                j = index[prod] = len(found)
-                found.append(prod)
-                words.append(word + (label,))
-                if len(found) > cap:
-                    raise VerificationError(
-                        f"closure of {name} exceeded {cap} elements; "
-                        "the representation is not closing"
-                    )
-            right.append(j)
-        pos += 1
+        rows = found[pos : pos + CLOSURE_SLICE]
+        prods = kernels.mat_mul_batch(b"".join(rows), gen_data, dim)
+        at = 0
+        for word in words[pos : pos + len(rows)]:
+            for label in labels:
+                prod = prods[at : at + size]
+                at += size
+                j = index.get(prod)
+                if j is None:
+                    j = index[prod] = len(found)
+                    found.append(prod)
+                    words.append(word + (label,))
+                    if len(found) > cap:
+                        raise VerificationError(
+                            f"closure of {name} exceeded {cap} elements; "
+                            "the representation is not closing"
+                        )
+                right.append(j)
+        pos += len(rows)
     del index
 
     order = sorted(range(len(found)), key=found.__getitem__)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from czorbits.errors import InputFormatError
 from czorbits.groups import GroupTable
@@ -57,18 +58,27 @@ def parse_matrix(text: str) -> GateMatrix:
     return GateMatrix.from_entries(rows)
 
 
+def table_records(table: GroupTable) -> Iterator[str]:
+    """The table file's text: the header line, then one record per element."""
+    yield f"{TABLE_MAGIC} {TABLE_VERSION} {table.name} {len(table)}\n"
+    for m in table.elements:
+        yield format_matrix(m)
+
+
 def format_table(table: GroupTable) -> str:
-    parts = [f"{TABLE_MAGIC} {TABLE_VERSION} {table.name} {len(table)}\n"]
-    parts.extend(format_matrix(m) for m in table.elements)
-    return "".join(parts)
+    return "".join(table_records(table))
 
 
-def write_atomic(path: Path, data: bytes) -> None:
-    """Write via a temporary file in the same directory, then rename over path."""
+def write_atomic(path: Path, data: bytes | Iterable[bytes]) -> None:
+    """Write via a temporary file in the same directory, then rename over path.
+
+    `data` is the content, or an iterable of byte chunks written in turn, so
+    a large file never has to be held whole.
+    """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:
-            f.write(data)
+            f.writelines([data] if isinstance(data, bytes) else data)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)

@@ -38,6 +38,9 @@ class GateMatrix:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("GateMatrix is immutable")
 
+    def __reduce__(self) -> tuple:
+        return GateMatrix, (self.dim, self.data)
+
     @classmethod
     def from_entries(cls, rows: Sequence[Sequence[CycloNum]]) -> GateMatrix:
         dim = len(rows)

@@ -1,9 +1,9 @@
 """One-stop construction of the full group/orbit/graph workspace.
 
-Building everything from scratch takes tens of seconds on the pure-Python
-kernels and a few seconds on the compiled ones; commands simply rebuild in
-memory on every invocation, and the table files on disk act as the
-deterministic persistence layer. When files are present they can
+Building everything from scratch takes a few seconds, most of it the C2
+closure and the LC2 tensor products; commands simply rebuild in memory on
+every invocation, and the table files on disk act as the deterministic
+persistence layer. When files are present they can
 be validated by byte comparison against the regenerated content, which
 catches truncation or editing without trusting any cached state.
 """
@@ -13,12 +13,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from czorbits.errors import InputFormatError
 from czorbits.graph import CzGraph, build_graph, check_isomorphic, check_weight_law
 from czorbits.groups import GroupTable, build_c1, build_c2, build_lc2
-from czorbits.io import format_table, write_atomic
+from czorbits.io import table_records, write_atomic
 from czorbits.orbits import OrbitAtlas, assign_layers_and_labels, partition
 from czorbits.synth import Synthesizer
 
@@ -79,7 +79,7 @@ def write_tables(ws: Workspace, out_dir: Path) -> list[Path]:
     written = []
     for name in TABLE_NAMES:
         path = out_dir / f"{name}.tbl"
-        write_atomic(path, format_table(ws.table(name)).encode())
+        write_atomic(path, _table_bytes(ws, name))
         written.append(path)
     return written
 
@@ -99,11 +99,20 @@ def ensure_tables(
                     f"missing table file {path} and regeneration is disabled"
                 )
             out_dir.mkdir(parents=True, exist_ok=True)
-            write_atomic(path, format_table(ws.table(name)).encode())
-        elif validate:
-            expected = format_table(ws.table(name)).encode()
-            if path.read_bytes() != expected:
-                raise InputFormatError(
-                    f"corrupt table file {path}: content does not match "
-                    "the regenerated table"
-                )
+            write_atomic(path, _table_bytes(ws, name))
+        elif validate and not _matches(path, _table_bytes(ws, name)):
+            raise InputFormatError(
+                f"corrupt table file {path}: content does not match "
+                "the regenerated table"
+            )
+
+
+def _table_bytes(ws: Workspace, name: str) -> Iterator[bytes]:
+    """The table file, streamed record by record instead of held whole."""
+    return (record.encode() for record in table_records(ws.table(name)))
+
+
+def _matches(path: Path, chunks: Iterable[bytes]) -> bool:
+    """Whether the file holds exactly the chunks, read one chunk at a time."""
+    with open(path, "rb") as f:
+        return all(f.read(len(chunk)) == chunk for chunk in chunks) and not f.read(1)

@@ -198,6 +198,16 @@ class TestExitCodes:
         assert main(["verify", "--out-dir", str(broken)]) == 3
         assert "corrupt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "resize", [lambda b: b[:-1], lambda b: b + b"\n"], ids=["truncated", "trailing"]
+    )
+    def test_verify_rejects_resized_table(self, atlas, tmp_path, capsys, resize):
+        broken = tmp_path / "broken"
+        shutil.copytree(atlas, broken)
+        (broken / "c1.tbl").write_bytes(resize((broken / "c1.tbl").read_bytes()))
+        assert main(["verify", "--out-dir", str(broken)]) == 3
+        assert "corrupt" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_full_report_passes(self, atlas, capsys):

@@ -4,6 +4,9 @@ The pins are the full sha256 of what `generate`, `orbits` and
 `graph --format json` write. A refactor that changes the tables, the orbit
 labels or the graph changes a digest, even when two builds of the new code
 agree with each other.
+
+The closure's discovery order is pinned too: the shortest word kept for each
+C2 element, and the right-action table, are not covered by the six outputs.
 """
 
 import hashlib
@@ -22,6 +25,11 @@ GOLDEN_SHA256 = {
     "graph.json": "b87524bc43635d21d933be3da9e9e284a0908788057f6de0c21768c3f6855b60",
 }
 
+# c2.words as one line per element id, its labels separated by single spaces
+C2_WORDS_SHA256 = "0dd0d413a4668d9adc12f19af785df132dd2ae918c1aca7a1ec2344895e5d9a2"
+# c2.right as little-endian int32, row-major (92160 x 5)
+C2_RIGHT_SHA256 = "0b43e6dc7a7407fc1f7ae92e31c6f1372b281f44b41a51a002e212e3d0dd859b"
+
 
 def _output(ws, name: str) -> str:
     if name.endswith(".tbl"):
@@ -37,3 +45,13 @@ def _output(ws, name: str) -> str:
 def test_output_matches_pinned_digest(ws, name):
     digest = hashlib.sha256(_output(ws, name).encode()).hexdigest()
     assert digest == GOLDEN_SHA256[name]
+
+
+def test_c2_words_match_pinned_digest(ws):
+    text = "".join(" ".join(word) + "\n" for word in ws.c2.words)
+    assert hashlib.sha256(text.encode()).hexdigest() == C2_WORDS_SHA256
+
+
+def test_c2_right_table_matches_pinned_digest(ws):
+    raw = ws.c2.right.astype("<i4").tobytes()
+    assert hashlib.sha256(raw).hexdigest() == C2_RIGHT_SHA256

@@ -1,6 +1,7 @@
 """Gate matrices: constants, identities, encodings, numeric agreement."""
 
 import cmath
+import pickle
 import random
 
 import numpy as np
@@ -144,6 +145,17 @@ class TestEncoding:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             H.dim = 4
+
+    def test_pickle_round_trip(self, ws):
+        m = pickle.loads(pickle.dumps(CZ))
+        assert m == CZ and m.dim == 4 and hash(m) == hash(CZ)
+        with pytest.raises(AttributeError):
+            m.dim = 2
+        c1 = pickle.loads(pickle.dumps(ws.c1))
+        assert c1.elements == ws.c1.elements
+        assert c1.words == ws.c1.words
+        assert (c1.right == ws.c1.right).all()
+        assert c1.contains(H) == ws.c1.contains(H)
 
     def test_bad_dimension_rejected(self):
         with pytest.raises(ValueError):
