@@ -8,6 +8,7 @@ Subcommands: generate, orbits, graph, synth, lookup, verify. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -56,7 +57,9 @@ def _add_matrix_source(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by `main`."""
     parser = argparse.ArgumentParser(
         prog="czorbits",
         description=(

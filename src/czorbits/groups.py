@@ -32,19 +32,19 @@ class GroupTable:
         alphabet: Mapping[str, GateMatrix],
         elements: list[GateMatrix],
         words: list[tuple[str, ...]],
+        right: np.ndarray,
         pairs: Optional[list[tuple[int, int]]] = None,
-        right: Optional[np.ndarray] = None,
     ) -> None:
         self.name = name
         self.alphabet = dict(alphabet)
         self.elements = elements
         self.words = words
-        # pairs: for tables built from tensor products, the (left id,
-        # right id) factorization of each element over the source table
-        self.pairs = pairs
-        # right: for tables built by closure, right[e, g] (int32) is the id
-        # of element(e) times the g-th generator of the alphabet
+        # right[e, g] (int32) is the id of element(e) times the g-th
+        # generator of the alphabet
         self.right = right
+        # pairs: for the local group, the (wire-1 id, wire-2 id) factor
+        # pair of each element over the single-qubit table
+        self.pairs = pairs
         self._index = {m.data: i for i, m in enumerate(elements)}
 
     def __len__(self) -> int:
@@ -172,7 +172,7 @@ def closure(generators: Mapping[str, GateMatrix], name: str = "group",
     words = [words[i] for i in order]
     # free the discovery-order data before the table builds its own index
     del found, order, right
-    return GroupTable(name, dict(gens), elements, words, right=table)
+    return GroupTable(name, dict(gens), elements, words, table)
 
 
 def build_c1() -> GroupTable:
@@ -180,34 +180,41 @@ def build_c1() -> GroupTable:
 
 
 def build_lc2(c1: GroupTable) -> GroupTable:
-    """All tensor products A (x) B over the single-qubit table, deduplicated.
+    """The local group: the closure of H1, P1, H2 and P2, factored over c1.
 
-    Distinct (A, B) pairs collide exactly when they differ by opposite
-    global phases, so the table is 192*192/8 = 4608 elements. Each element
-    keeps the pair with the fewest total generator letters (ties broken by
-    id order), so the identity factors as two empty words; the stored word
-    is the wire-1 word followed by the wire-2 word, valid because
-    A (x) B = (A (x) I)(I (x) B).
+    Each element is A (x) B = (A (x) I)(I (x) B), so walking `right` from
+    the identity by A's letters on wire 1, then B's on wire 2, lands on it.
+    The 192*192 pairs collide in eights (opposite global phases cancel), so
+    each element keeps the pair with the fewest total letters, ties broken by
+    (ia, ib); its word is the wire-1 word followed by the wire-2 word, and
+    the identity factors as two empty words.
     """
-    wl = [len(w) for w in c1.words]
-    found: dict[bytes, tuple[int, int, int]] = {}
-    for ia, a in enumerate(c1.elements):
-        for ib, b in enumerate(c1.elements):
-            t = a.tensor(b)
-            key = (wl[ia] + wl[ib], ia, ib)
-            if t.data not in found or key < found[t.data]:
-                found[t.data] = key
-
-    alphabet = {k: v for k, v in C2_GENERATORS.items() if k != "CZ"}
-    order = sorted(found)
-    elements = [GateMatrix(4, data) for data in order]
-    pairs = [found[data][1:] for data in order]
+    table = closure({k: v for k, v in C2_GENERATORS.items() if k != "CZ"}, "lc2")
+    n = len(c1)
+    wl = np.array([len(w) for w in c1.words])
+    # letters[i, t]: the t-th letter of c1's word i as a c1 generator index
+    letters = np.full((n, wl.max()), -1)
+    c1_labels = list(c1.alphabet)
+    for i, word in enumerate(c1.words):
+        letters[i, : len(word)] = [c1_labels.index(lbl) for lbl in word]
+    # at[ia, ib]: id of the walk so far; wire w's letters are columns 2w, 2w+1
+    at = np.full((n, n), table.identity_id, dtype=np.int32)
+    for col in letters.T:
+        on = col >= 0
+        at[on] = table.right[at[on], col[on, None]]
+    for col in letters.T:
+        on = col >= 0
+        at[:, on] = table.right[at[:, on], 2 + col[on]]
+    # candidates sorted by (total letters, ia, ib); keep each element's first
+    order = np.lexsort((np.arange(n * n), (wl[:, None] + wl).ravel()))
+    _, first = np.unique(at.ravel()[order], return_index=True)
+    pairs = [divmod(int(p), n) for p in order[first]]
     words = [
         tuple(lbl + "1" for lbl in c1.words[ia])
         + tuple(lbl + "2" for lbl in c1.words[ib])
         for ia, ib in pairs
     ]
-    return GroupTable("lc2", alphabet, elements, words, pairs=pairs)
+    return GroupTable("lc2", table.alphabet, table.elements, words, table.right, pairs)
 
 
 def build_c2() -> GroupTable:

@@ -14,6 +14,7 @@ import os
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from czorbits.encoding import unpack_entries
 from czorbits.errors import InputFormatError
 from czorbits.groups import GroupTable
 from czorbits.matrices import GateMatrix
@@ -25,11 +26,10 @@ TABLE_VERSION = "v1"
 
 
 def format_matrix(m: GateMatrix) -> str:
-    rows = m.entries()
-    lines = [str(m.dim)]
-    for row in rows:
-        lines.append(" ".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"
+    # stored entries are reduced, so their five integers print as they are
+    cells = [f"{a},{b},{c},{d}/{k}" for a, b, c, d, k in unpack_entries(m.data)]
+    rows = (" ".join(cells[i : i + m.dim]) for i in range(0, len(cells), m.dim))
+    return "\n".join([str(m.dim), *rows]) + "\n"
 
 
 def parse_matrix(text: str) -> GateMatrix:

@@ -5,9 +5,10 @@ Matrices are the packed byte encodings described in `encoding`, entries
 reduced, and reduced forms are unique, so a product's bytes depend only on
 its value.
 
-`mat_mul`, `mat_tensor` and `mat_dagger` act on one matrix in Python
-integers. `mat_mul_batch` multiplies many matrices by many at once in numpy
-int64; group closure uses it, and the scalar `mat_mul` is its reference.
+`mat_mul` and `mat_dagger` act on one matrix in Python integers, and
+`mat_tensor` is one `mat_mul` of its two factors padded to 4x4.
+`mat_mul_batch` multiplies many matrices by many at once in numpy int64;
+group closure uses it, and the scalar `mat_mul` is its reference.
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ import struct
 
 import numpy as np
 
-from .encoding import BIAS, COEF_LIMIT, ENTRY_BYTES, K_LIMIT
+from .encoding import BIAS, COEF_LIMIT, ENTRY_BYTES, K_LIMIT, pack_entry
 
 BACKEND = "pure-python"
+
+_ZERO = pack_entry(0, 0, 0, 0, 0)
 
 _STRUCTS = {
     20: struct.Struct(">20I"),
@@ -117,49 +120,16 @@ def mat_mul(x: bytes, y: bytes, dim: int) -> bytes:
 
 
 def mat_tensor(x: bytes, y: bytes) -> bytes:
+    """x (x) y for 2x2 encodings, as the product (x (x) I)(I (x) y)."""
     if len(x) != 80 or len(y) != 80:
         raise ValueError("tensor expects two 2x2 encodings")
-    a = _unpack(x)
-    b = _unpack(y)
-    out = [0] * 80
-    for i1 in range(2):
-        for j1 in range(2):
-            pa = (i1 * 2 + j1) * 5
-            a1 = a[pa]
-            b1 = a[pa + 1]
-            c1 = a[pa + 2]
-            d1 = a[pa + 3]
-            k1 = a[pa + 4]
-            for i2 in range(2):
-                for j2 in range(2):
-                    pb = (i2 * 2 + j2) * 5
-                    a2 = b[pb]
-                    b2 = b[pb + 1]
-                    c2 = b[pb + 2]
-                    d2 = b[pb + 3]
-                    e = a1 * a2 - b1 * d2 - c1 * c2 - d1 * b2
-                    f = a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2
-                    g = a1 * c2 + b1 * b2 + c1 * a2 - d1 * d2
-                    h = a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2
-                    kk = k1 + b[pb + 4]
-                    if e | f | g | h == 0:
-                        kk = 0
-                    else:
-                        while kk > 0 and (e ^ g) & 1 == 0 and (f ^ h) & 1 == 0:
-                            e, f, g, h = (
-                                (f - h) // 2,
-                                (e + g) // 2,
-                                (f + h) // 2,
-                                (g - e) // 2,
-                            )
-                            kk -= 1
-                    o = ((i1 * 2 + i2) * 4 + (j1 * 2 + j2)) * 5
-                    out[o] = e
-                    out[o + 1] = f
-                    out[o + 2] = g
-                    out[o + 3] = h
-                    out[o + 4] = kk
-    return _pack(out)
+    xs = [x[o : o + ENTRY_BYTES] for o in range(0, 80, ENTRY_BYTES)]
+    ys = [y[o : o + ENTRY_BYTES] for o in range(0, 80, ENTRY_BYTES)]
+    # basis index 2*q1 + q2: x acts on q1 (the high bit), y on q2
+    cells = [(r, c) for r in range(4) for c in range(4)]
+    xi = b"".join(xs[(r >> 1) * 2 + (c >> 1)] if r & 1 == c & 1 else _ZERO for r, c in cells)
+    iy = b"".join(ys[(r & 1) * 2 + (c & 1)] if r >> 1 == c >> 1 else _ZERO for r, c in cells)
+    return mat_mul(xi, iy, 4)
 
 
 def mat_dagger(x: bytes, dim: int) -> bytes:

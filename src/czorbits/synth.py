@@ -197,25 +197,3 @@ class Synthesizer:
             lv = self.atlas.layer(oid)
             counts[lv] = counts.get(lv, 0) + len(self.atlas.orbit_members(oid))
         return dict(sorted(counts.items()))
-
-    def _synthesize_by_scan(self, m: GateMatrix) -> Circuit:
-        """Reference descent: first LC2 witness in canonical order.
-
-        Quadratic per element; exists to cross-validate the plan-based
-        path in the tests.
-        """
-        eid = self.c2.contains(m)
-        if eid is None:
-            raise NotInGroupError("matrix is not an element of the group")
-        d = self.atlas.layer(self.atlas.orbit_of[eid])
-        if d == 0:
-            return make_circuit([self._local_op(m)])
-        for v in self.lc2.elements:
-            pushed = CZ * v * m
-            j = self.atlas.orbit_of[self.c2.contains(pushed)]
-            if self.atlas.layer(j) == d - 1:
-                rest = self._synthesize_by_scan(pushed)
-                return make_circuit(
-                    [self._local_op(v.dagger()), CZ_OP, *rest.ops]
-                )
-        raise VerificationError("no descent witness found")

@@ -1,11 +1,11 @@
 """One-stop construction of the full group/orbit/graph workspace.
 
 Building everything from scratch takes a few seconds, most of it the C2
-closure and the LC2 tensor products; commands simply rebuild in memory on
-every invocation, and the table files on disk act as the deterministic
-persistence layer. When files are present they can
-be validated by byte comparison against the regenerated content, which
-catches truncation or editing without trusting any cached state.
+closure; commands simply rebuild in memory on every invocation, and the
+table files on disk act as the deterministic persistence layer. When files
+are present they can be validated by byte comparison against the
+regenerated content, which catches truncation or editing without trusting
+any cached state.
 """
 
 from __future__ import annotations

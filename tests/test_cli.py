@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour, including exit codes."""
 
+import argparse
 import json
 import shutil
 import subprocess
@@ -114,6 +115,27 @@ class TestLookup:
         lines = capsys.readouterr().out.splitlines()
         assert lines[1] == "orbit O1"
         assert lines[3] == "layer 0"
+
+
+class TestParserReuse:
+    def test_usage_errors_then_good_command_build_no_parser(self, atlas, capsys, monkeypatch):
+        assert main(["lookup", "--element", "0", "--out-dir", str(atlas)]) == 0
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for bad in ([], ["lookup", "--element", "92160", "--out-dir", str(atlas)]):
+            with pytest.raises(SystemExit) as err:
+                main(bad)
+            assert err.value.code == 2
+        capsys.readouterr()
+        assert main(["lookup", "--element", "0", "--out-dir", str(atlas)]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == ["element 0", "orbit O1"]
+        assert built == []
 
 
 class TestExitCodes:

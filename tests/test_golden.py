@@ -7,6 +7,8 @@ agree with each other.
 
 The closure's discovery order is pinned too: the shortest word kept for each
 C2 element, and the right-action table, are not covered by the six outputs.
+Nor are the circuits `synth` prints, nor LC2's factor pairs and words that
+those circuits are spelled in; they are pinned here as well.
 """
 
 import hashlib
@@ -14,7 +16,7 @@ import hashlib
 import pytest
 
 from czorbits.graph import to_json
-from czorbits.io import format_orbit_map, format_orbit_summary, format_table
+from czorbits.io import format_circuit, format_orbit_map, format_orbit_summary, format_table
 
 GOLDEN_SHA256 = {
     "c1.tbl": "aca831ea4868d206a7ab99673323ab359a775222df8561910f3fcf66b7166251",
@@ -29,6 +31,16 @@ GOLDEN_SHA256 = {
 C2_WORDS_SHA256 = "0dd0d413a4668d9adc12f19af785df132dd2ae918c1aca7a1ec2344895e5d9a2"
 # c2.right as little-endian int32, row-major (92160 x 5)
 C2_RIGHT_SHA256 = "0b43e6dc7a7407fc1f7ae92e31c6f1372b281f44b41a51a002e212e3d0dd859b"
+# lc2.pairs as one "ia ib" line per element id
+LC2_PAIRS_SHA256 = "4a8cc635fef63f36a8250a6202f044aa0e5385c7f636cc483f41886fd7c19280"
+# lc2.words in the c2.words format
+LC2_WORDS_SHA256 = "2666e681b83f945304a1a5e00045e7e51025ff03b6905831003e9feb4e9bebf9"
+# format_circuit of every element's synthesis, ids 0..92159, concatenated
+CIRCUITS_SHA256 = "58d505794fbc3b99c3be81c932f494883ff6994e0a20b051ced7cbe9ed18adbe"
+
+
+def _words_text(table) -> str:
+    return "".join(" ".join(word) + "\n" for word in table.words)
 
 
 def _output(ws, name: str) -> str:
@@ -48,10 +60,25 @@ def test_output_matches_pinned_digest(ws, name):
 
 
 def test_c2_words_match_pinned_digest(ws):
-    text = "".join(" ".join(word) + "\n" for word in ws.c2.words)
-    assert hashlib.sha256(text.encode()).hexdigest() == C2_WORDS_SHA256
+    assert hashlib.sha256(_words_text(ws.c2).encode()).hexdigest() == C2_WORDS_SHA256
 
 
 def test_c2_right_table_matches_pinned_digest(ws):
     raw = ws.c2.right.astype("<i4").tobytes()
     assert hashlib.sha256(raw).hexdigest() == C2_RIGHT_SHA256
+
+
+def test_lc2_pairs_match_pinned_digest(ws):
+    text = "".join(f"{ia} {ib}\n" for ia, ib in ws.lc2.pairs)
+    assert hashlib.sha256(text.encode()).hexdigest() == LC2_PAIRS_SHA256
+
+
+def test_lc2_words_match_pinned_digest(ws):
+    assert hashlib.sha256(_words_text(ws.lc2).encode()).hexdigest() == LC2_WORDS_SHA256
+
+
+def test_circuits_match_pinned_digest(ws):
+    digest = hashlib.sha256()
+    for eid in range(len(ws.c2)):
+        digest.update(format_circuit(ws.synthesizer.synthesize_id(eid)).encode())
+    assert digest.hexdigest() == CIRCUITS_SHA256

@@ -119,15 +119,17 @@ class TestActionTables:
         assert ws.c2.right.shape == (92160, 5)
         assert ws.c2.right.dtype == np.int32
         assert ws.c1.right.shape == (192, 2)
-        assert ws.lc2.right is None
+        assert ws.lc2.right.shape == (4608, 4)
+        assert ws.lc2.right.dtype == np.int32
 
     def test_right_matches_exact_products(self, ws):
         rng = random.Random(61)
-        labels = list(ws.c2.alphabet)
-        for eid in rng.sample(range(len(ws.c2)), 200):
-            for col, label in enumerate(labels):
-                product = ws.c2.element(eid) * ws.c2.alphabet[label]
-                assert ws.c2.right[eid, col] == ws.c2.contains(product)
+        for table in (ws.c2, ws.lc2):
+            labels = list(table.alphabet)
+            for eid in rng.sample(range(len(table)), 200):
+                for col, label in enumerate(labels):
+                    product = table.element(eid) * table.alphabet[label]
+                    assert table.right[eid, col] == table.contains(product)
 
     @pytest.mark.parametrize("label", ["H1", "P1", "H2", "P2", "CZ"])
     def test_left_matches_exact_products(self, ws, label):

@@ -91,6 +91,13 @@ class TestScalarOracle:
             expect = GateMatrix.from_entries(rows)
             assert kernels.mat_dagger(x.data, 4) == expect.data
 
+    def test_mat_tensor_outside_32_bits_raises(self):
+        x = raw_matrix(2, (1 << 20, 0, 0, 0, 0))
+        result = None
+        with pytest.raises(AssertionError):
+            result = kernels.mat_tensor(x, x)
+        assert result is None
+
 
 class TestBatchedProduct:
     @pytest.mark.parametrize("dim", [2, 4])

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from czorbits.errors import NotInGroupError
+from czorbits.errors import NotInGroupError, VerificationError
 from czorbits.matrices import CNOT_T1, CNOT_T2, CZ, H, I2, I4, P, SWAP
 from czorbits.synth import CZ_OP, Circuit, CzOp, LocalOp, evaluate, make_circuit
 
@@ -22,6 +22,26 @@ def bfs_distance_from_identity_orbit(graph, oid):
                     nxt.append(other)
         frontier = nxt
     return dist[oid]
+
+
+def synthesize_by_scan(synth, m):
+    """Reference descent: first LC2 witness in canonical order.
+
+    Quadratic per element; cross-validates the plan-based path.
+    """
+    eid = synth.c2.contains(m)
+    if eid is None:
+        raise NotInGroupError("matrix is not an element of the group")
+    d = synth.atlas.layer(synth.atlas.orbit_of[eid])
+    if d == 0:
+        return make_circuit([synth._local_op(m)])
+    for v in synth.lc2.elements:
+        pushed = CZ * v * m
+        j = synth.atlas.orbit_of[synth.c2.contains(pushed)]
+        if synth.atlas.layer(j) == d - 1:
+            rest = synthesize_by_scan(synth, pushed)
+            return make_circuit([synth._local_op(v.dagger()), CZ_OP, *rest.ops])
+    raise VerificationError("no descent witness found")
 
 
 class TestLandmarks:
@@ -81,7 +101,7 @@ class TestRoundTrip:
         for eid in rng.sample(range(len(ws.c2)), 10):
             m = ws.c2.element(eid)
             fast = ws.synthesizer.synthesize(m)
-            slow = ws.synthesizer._synthesize_by_scan(m)
+            slow = synthesize_by_scan(ws.synthesizer, m)
             assert fast.cz_count == slow.cz_count
             assert evaluate(fast) == m
             assert evaluate(slow) == m
