@@ -1,16 +1,19 @@
 """Finite matrix group tables built by breadth-first closure.
 
 A GroupTable holds the elements of a finitely generated matrix group in
-canonical encoding order (the element id is the rank in that order), a
-hash index from encoding to id, and one generating word per element.
-Closure uses right multiplication, so stored words read left-to-right
-as matrix products, and it keeps those products as an integer Cayley table.
+canonical encoding order (the element id is the rank in that order) and one
+generating word per element. It keeps no hash index: membership is a binary
+search over that order. Closure uses right multiplication, so stored words
+read left-to-right as matrix products, and it keeps those products as an
+integer Cayley table.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Mapping, Optional
+from bisect import bisect_left
+from operator import attrgetter
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -23,8 +26,28 @@ CLOSURE_CAP = 10**6
 CLOSURE_SLICE = 256
 
 
+def bfs_fill(out: np.ndarray, moves: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Set out[step[e]] = relabel[out[e]] for each (step, relabel), breadth-first
+    from the entries >= 0 until no more entries of -1 are reached; returns out."""
+    frontier = np.flatnonzero(out >= 0)
+    while frontier.size:
+        reached = []
+        for step, relabel in moves:
+            dst = step[frontier]
+            fresh = out[dst] < 0
+            out[dst[fresh]] = relabel[out[frontier[fresh]]]
+            reached.append(dst[fresh])
+        frontier = np.concatenate(reached)
+    return out
+
+
 class GroupTable:
-    """Immutable table of group elements with generator words."""
+    """Immutable table of group elements with generator words.
+
+    Precondition: `elements` is sorted by encoding, as `closure()` leaves it
+    and `build_lc2` keeps it, so an id is its element's rank and `contains`
+    is a binary search.
+    """
 
     def __init__(
         self,
@@ -45,7 +68,6 @@ class GroupTable:
         # pairs: for the local group, the (wire-1 id, wire-2 id) factor
         # pair of each element over the single-qubit table
         self.pairs = pairs
-        self._index = {m.data: i for i, m in enumerate(elements)}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -59,7 +81,7 @@ class GroupTable:
 
     @property
     def identity_id(self) -> int:
-        return self._index[(I2 if self.dim == 2 else I4).data]
+        return self.contains(I2 if self.dim == 2 else I4)
 
     def _check_id(self, eid: int) -> int:
         if not 0 <= eid < len(self.elements):
@@ -71,7 +93,8 @@ class GroupTable:
 
     def contains(self, m: GateMatrix) -> Optional[int]:
         """Element id of m, or None when m is not in the group."""
-        return self._index.get(m.data)
+        eid = bisect_left(self.elements, m.data, key=attrgetter("data"))
+        return eid if eid < len(self) and self.elements[eid] == m else None
 
     def word_of(self, eid: int) -> tuple[str, ...]:
         return self.words[self._check_id(eid)]
@@ -85,16 +108,7 @@ class GroupTable:
         ident = self.identity_id
         out = np.full(len(self), -1, dtype=np.int32)
         out[ident] = self.right[ident, list(self.alphabet).index(label)]
-        frontier = np.array([ident])
-        while frontier.size:
-            reached = []
-            for column in self.right.T:
-                dst = column[frontier]
-                fresh = out[dst] < 0
-                out[dst[fresh]] = column[out[frontier[fresh]]]
-                reached.append(dst[fresh])
-            frontier = np.concatenate(reached)
-        return out
+        return bfs_fill(out, [(column, column) for column in self.right.T])
 
     def evaluate(self, word: Iterable[str]) -> GateMatrix:
         """Exact left-to-right product of the word's generators."""
@@ -170,8 +184,6 @@ def closure(generators: Mapping[str, GateMatrix], name: str = "group",
     table = rank[np.frombuffer(right, dtype=np.int32).reshape(-1, len(gens))[order]]
     elements = [GateMatrix(dim, found[i]) for i in order]
     words = [words[i] for i in order]
-    # free the discovery-order data before the table builds its own index
-    del found, order, right
     return GroupTable(name, dict(gens), elements, words, table)
 
 

@@ -11,25 +11,42 @@ has "element_id orbit_id" lines, the summary file
 from __future__ import annotations
 
 import os
+import struct
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from czorbits.encoding import unpack_entries
+from czorbits.encoding import BIAS
 from czorbits.errors import InputFormatError
 from czorbits.groups import GroupTable
 from czorbits.matrices import GateMatrix
 from czorbits.orbits import OrbitAtlas
-from czorbits.ring import CycloNum
+from czorbits.ring import CycloNum, parse_integer
 
 TABLE_MAGIC = "CLIFFORD-TABLE"
 TABLE_VERSION = "v1"
 
 
+def _layout(dim: int) -> tuple[struct.Struct, int, str]:
+    """The struct, XOR mask and text template of one dim x dim encoding.
+
+    A coefficient a is stored as a + 2**31; flipping that word's top bit
+    leaves a in two's complement. The exponent is stored raw, unflipped.
+    """
+    n = dim * dim
+    mask = (BIAS.to_bytes(4, "big") * 4 + bytes(4)) * n
+    row = " ".join(["%d,%d,%d,%d/%d"] * dim)
+    template = "\n".join([str(dim), *[row] * dim]) + "\n"
+    return struct.Struct(">" + "iiiiI" * n), int.from_bytes(mask, "big"), template
+
+
+_LAYOUTS = {dim: _layout(dim) for dim in (2, 4)}
+
+
 def format_matrix(m: GateMatrix) -> str:
     # stored entries are reduced, so their five integers print as they are
-    cells = [f"{a},{b},{c},{d}/{k}" for a, b, c, d, k in unpack_entries(m.data)]
-    rows = (" ".join(cells[i : i + m.dim]) for i in range(0, len(cells), m.dim))
-    return "\n".join([str(m.dim), *rows]) + "\n"
+    words, mask, template = _LAYOUTS[m.dim]
+    flipped = (int.from_bytes(m.data, "big") ^ mask).to_bytes(len(m.data), "big")
+    return template % words.unpack(flipped)
 
 
 def parse_matrix(text: str) -> GateMatrix:
@@ -37,7 +54,7 @@ def parse_matrix(text: str) -> GateMatrix:
     if not lines:
         raise InputFormatError("empty matrix text")
     try:
-        dim = int(lines[0])
+        dim = parse_integer(lines[0])
     except ValueError:
         raise InputFormatError(f"bad dimension line {lines[0]!r}") from None
     if dim not in (2, 4):

@@ -10,11 +10,22 @@ so field-wise equality decides numeric equality.
 from __future__ import annotations
 
 import cmath
+import re
 
 from .encoding import check_coeff, pack_entry, unpack_entry
 
 _OMEGA_COMPLEX = cmath.exp(1j * cmath.pi / 4)
 _SQRT2 = 2.0**0.5
+# an optional sign then ASCII digits; int() alone also takes "1_0" and "١"
+_INT = r"[+-]?[0-9]+"
+_INTEGER = re.compile(_INT)
+_ENTRY = re.compile(",".join([f"({_INT})"] * 4) + f"/({_INT})")
+
+
+def parse_integer(text: str) -> int:
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"malformed integer {text!r}")
+    return int(text)
 
 
 def _reduce(a: int, b: int, c: int, d: int, k: int) -> tuple[int, int, int, int, int]:
@@ -75,15 +86,10 @@ class CycloNum:
         """Parse the textual entry form "a,b,c,d/k"."""
         from .encoding import COEF_LIMIT, K_LIMIT
 
-        body, _, exp = text.partition("/")
-        parts = body.split(",")
-        if not exp or len(parts) != 4:
+        match = _ENTRY.fullmatch(text)
+        if match is None:
             raise ValueError(f"malformed ring entry {text!r}")
-        try:
-            a, b, c, d = (int(p) for p in parts)
-            k = int(exp)
-        except ValueError:
-            raise ValueError(f"malformed ring entry {text!r}") from None
+        a, b, c, d, k = map(int, match.groups())
         if k < 0 or k > K_LIMIT:
             raise ValueError(f"denominator exponent out of range in {text!r}")
         if max(abs(a), abs(b), abs(c), abs(d)) >= COEF_LIMIT:

@@ -5,28 +5,28 @@ layers and CZ gates, with exactly layer(orbit(m)) CZ gates; fewer is
 impossible because a local layer never changes the orbit and one CZ moves
 at most one edge in the quotient graph.
 
-The synthesizer uses per-orbit descent plans built from the graph's
-witnesses. For orbit i at layer d with recorded witness w in O_i whose
-pushforward CZ*w lies one layer down, any m in O_i satisfies
-w*dagger(m) in LC2; therefore
-
-    m = dagger(V1) * CZ * (CZ * w),   V1 = w * dagger(m),
-
-and CZ*w is a fixed matrix one layer closer to the identity. Descending
-from CZ*w is the same computation again, so the whole tail of the circuit
-depends only on the orbit and is precomputed; synthesizing one element
-costs a single matrix product plus hash lookups.
+The synthesizer reads the Cayley tables and multiplies no matrices. Each
+orbit O_i is the left coset LC2 * a_i of its anchor a_i: the identity for
+O1, else the graph's witness for its edge to the lowest-numbered orbit one
+layer down.
+So every element is v * a_i for one v in LC2, its factor, and the factors
+fill breadth-first from the anchors, as g * (v * a_i) = (g * v) * a_i. As
+CZ * CZ = 1, a_i = CZ * factor(CZ * a_i) * a_j with O_j one layer down, so
+each orbit has a fixed circuit tail, and an element's circuit is its
+factor's local layer followed by its orbit's tail.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Union
+
+import numpy as np
 
 from czorbits.errors import NotInGroupError, VerificationError
 from czorbits.graph import CzGraph
-from czorbits.groups import GroupTable
+from czorbits.groups import GroupTable, bfs_fill
 from czorbits.matrices import CZ, H, I2, P, GateMatrix
 from czorbits.orbits import OrbitAtlas
 
@@ -115,7 +115,7 @@ def evaluate(circuit: Circuit) -> GateMatrix:
 
 
 class Synthesizer:
-    """Precomputed descent plans over a fixed workspace."""
+    """Per-element factors and per-orbit circuit tails over a fixed workspace."""
 
     def __init__(
         self,
@@ -134,62 +134,46 @@ class Synthesizer:
         self.c2 = c2
         self.atlas = atlas
         self.graph = graph
-        self._plans = self._build_plans()
+        self._factor, self._tails = self._build_plans()
 
-    def _local_op(self, v: GateMatrix) -> LocalOp:
-        lid = self.lc2.contains(v)
-        if lid is None:
-            raise VerificationError("descent produced a non-local factor")
+    def _local(self, lid: int) -> LocalOp:
         ia, ib = self.lc2.pairs[lid]
         return LocalOp(self.c1.words[ia], self.c1.words[ib])
 
-    def _build_plans(self) -> dict[int, tuple[GateMatrix, tuple[Op, ...]]]:
-        """Per orbit: (dagger of its witness, fixed circuit tail).
-
-        The tail realizes CZ*w_i as a circuit, so that prepending
-        LOCAL(dagger(V1)) reconstructs any member of the orbit.
-        """
+    def _build_plans(self) -> tuple[np.ndarray, dict[int, tuple[Op, ...]]]:
+        """Each element's factor, as an lc2 id, and each orbit's tail."""
         atlas, graph = self.atlas, self.graph
-        down: dict[int, int] = {}
-        for oid in range(1, atlas.n_orbits + 1):
-            if atlas.layer(oid) == 0:
-                continue
+        # anchors below O1, shallow orbits first so each tail reuses the one below
+        anchors: dict[int, int] = {}
+        for oid in sorted(range(2, atlas.n_orbits + 1), key=atlas.layer):
             below = [
                 j for j in graph.neighbors(oid)
                 if atlas.layer(j) == atlas.layer(oid) - 1
             ]
             if not below:
                 raise VerificationError(f"orbit {oid} has no downward edge")
-            down[oid] = min(below)
+            anchors[oid] = graph.witnesses[(oid, min(below))]
 
-        plans: dict[int, tuple[GateMatrix, tuple[Op, ...]]] = {}
-        # shallow orbits first so each tail can reuse the one below it
-        for oid in sorted(down, key=atlas.layer):
-            w = self.c2.element(self.graph.witnesses[(oid, down[oid])])
-            pushed = CZ * w
-            tail: list[Op] = [CZ_OP]
-            j = atlas.orbit_of[self.c2.contains(pushed)]
-            if atlas.layer(j) == 0:
-                tail.append(self._local_op(pushed))
-            else:
-                w2_dag, tail2 = plans[j]
-                tail.append(self._local_op(pushed * w2_dag))
-                tail.extend(tail2)
-            plans[oid] = (w.dagger(), tuple(tail))
-        return plans
+        factor = np.full(len(self.c2), -1, dtype=np.int32)
+        factor[[atlas.ident_eid, *anchors.values()]] = self.lc2.identity_id
+        bfs_fill(factor, [(self.c2.left(g), self.lc2.left(g)) for g in self.lc2.alphabet])
+
+        cz = self.c2.left("CZ")
+        tails: dict[int, tuple[Op, ...]] = {1: ()}
+        for oid, anchor in anchors.items():
+            pushed = cz[anchor]
+            tails[oid] = (CZ_OP, self._local(factor[pushed]), *tails[atlas.orbit_of[pushed]])
+        return factor, tails
 
     def synthesize(self, m: GateMatrix) -> Circuit:
         eid = self.c2.contains(m)
         if eid is None:
             raise NotInGroupError("matrix is not an element of the group")
-        oid = self.atlas.orbit_of[eid]
-        if self.atlas.layer(oid) == 0:
-            return make_circuit([self._local_op(m)])
-        w_dag, tail = self._plans[oid]
-        return make_circuit([self._local_op(m * w_dag), *tail])
+        return self.synthesize_id(eid)
 
     def synthesize_id(self, eid: int) -> Circuit:
-        return self.synthesize(self.c2.element(eid))
+        tail = self._tails[self.atlas.orbit_of[self.c2._check_id(eid)]]
+        return make_circuit([self._local(self._factor[eid]), *tail])
 
     def cz_cost_histogram(self) -> dict[int, int]:
         counts: dict[int, int] = {}

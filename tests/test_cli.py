@@ -178,6 +178,19 @@ class TestExitCodes:
         assert main([command, str(path), "--out-dir", str(atlas)]) == 4
         assert "not unitary" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["lookup", "synth"])
+    @pytest.mark.parametrize(
+        "token", ["1_0,0,0,0/0", "\u0661,0,0,0/0", "1,0,0,0/1_6"], ids=["1_0", "arabic-1", "k-1_6"]
+    )
+    def test_entry_outside_grammar_is_malformed(self, atlas, tmp_path, capsys, command, token):
+        # identity with one entry replaced; int() would read these as 10, 1 and 16
+        rows = [["1,0,0,0/0" if i == j else "0,0,0,0/0" for j in range(4)] for i in range(4)]
+        rows[0][0] = token
+        path = tmp_path / "odd.txt"
+        path.write_text("4\n" + "\n".join(" ".join(row) for row in rows) + "\n")
+        assert main([command, str(path), "--out-dir", str(atlas)]) == 3
+        assert "malformed" in capsys.readouterr().err
+
     def test_malformed_matrix(self, atlas, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("2\n1 0\n")

@@ -55,6 +55,25 @@ class TestMembership:
             rows[i][i] = v
         assert ws.c2.contains(GateMatrix.from_entries(rows)) is None
 
+    def test_binary_search_boundaries(self, ws):
+        for table in (ws.c1, ws.lc2, ws.c2):
+            first, last = table.elements[0], table.elements[-1]
+            assert table.contains(first) == 0
+            assert table.contains(last) == len(table) - 1
+            size = len(first.data)
+            assert table.contains(GateMatrix(table.dim, bytes(size))) is None
+            assert table.contains(GateMatrix(table.dim, b"\xff" * size)) is None
+            for eid in (0, len(table) // 2, len(table) - 2):
+                lo, hi = table.elements[eid].data, table.elements[eid + 1].data
+                # one more in the last byte, the low byte of the last exponent
+                between = lo[:-1] + bytes([lo[-1] + 1])
+                assert lo < between < hi
+                assert table.contains(GateMatrix(table.dim, between)) is None
+        assert ws.c2.contains(I2) is None
+        assert ws.c2.contains(H) is None
+        assert ws.c1.contains(I4) is None
+        assert ws.c1.contains(CZ) is None
+
     def test_group_axioms_sample(self, ws):
         rng = random.Random(41)
         for _ in range(300):

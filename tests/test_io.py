@@ -48,6 +48,8 @@ class TestMatrixFormat:
             "2\n1 0 0\n0 1\n",
             "2\n1 bogus\n0 1\n",
             "2\n1 0\n0 1\n1 0\n",
+            "\u0662\n1,0,0,0/0 0,0,0,0/0\n0,0,0,0/0 1,0,0,0/0\n",
+            "2\n1_0,0,0,0/0 0,0,0,0/0\n0,0,0,0/0 1,0,0,0/0\n",
         ],
         ids=[
             "empty",
@@ -57,6 +59,8 @@ class TestMatrixFormat:
             "ragged-row",
             "bad-entry",
             "extra-row",
+            "non-ascii-dim",
+            "underscore-entry",
         ],
     )
     def test_malformed_rejected(self, text):

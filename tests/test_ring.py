@@ -166,11 +166,18 @@ class TestParsing:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "1,2,3/0", "1,2,3,4", "1,2,3,4/", "a,0,0,0/0", "1,2,3,4,5/0", "1,0,0,0/-1"],
+        [
+            "", "1,2,3/0", "1,2,3,4", "1,2,3,4/", "a,0,0,0/0", "1,2,3,4,5/0", "1,0,0,0/-1",
+            "1_0,0,0,0/0", "\u0661,0,0,0/0", "1,0,0,0/1_6", "1,0,0,0/\u0661", "+-1,0,0,0/0",
+            "1,0,0,0/1/2", " 1,0,0,0/0",
+        ],
     )
     def test_malformed_rejected(self, text):
         with pytest.raises(ValueError):
             CycloNum.parse(text)
+
+    def test_signed_ascii_integers_accepted(self):
+        assert CycloNum.parse("+1,-0,0,-1/+0") == CycloNum(1, 0, 0, -1, 0)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from czorbits import kernels
 from czorbits.errors import NotInGroupError, VerificationError
+from czorbits.groups import GroupTable
 from czorbits.matrices import CNOT_T1, CNOT_T2, CZ, H, I2, I4, P, SWAP
-from czorbits.synth import CZ_OP, Circuit, CzOp, LocalOp, evaluate, make_circuit
+from czorbits.synth import CZ_OP, Circuit, CzOp, LocalOp, Synthesizer, evaluate, make_circuit
 
 
 def bfs_distance_from_identity_orbit(graph, oid):
@@ -24,23 +26,33 @@ def bfs_distance_from_identity_orbit(graph, oid):
     return dist[oid]
 
 
+def local_op(synth, v):
+    """The local layer of an LC2 matrix, spelled by its factor pair's c1 words."""
+    lid = synth.lc2.contains(v)
+    if lid is None:
+        raise VerificationError("descent produced a non-local factor")
+    ia, ib = synth.lc2.pairs[lid]
+    return LocalOp(synth.c1.words[ia], synth.c1.words[ib])
+
+
 def synthesize_by_scan(synth, m):
     """Reference descent: first LC2 witness in canonical order.
 
-    Quadratic per element; cross-validates the plan-based path.
+    Quadratic per element; cross-validates the plan-based path with exact
+    products and membership lookups only.
     """
     eid = synth.c2.contains(m)
     if eid is None:
         raise NotInGroupError("matrix is not an element of the group")
     d = synth.atlas.layer(synth.atlas.orbit_of[eid])
     if d == 0:
-        return make_circuit([synth._local_op(m)])
+        return make_circuit([local_op(synth, m)])
     for v in synth.lc2.elements:
         pushed = CZ * v * m
         j = synth.atlas.orbit_of[synth.c2.contains(pushed)]
         if synth.atlas.layer(j) == d - 1:
             rest = synthesize_by_scan(synth, pushed)
-            return make_circuit([synth._local_op(v.dagger()), CZ_OP, *rest.ops])
+            return make_circuit([local_op(synth, v.dagger()), CZ_OP, *rest.ops])
     raise VerificationError("no descent witness found")
 
 
@@ -105,6 +117,35 @@ class TestRoundTrip:
             assert fast.cz_count == slow.cz_count
             assert evaluate(fast) == m
             assert evaluate(slow) == m
+
+    def test_plans_and_synthesis_make_no_product(self, ws, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("synthesis made a matrix product")
+
+        lookups = []
+        real_contains = GroupTable.contains
+
+        def counting_contains(table, m):
+            lookups.append(table.name)
+            return real_contains(table, m)
+
+        rng = random.Random(103)
+        ids = rng.sample(range(len(ws.c2)), 300)
+        members = [ws.c2.element(eid) for eid in rng.sample(range(len(ws.c2)), 50)]
+        members += [I4, CZ, SWAP]
+        for name in ("mat_mul", "mat_dagger", "mat_tensor"):
+            monkeypatch.setattr(kernels, name, refuse)
+        synth = Synthesizer(ws.c1, ws.lc2, ws.c2, ws.atlas, ws.graph)
+        monkeypatch.setattr(GroupTable, "contains", counting_contains)
+        by_id = [synth.synthesize_id(eid) for eid in ids]
+        by_matrix = [synth.synthesize(m) for m in members]
+        monkeypatch.undo()
+        # one c2 lookup per matrix, and no lc2 lookup at all
+        assert lookups == ["c2"] * len(members)
+        for eid, circuit in zip(ids, by_id):
+            assert evaluate(circuit) == ws.c2.element(eid)
+        for m, circuit in zip(members, by_matrix):
+            assert evaluate(circuit) == m
 
     def test_non_member_rejected(self, ws):
         with pytest.raises(NotInGroupError):
