@@ -187,18 +187,20 @@ def check_isomorphic(
     return dict(sorted(mapping.items())) if extend() else None
 
 
-def cnot_graph_equivalence(atlas: OrbitAtlas, c2: GroupTable, graph: CzGraph) -> bool:
+def cnot_graph_equivalence(
+    atlas: OrbitAtlas, c2: GroupTable, graph: CzGraph, lefts: Mapping[str, np.ndarray]
+) -> bool:
     """True iff both CNOT pushforward graphs equal the CZ graph exactly.
 
     The CNOT onto wire w is H_w*CZ*H_w (checked exactly), so its left
-    action composes three generator actions.
+    action composes three of the generator actions lefts[g] on c2.
     """
-    cz = c2.left("CZ")
+    cz = lefts["CZ"]
     for wire, cnot in (("2", CNOT_T2), ("1", CNOT_T1)):
         h = c2.alphabet["H" + wire]
         if h * c2.alphabet["CZ"] * h != cnot:
             raise VerificationError(f"H{wire}*CZ*H{wire} is not the CNOT onto wire {wire}")
-        lh = c2.left("H" + wire)
+        lh = lefts["H" + wire]
         if build_graph(atlas, lh[cz[lh]]).weight != graph.weight:
             return False
     return True

@@ -2,28 +2,37 @@
 
 A GroupTable holds the elements of a finitely generated matrix group in
 canonical encoding order (the element id is the rank in that order) and one
-generating word per element. It keeps no hash index: membership is a binary
-search over that order. Closure uses right multiplication, so stored words
-read left-to-right as matrix products, and it keeps those products as an
-integer Cayley table.
+generating word per element. An element is stored as dim*dim one-byte codes
+into the table's codebook, its distinct entry encodings in ascending order,
+so code rows sort like encodings and membership is a binary search over
+them. Closure uses right multiplication, so stored words read left-to-right
+as matrix products, and it keeps those products as an integer Cayley table.
+
+The closure multiplies no matrices. Entry (i, j) of m * g sums m[i, t] *
+g[t, j] over the few nonzero g[t, j], so it is one lookup per nonzero in
+small tables indexed by codes, whose cells are computed once each in exact
+arithmetic.
 """
 
 from __future__ import annotations
 
-from array import array
+import struct
 from bisect import bisect_left
-from operator import attrgetter
+from math import isqrt
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from czorbits import kernels
+from czorbits.encoding import ENTRY_BYTES
 from czorbits.errors import VerificationError
 from czorbits.matrices import C1_GENERATORS, C2_GENERATORS, I2, I4, GateMatrix
+from czorbits.ring import ONE, ZERO, CycloNum
 
 CLOSURE_CAP = 10**6
-# queue entries multiplied by every generator in one batched kernel call
-CLOSURE_SLICE = 256
+# _SPLIT[dim].unpack(data): a dim x dim encoding's entries, row-major
+_SPLIT = {dim: struct.Struct(f"{ENTRY_BYTES}s" * dim * dim) for dim in (2, 4)}
+# codes are one byte, and the code 255 marks a cell not computed yet
+MAX_CODES = 255
 
 
 def bfs_fill(out: np.ndarray, moves: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -41,11 +50,17 @@ def bfs_fill(out: np.ndarray, moves: Sequence[tuple[np.ndarray, np.ndarray]]) ->
     return out
 
 
+def _row_keys(codes: np.ndarray) -> np.ndarray:
+    """Each code row as one byte string; offset by one, since numpy's S
+    dtype drops trailing NUL bytes."""
+    return (codes + np.uint8(1)).view(f"S{codes.shape[1]}").ravel()
+
+
 class GroupTable:
     """Immutable table of group elements with generator words.
 
-    Precondition: `elements` is sorted by encoding, as `closure()` leaves it
-    and `build_lc2` keeps it, so an id is its element's rank and `contains`
+    Precondition: the rows of `codes` ascend, as `closure()` leaves them and
+    `build_lc2` keeps them, so an id is its element's rank and `contains`
     is a binary search.
     """
 
@@ -53,14 +68,19 @@ class GroupTable:
         self,
         name: str,
         alphabet: Mapping[str, GateMatrix],
-        elements: list[GateMatrix],
+        codes: np.ndarray,
+        book: list[bytes],
         words: list[tuple[str, ...]],
         right: np.ndarray,
         pairs: Optional[list[tuple[int, int]]] = None,
     ) -> None:
         self.name = name
         self.alphabet = dict(alphabet)
-        self.elements = elements
+        # codes[e] (uint8, dim*dim): element e's entries, row-major, as
+        # indices into book, the distinct entry encodings in ascending order
+        self.codes = codes
+        self.book = book
+        self.dim = isqrt(codes.shape[1])
         self.words = words
         # right[e, g] (int32) is the id of element(e) times the g-th
         # generator of the alphabet
@@ -68,33 +88,43 @@ class GroupTable:
         # pairs: for the local group, the (wire-1 id, wire-2 id) factor
         # pair of each element over the single-qubit table
         self.pairs = pairs
+        # each entry's byte in the row keys that contains bisects
+        self._key_of = {data: code + 1 for code, data in enumerate(book)}
+        self._keys = _row_keys(codes)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.codes)
 
     def __repr__(self) -> str:
-        return f"GroupTable({self.name!r}, size={len(self.elements)})"
-
-    @property
-    def dim(self) -> int:
-        return self.elements[0].dim
+        return f"GroupTable({self.name!r}, size={len(self)})"
 
     @property
     def identity_id(self) -> int:
         return self.contains(I2 if self.dim == 2 else I4)
 
     def _check_id(self, eid: int) -> int:
-        if not 0 <= eid < len(self.elements):
-            raise ValueError(f"element id {eid} is not in [0, {len(self.elements) - 1}]")
+        if not 0 <= eid < len(self):
+            raise ValueError(f"element id {eid} is not in [0, {len(self) - 1}]")
         return eid
 
     def element(self, eid: int) -> GateMatrix:
-        return self.elements[self._check_id(eid)]
+        return GateMatrix(self.dim, self.encodings(self._check_id(eid)))
+
+    def encodings(self, ids: int | np.ndarray) -> bytes:
+        """The encodings of the elements `ids`, concatenated in that order."""
+        book = np.frombuffer(b"".join(self.book), dtype=np.uint8)
+        return book.reshape(-1, ENTRY_BYTES)[self.codes[ids]].tobytes()
 
     def contains(self, m: GateMatrix) -> Optional[int]:
         """Element id of m, or None when m is not in the group."""
-        eid = bisect_left(self.elements, m.data, key=attrgetter("data"))
-        return eid if eid < len(self) and self.elements[eid] == m else None
+        if m.dim != self.dim:
+            return None
+        try:
+            key = bytes(map(self._key_of.__getitem__, _SPLIT[self.dim].unpack(m.data)))
+        except KeyError:  # an entry no element has
+            return None
+        eid = bisect_left(self._keys, key)
+        return eid if eid < len(self) and self._keys[eid] == key else None
 
     def word_of(self, eid: int) -> tuple[str, ...]:
         return self.words[self._check_id(eid)]
@@ -131,10 +161,10 @@ def closure(generators: Mapping[str, GateMatrix], name: str = "group",
     which is independent of discovery order. Every product m * g the
     search makes is kept, in final ids, as the table's `right`.
 
-    The products come CLOSURE_SLICE queue entries at a time from one
-    `kernels.mat_mul_batch` call, and are visited in (queue position,
-    generator) order, the order of one product at a time. Entries found
-    while a slice is visited join the queue behind it.
+    The search runs one word length at a time on code rows. A level's
+    products are looked up against every element numbered so far, and the
+    new ones are numbered in (parent, generator) order of first occurrence,
+    the order of one product at a time.
     """
     gens = list(generators.items())
     if not gens:
@@ -146,45 +176,95 @@ def closure(generators: Mapping[str, GateMatrix], name: str = "group",
         if not g.is_unitary():
             raise ValueError(f"generator {label!r} is not unitary")
 
-    # encodings in discovery order; the list is also the breadth-first queue
-    found = [GateMatrix.identity(dim).data]
-    words: list[tuple[str, ...]] = [()]
-    index = {found[0]: 0}
-    # right[i * len(gens) + g]: discovery number of found[i] * gens[g]
-    right = array("i")
-    labels = [label for label, _ in gens]
-    gen_data = b"".join(g.data for _, g in gens)
-    size = len(found[0])
-    pos = 0
-    while pos < len(found):
-        rows = found[pos : pos + CLOSURE_SLICE]
-        prods = kernels.mat_mul_batch(b"".join(rows), gen_data, dim)
-        at = 0
-        for word in words[pos : pos + len(rows)]:
-            for label in labels:
-                prod = prods[at : at + size]
-                at += size
-                j = index.get(prod)
-                if j is None:
-                    j = index[prod] = len(found)
-                    found.append(prod)
-                    words.append(word + (label,))
-                    if len(found) > cap:
-                        raise VerificationError(
-                            f"closure of {name} exceeded {cap} elements; "
-                            "the representation is not closing"
-                        )
-                right.append(j)
-        pos += len(rows)
-    del index
+    # codes 0 and 1 are zero and one, so the identity's row is eye(dim)
+    book = [ZERO.pack(), ONE.pack()]
+    code_of = {data: code for code, data in enumerate(book)}
+    # cells[k][a << 8 | c]: code of book[a] + book[c] * k, 255 until needed
+    cells: dict[CycloNum, np.ndarray] = {}
 
-    order = sorted(range(len(found)), key=found.__getitem__)
-    rank = np.empty(len(order), dtype=np.int32)
-    rank[order] = np.arange(len(order), dtype=np.int32)
-    table = rank[np.frombuffer(right, dtype=np.int32).reshape(-1, len(gens))[order]]
-    elements = [GateMatrix(dim, found[i]) for i in order]
-    words = [words[i] for i in order]
-    return GroupTable(name, dict(gens), elements, words, table)
+    def add_times(acc: np.ndarray, k: CycloNum, src: np.ndarray) -> np.ndarray:
+        table = cells.get(k)
+        if table is None:
+            table = cells[k] = np.full(1 << 16, MAX_CODES, dtype=np.uint8)
+        index = (acc.astype(np.intp) << 8) | src
+        out = table[index]
+        if (out == MAX_CODES).any():
+            for i in np.unique(index[out == MAX_CODES]).tolist():
+                a, c = CycloNum.unpack(book[i >> 8]), CycloNum.unpack(book[i & 255])
+                data = (a + c * k).pack()
+                if data not in code_of:
+                    if len(book) == MAX_CODES:
+                        raise VerificationError(
+                            f"closure of {name} met more than {MAX_CODES} distinct entries"
+                        )
+                    code_of[data] = len(book)
+                    book.append(data)
+                table[i] = code_of[data]
+            out = table[index]
+        return out
+
+    # columns[g][j]: the nonzero entries (t, g[t, j]) of column j of generator g
+    columns = [
+        [[(t, g.entry(t, j)) for t in range(dim) if g.entry(t, j)] for j in range(dim)]
+        for _, g in gens
+    ]
+
+    def products(rows: np.ndarray) -> np.ndarray:
+        """Code rows of rows[p] * g, in (p, g) order: (m * g)[i, j] is the
+        sum of m[i, t] * g[t, j], added up one nonzero g[t, j] at a time."""
+        m = rows.reshape(-1, dim, dim)
+        out = np.empty((len(m), len(gens), dim, dim), dtype=np.uint8)
+        for gi, cols in enumerate(columns):
+            for j, terms in enumerate(cols):
+                acc = np.zeros_like(m[:, :, 0])
+                for t, k in terms:
+                    acc = add_times(acc, k, m[:, :, t])
+                out[:, gi, :, j] = acc
+        return out.reshape(-1, dim * dim)
+
+    frontier = np.eye(dim, dtype=np.uint8).reshape(1, -1)
+    levels = [frontier]
+    words: list[tuple[str, ...]] = [()]
+    labels = [label for label, _ in gens]
+    # known: the row keys met so far, ascending, and known_ids their discovery
+    # numbers; right_levels[L][p, g]: that of frontier row p of level L times g
+    known, known_ids = _row_keys(frontier), np.zeros(1, dtype=np.int32)
+    right_levels = []
+    while len(frontier):
+        start, found = len(known) - len(frontier), len(known)
+        cand = products(frontier)
+        keys, first, inverse = np.unique(_row_keys(cand), return_index=True, return_inverse=True)
+        pos = np.searchsorted(known, keys)
+        ids = known_ids[np.minimum(pos, found - 1)]
+        new = np.flatnonzero(known[np.minimum(pos, found - 1)] != keys)
+        fresh = new[np.argsort(first[new])]
+        if found + len(fresh) > cap:
+            raise VerificationError(
+                f"closure of {name} exceeded {cap} elements; "
+                "the representation is not closing"
+            )
+        ids[fresh] = np.arange(found, found + len(fresh))
+        known = np.insert(known, pos[new], keys[new])
+        known_ids = np.insert(known_ids, pos[new], ids[new])
+        right_levels.append(ids[inverse].reshape(-1, len(gens)))
+        parent, label = np.divmod(first[fresh], len(gens))
+        words.extend(
+            words[start + p] + (labels[g],) for p, g in zip(parent.tolist(), label.tolist())
+        )
+        frontier = cand[first[fresh]]
+        levels.append(frontier)
+
+    # renumber the codes that rows use in encoding order, then sort the rows
+    codes = np.concatenate(levels)
+    used = sorted(np.unique(codes).tolist(), key=book.__getitem__)
+    recode = np.zeros(len(book), dtype=np.uint8)
+    recode[used] = np.arange(len(used))
+    codes = recode[codes]
+    order = np.argsort(_row_keys(codes))
+    rank = np.argsort(order).astype(np.int32)
+    right = rank[np.concatenate(right_levels)[order]]
+    words = [words[i] for i in order.tolist()]
+    return GroupTable(name, dict(gens), codes[order], [book[c] for c in used], words, right)
 
 
 def build_c1() -> GroupTable:
@@ -226,7 +306,9 @@ def build_lc2(c1: GroupTable) -> GroupTable:
         + tuple(lbl + "2" for lbl in c1.words[ib])
         for ia, ib in pairs
     ]
-    return GroupTable("lc2", table.alphabet, table.elements, words, table.right, pairs)
+    return GroupTable(
+        "lc2", table.alphabet, table.codes, table.book, words, table.right, pairs
+    )
 
 
 def build_c2() -> GroupTable:

@@ -11,11 +11,10 @@ has "element_id orbit_id" lines, the summary file
 from __future__ import annotations
 
 import os
-import struct
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from czorbits.encoding import BIAS
+from czorbits.encoding import unpack_entries, unpack_entry
 from czorbits.errors import InputFormatError
 from czorbits.groups import GroupTable
 from czorbits.matrices import GateMatrix
@@ -24,29 +23,18 @@ from czorbits.ring import CycloNum, parse_integer
 
 TABLE_MAGIC = "CLIFFORD-TABLE"
 TABLE_VERSION = "v1"
+_ENTRY = "%d,%d,%d,%d/%d"
 
 
-def _layout(dim: int) -> tuple[struct.Struct, int, str]:
-    """The struct, XOR mask and text template of one dim x dim encoding.
-
-    A coefficient a is stored as a + 2**31; flipping that word's top bit
-    leaves a in two's complement. The exponent is stored raw, unflipped.
-    """
-    n = dim * dim
-    mask = (BIAS.to_bytes(4, "big") * 4 + bytes(4)) * n
-    row = " ".join(["%d,%d,%d,%d/%d"] * dim)
-    template = "\n".join([str(dim), *[row] * dim]) + "\n"
-    return struct.Struct(">" + "iiiiI" * n), int.from_bytes(mask, "big"), template
-
-
-_LAYOUTS = {dim: _layout(dim) for dim in (2, 4)}
+def _template(dim: int) -> str:
+    """The text of one dim x dim matrix, with a %s slot per entry."""
+    row = " ".join(["%s"] * dim)
+    return "\n".join([str(dim), *[row] * dim]) + "\n"
 
 
 def format_matrix(m: GateMatrix) -> str:
     # stored entries are reduced, so their five integers print as they are
-    words, mask, template = _LAYOUTS[m.dim]
-    flipped = (int.from_bytes(m.data, "big") ^ mask).to_bytes(len(m.data), "big")
-    return template % words.unpack(flipped)
+    return _template(m.dim) % tuple(_ENTRY % e for e in unpack_entries(m.data))
 
 
 def parse_matrix(text: str) -> GateMatrix:
@@ -78,8 +66,12 @@ def parse_matrix(text: str) -> GateMatrix:
 def table_records(table: GroupTable) -> Iterator[str]:
     """The table file's text: the header line, then one record per element."""
     yield f"{TABLE_MAGIC} {TABLE_VERSION} {table.name} {len(table)}\n"
-    for m in table.elements:
-        yield format_matrix(m)
+    # one text per code, then each record is its element's codes filled in
+    texts = [_ENTRY % unpack_entry(data) for data in table.book]
+    template, width = _template(table.dim), table.dim * table.dim
+    codes = table.codes.tobytes()
+    for at in range(0, len(codes), width):
+        yield template % tuple(map(texts.__getitem__, codes[at : at + width]))
 
 
 def format_table(table: GroupTable) -> str:
@@ -102,47 +94,6 @@ def write_atomic(path: Path, data: bytes | Iterable[bytes]) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def read_table(path: Path) -> tuple[str, list[GateMatrix]]:
-    """Parse a table file into (name, elements); raises on any damage."""
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from None
-    lines = text.splitlines()
-    if not lines:
-        raise InputFormatError(f"{path}: empty table file")
-    header = lines[0].split()
-    if len(header) != 4 or header[0] != TABLE_MAGIC or header[1] != TABLE_VERSION:
-        raise InputFormatError(f"{path}: bad table header {lines[0]!r}")
-    name = header[2]
-    try:
-        count = int(header[3])
-    except ValueError:
-        raise InputFormatError(f"{path}: bad element count {header[3]!r}") from None
-
-    body = lines[1:]
-    elements: list[GateMatrix] = []
-    pos = 0
-    for _ in range(count):
-        if pos >= len(body):
-            raise InputFormatError(f"{path}: truncated after {len(elements)} records")
-        try:
-            dim = int(body[pos])
-        except ValueError:
-            raise InputFormatError(f"{path}: bad record at line {pos + 2}") from None
-        record = body[pos : pos + 1 + dim]
-        if len(record) != 1 + dim:
-            raise InputFormatError(f"{path}: truncated record at line {pos + 2}")
-        try:
-            elements.append(parse_matrix("\n".join(record)))
-        except InputFormatError as exc:
-            raise InputFormatError(f"{path}: {exc}") from None
-        pos += 1 + dim
-    if any(body[pos:]):
-        raise InputFormatError(f"{path}: trailing data after {count} records")
-    return name, elements
 
 
 def format_orbit_map(atlas: OrbitAtlas) -> str:

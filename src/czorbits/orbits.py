@@ -10,13 +10,12 @@ lists, and (after labeling) each orbit's CZ layer. Orbit ids are 1-based.
 from __future__ import annotations
 
 from array import array
-from typing import Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
-from czorbits.errors import NotInGroupError, VerificationError
+from czorbits.errors import VerificationError
 from czorbits.groups import GroupTable
-from czorbits.matrices import GateMatrix
 
 
 class OrbitAtlas:
@@ -58,14 +57,15 @@ class OrbitAtlas:
         return self.layers[oid - 1]
 
 
-def partition(c2: GroupTable, lc2: GroupTable) -> OrbitAtlas:
+def partition(c2: GroupTable, lc2: GroupTable, lefts: Mapping[str, np.ndarray]) -> OrbitAtlas:
     """Split c2 into left cosets of lc2, labeled in discovery order.
 
-    Every id takes the minimum of its neighbours' labels under lc2's
+    lefts[g] is the left action of generator g on c2, as GroupTable.left
+    gives it. Every id takes the minimum of its neighbours' labels under lc2's
     generators until nothing changes, leaving each coset labeled by its
     minimal id; orbit ids follow those minima in increasing order.
     """
-    actions = [c2.left(label) for label in lc2.alphabet]
+    actions = [lefts[label] for label in lc2.alphabet]
     low = np.arange(len(c2), dtype=np.int32)
     while True:
         nxt = low.copy()
@@ -119,9 +119,3 @@ def assign_layers_and_labels(atlas: OrbitAtlas, graph) -> OrbitAtlas:
     layers = [layer_of[old] for old in old_order]
     return OrbitAtlas(orbit_of, members, atlas.ident_eid, layers)
 
-
-def orbit_of_matrix(atlas: OrbitAtlas, c2: GroupTable, m: GateMatrix) -> int:
-    eid = c2.contains(m)
-    if eid is None:
-        raise NotInGroupError("matrix is not an element of the group")
-    return atlas.orbit_of[eid]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import Mapping, Union
 
 import numpy as np
 
@@ -124,6 +124,7 @@ class Synthesizer:
         c2: GroupTable,
         atlas: OrbitAtlas,
         graph: CzGraph,
+        lefts: Mapping[str, np.ndarray],
     ) -> None:
         if atlas.layers is None:
             raise ValueError("atlas must have layers assigned")
@@ -134,14 +135,17 @@ class Synthesizer:
         self.c2 = c2
         self.atlas = atlas
         self.graph = graph
-        self._factor, self._tails = self._build_plans()
+        self._factor, self._tails = self._build_plans(lefts)
 
     def _local(self, lid: int) -> LocalOp:
         ia, ib = self.lc2.pairs[lid]
         return LocalOp(self.c1.words[ia], self.c1.words[ib])
 
-    def _build_plans(self) -> tuple[np.ndarray, dict[int, tuple[Op, ...]]]:
-        """Each element's factor, as an lc2 id, and each orbit's tail."""
+    def _build_plans(
+        self, lefts: Mapping[str, np.ndarray]
+    ) -> tuple[np.ndarray, dict[int, tuple[Op, ...]]]:
+        """Each element's factor, as an lc2 id, and each orbit's tail, from
+        the left actions lefts[g] of the generators on c2."""
         atlas, graph = self.atlas, self.graph
         # anchors below O1, shallow orbits first so each tail reuses the one below
         anchors: dict[int, int] = {}
@@ -156,9 +160,9 @@ class Synthesizer:
 
         factor = np.full(len(self.c2), -1, dtype=np.int32)
         factor[[atlas.ident_eid, *anchors.values()]] = self.lc2.identity_id
-        bfs_fill(factor, [(self.c2.left(g), self.lc2.left(g)) for g in self.lc2.alphabet])
+        bfs_fill(factor, [(lefts[g], self.lc2.left(g)) for g in self.lc2.alphabet])
 
-        cz = self.c2.left("CZ")
+        cz = lefts["CZ"]
         tails: dict[int, tuple[Op, ...]] = {1: ()}
         for oid, anchor in anchors.items():
             pushed = cz[anchor]
@@ -174,10 +178,3 @@ class Synthesizer:
     def synthesize_id(self, eid: int) -> Circuit:
         tail = self._tails[self.atlas.orbit_of[self.c2._check_id(eid)]]
         return make_circuit([self._local(self._factor[eid]), *tail])
-
-    def cz_cost_histogram(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for oid in range(1, self.atlas.n_orbits + 1):
-            lv = self.atlas.layer(oid)
-            counts[lv] = counts.get(lv, 0) + len(self.atlas.orbit_members(oid))
-        return dict(sorted(counts.items()))

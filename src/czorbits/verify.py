@@ -12,9 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from czorbits import kernels
+from czorbits.encoding import ENTRY_BYTES
 from czorbits.graph import cnot_graph_equivalence
 from czorbits.groups import GroupTable
 from czorbits.io import format_orbit_map, format_table
+from czorbits.ring import CycloNum
 from czorbits.synth import evaluate
 from czorbits.workspace import Workspace, build_workspace
 
@@ -62,15 +65,23 @@ class VerificationReport:
 
 def _table_to_numpy(table: GroupTable) -> np.ndarray:
     """All elements as one (n, dim, dim) complex array, vectorized."""
-    dim = table.dim
-    raw = b"".join(m.data for m in table.elements)
-    words = np.frombuffer(raw, dtype=">u4").astype(np.int64)
-    words = words.reshape(len(table), dim * dim, 5)
-    coeffs = words[:, :, :4] - (1 << 31)
-    k = words[:, :, 4]
-    omega = np.exp(1j * np.pi / 4) ** np.arange(4)
-    values = (coeffs * omega).sum(axis=2) * (2.0 ** (-0.5 * k))
-    return values.reshape(len(table), dim, dim)
+    values = np.array([CycloNum.unpack(data).to_complex() for data in table.book])
+    return values[table.codes].reshape(len(table), table.dim, table.dim)
+
+
+def _right_mismatches(table: GroupTable, rows: int = 4096) -> int:
+    """Products element(e) * g, from the batched kernel, that differ from
+    the encoding of element(right[e, g]); `rows` elements at a time."""
+    gens = b"".join(g.data for g in table.alphabet.values())
+    size = table.dim * table.dim * ENTRY_BYTES
+    bad = 0
+    for lo in range(0, len(table), rows):
+        ids = np.arange(lo, min(lo + rows, len(table)))
+        got = kernels.mat_mul_batch(table.encodings(ids), gens, table.dim)
+        want = table.encodings(table.right[ids].ravel())
+        diff = np.frombuffer(got, np.uint8) != np.frombuffer(want, np.uint8)
+        bad += int(diff.reshape(-1, size).any(axis=1).sum())
+    return bad
 
 
 def run_verification(ws: Workspace | None = None) -> VerificationReport:
@@ -93,7 +104,7 @@ def run_verification(ws: Workspace | None = None) -> VerificationReport:
     covered = sum(len(atlas.orbit_members(o)) for o in range(1, n + 1))
     rep.add("orbit-cover", 92160, covered)
     o1 = set(atlas.orbit_members(1))
-    lc2_ids = {c2.contains(m) for m in lc2.elements}
+    lc2_ids = {c2.contains(lc2.element(e)) for e in range(len(lc2))}
     rep.add("identity-orbit-is-lc2", True, o1 == lc2_ids)
 
     offdiag = sorted(
@@ -124,7 +135,7 @@ def run_verification(ws: Workspace | None = None) -> VerificationReport:
     rep.add("layer-element-counts", [4608, 41472, 41472, 4608], elem_counts)
 
     rep.add("figure-isomorphism", True, ws.bijection is not None)
-    rep.add("cnot-equivalence", True, cnot_graph_equivalence(atlas, c2, graph))
+    rep.add("cnot-equivalence", True, cnot_graph_equivalence(atlas, c2, graph, ws.lefts))
 
     failures = 0
     max_cz = 0
@@ -138,7 +149,7 @@ def run_verification(ws: Workspace | None = None) -> VerificationReport:
     rep.add("synthesis-full-sweep-failures", 0, failures)
     rep.add("synthesis-max-cz", 3, max_cz)
 
-    bad_unitary = sum(1 for m in c2.elements if not m.is_unitary())
+    bad_unitary = sum(1 for e in range(len(c2)) if not c2.element(e).is_unitary())
     rep.add("unitarity-exact-failures", 0, bad_unitary)
 
     arr = _table_to_numpy(c2)
@@ -181,7 +192,7 @@ def run_verification(ws: Workspace | None = None) -> VerificationReport:
     rep.add("word-roundtrip-sample", SAMPLE_SIZE, ok)
 
     gens = list(c2.alphabet.values())
-    lefts = [c2.left(label) for label in c2.alphabet]
+    lefts = [ws.lefts[label] for label in c2.alphabet]
     ok = 0
     for _ in range(SAMPLE_SIZE):
         col, eid = rng.randrange(len(gens)), rng.randrange(len(c2))
@@ -189,6 +200,7 @@ def run_verification(ws: Workspace | None = None) -> VerificationReport:
         if c2.contains(m * g) == c2.right[eid, col] and c2.contains(g * m) == lefts[col][eid]:
             ok += 1
     rep.add("action-table-sample", SAMPLE_SIZE, ok)
+    rep.add("right-table-exact", [0, 0, 0], [_right_mismatches(t) for t in (c1, lc2, c2)])
 
     ws2 = build_workspace(fresh=True)
     same = (

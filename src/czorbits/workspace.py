@@ -1,7 +1,7 @@
 """One-stop construction of the full group/orbit/graph workspace.
 
-Building everything from scratch takes a few seconds, most of it the C2
-closure; commands simply rebuild in memory on every invocation, and the
+Building everything from scratch takes about half a second, most of it the
+C2 closure; commands simply rebuild in memory on every invocation, and the
 table files on disk act as the deterministic persistence layer. When files
 are present they can be validated by byte comparison against the
 regenerated content, which catches truncation or editing without trusting
@@ -14,6 +14,8 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
+
+import numpy as np
 
 from czorbits.errors import InputFormatError
 from czorbits.graph import CzGraph, build_graph, check_isomorphic, check_weight_law
@@ -30,6 +32,8 @@ class Workspace:
     c1: GroupTable
     lc2: GroupTable
     c2: GroupTable
+    # lefts[g]: left action of c2's generator g on c2 ids, as GroupTable.left
+    lefts: dict[str, np.ndarray]
     atlas: OrbitAtlas
     graph: CzGraph
     bijection: Optional[dict[int, int]]
@@ -54,15 +58,15 @@ def build_workspace(fresh: bool = False) -> Workspace:
     c1 = build_c1()
     lc2 = build_lc2(c1)
     c2 = build_c2()
-    pre = partition(c2, lc2)
-    cz = c2.left("CZ")
-    pre_graph = build_graph(pre, cz)
+    lefts = {label: c2.left(label) for label in c2.alphabet}
+    pre = partition(c2, lc2, lefts)
+    pre_graph = build_graph(pre, lefts["CZ"])
     check_weight_law(pre_graph)
     atlas = assign_layers_and_labels(pre, pre_graph)
-    graph = build_graph(atlas, cz)
+    graph = build_graph(atlas, lefts["CZ"])
     bijection = check_isomorphic(graph)
-    synthesizer = Synthesizer(c1, lc2, c2, atlas, graph)
-    ws = Workspace(c1, lc2, c2, atlas, graph, bijection, synthesizer)
+    synthesizer = Synthesizer(c1, lc2, c2, atlas, graph, lefts)
+    ws = Workspace(c1, lc2, c2, lefts, atlas, graph, bijection, synthesizer)
     if _CACHE is None:
         _CACHE = ws
     return ws

@@ -15,8 +15,10 @@ import hashlib
 
 import pytest
 
+from czorbits import kernels
 from czorbits.graph import to_json
 from czorbits.io import format_circuit, format_orbit_map, format_orbit_summary, format_table
+from czorbits.workspace import build_workspace
 
 GOLDEN_SHA256 = {
     "c1.tbl": "aca831ea4868d206a7ab99673323ab359a775222df8561910f3fcf66b7166251",
@@ -78,6 +80,26 @@ def test_lc2_words_match_pinned_digest(ws):
 
 
 def test_circuits_match_pinned_digest(ws):
+    digest = hashlib.sha256()
+    for eid in range(len(ws.c2)):
+        digest.update(format_circuit(ws.synthesizer.synthesize_id(eid)).encode())
+    assert digest.hexdigest() == CIRCUITS_SHA256
+
+
+def test_build_without_the_batched_kernel_holds_every_pin():
+    def refuse(*args):
+        raise AssertionError("the closure called mat_mul_batch")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "mat_mul_batch", refuse)
+        ws = build_workspace(fresh=True)
+    for name, expected in GOLDEN_SHA256.items():
+        assert hashlib.sha256(_output(ws, name).encode()).hexdigest() == expected
+    assert hashlib.sha256(_words_text(ws.c2).encode()).hexdigest() == C2_WORDS_SHA256
+    assert hashlib.sha256(ws.c2.right.astype("<i4").tobytes()).hexdigest() == C2_RIGHT_SHA256
+    pairs = "".join(f"{ia} {ib}\n" for ia, ib in ws.lc2.pairs)
+    assert hashlib.sha256(pairs.encode()).hexdigest() == LC2_PAIRS_SHA256
+    assert hashlib.sha256(_words_text(ws.lc2).encode()).hexdigest() == LC2_WORDS_SHA256
     digest = hashlib.sha256()
     for eid in range(len(ws.c2)):
         digest.update(format_circuit(ws.synthesizer.synthesize_id(eid)).encode())

@@ -102,7 +102,7 @@ class TestComputedIsomorphism:
 
 class TestGateSubstitution:
     def test_cnot_graphs_identical(self, ws):
-        assert cnot_graph_equivalence(ws.atlas, ws.c2, ws.graph)
+        assert cnot_graph_equivalence(ws.atlas, ws.c2, ws.graph, ws.lefts)
 
     def test_local_gate_degenerate_probe(self, ws):
         probe = build_graph(ws.atlas, ws.c2.left("H1"))

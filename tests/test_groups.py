@@ -5,8 +5,9 @@ import random
 import numpy as np
 import pytest
 
+from czorbits.encoding import ENTRY_BYTES
 from czorbits.errors import VerificationError
-from czorbits.groups import CLOSURE_CAP, GroupTable, build_lc2, closure
+from czorbits.groups import CLOSURE_CAP, MAX_CODES, GroupTable, build_lc2, closure
 from czorbits.matrices import (
     C1_GENERATORS,
     CZ,
@@ -17,6 +18,9 @@ from czorbits.matrices import (
     P,
 )
 from czorbits.ring import IMAG_UNIT, OMEGA, ONE, ZERO
+from czorbits.verify import _right_mismatches
+
+T = GateMatrix.from_entries([[ONE, ZERO], [ZERO, OMEGA]])
 
 
 class TestOrders:
@@ -46,7 +50,7 @@ class TestMembership:
         assert ws.lc2.contains(I4) is not None
 
     def test_lc2_subset_of_c2(self, ws):
-        assert all(ws.c2.contains(m) is not None for m in ws.lc2.elements)
+        assert all(ws.c2.contains(m) is not None for m in map(ws.lc2.element, range(len(ws.lc2))))
 
     def test_non_clifford_absent(self, ws):
         # controlled-sqrt(P): unitary, entries in the ring, not Clifford
@@ -57,14 +61,14 @@ class TestMembership:
 
     def test_binary_search_boundaries(self, ws):
         for table in (ws.c1, ws.lc2, ws.c2):
-            first, last = table.elements[0], table.elements[-1]
+            first, last = table.element(0), table.element(len(table) - 1)
             assert table.contains(first) == 0
             assert table.contains(last) == len(table) - 1
             size = len(first.data)
             assert table.contains(GateMatrix(table.dim, bytes(size))) is None
             assert table.contains(GateMatrix(table.dim, b"\xff" * size)) is None
             for eid in (0, len(table) // 2, len(table) - 2):
-                lo, hi = table.elements[eid].data, table.elements[eid + 1].data
+                lo, hi = table.element(eid).data, table.element(eid + 1).data
                 # one more in the last byte, the low byte of the last exponent
                 between = lo[:-1] + bytes([lo[-1] + 1])
                 assert lo < between < hi
@@ -161,7 +165,7 @@ class TestActionTables:
 
     def test_left_of_whole_c1(self, ws):
         for label, gen in ws.c1.alphabet.items():
-            expected = [ws.c1.contains(gen * m) for m in ws.c1.elements]
+            expected = [ws.c1.contains(gen * m) for m in map(ws.c1.element, range(len(ws.c1)))]
             assert ws.c1.left(label).tolist() == expected
 
     def test_left_rejects_unknown_label(self, ws):
@@ -188,10 +192,65 @@ class TestClosureValidation:
         with pytest.raises(ValueError):
             closure({}, "empty")
 
+    def test_more_entry_values_than_codes_raises(self):
+        # H and T generate an infinite group, whose entries never repeat
+        with pytest.raises(VerificationError, match=f"more than {MAX_CODES} distinct entries"):
+            closure({"H": H, "T": T}, "ht")
+
+
+class TestEntryCodes:
+    @pytest.mark.parametrize("name, size", [("c1", 17), ("lc2", 25), ("c2", 25)])
+    def test_codebook_ascends_and_rows_rise_strictly(self, ws, name, size):
+        table = ws.table(name)
+        assert len(table.book) == size
+        assert all(a < b for a, b in zip(table.book, table.book[1:]))
+        assert table.codes.dtype == np.uint8
+        assert table.codes.shape == (len(table), table.dim**2)
+        rows = [row.tobytes() for row in table.codes]
+        assert all(a < b for a, b in zip(rows, rows[1:]))
+
+    def test_contains_inverts_element_on_every_id(self, ws):
+        c2 = ws.c2
+        assert all(c2.contains(c2.element(e)) == e for e in range(len(c2)))
+
+    def test_non_members_in_and_outside_the_codebook(self, ws):
+        c2 = ws.c2
+        t1 = T.tensor(I2)
+        entries = range(0, len(t1.data), ENTRY_BYTES)
+        # 0, 1 and omega are all entries of C2 elements: a binary-search miss
+        assert {t1.data[o : o + ENTRY_BYTES] for o in entries} <= set(c2.book)
+        assert c2.contains(t1) is None
+        # H T H has the entry (1 + omega) / 2, which no C2 element has
+        hth = (H * T * H).tensor(I2)
+        assert not {hth.data[o : o + ENTRY_BYTES] for o in entries} <= set(c2.book)
+        assert c2.contains(hth) is None
+        assert c2.contains(H) is None and c2.contains(I2) is None
+
+    def test_columns_with_more_than_two_nonzeros_fold(self):
+        hh = H.tensor(H)  # four nonzero entries in every column
+        table = closure({"HH": hh, "CZ": CZ}, "hh-cz")
+        assert len(table) == 12
+        for eid in range(len(table)):
+            for col, g in enumerate(table.alphabet.values()):
+                assert table.contains(table.element(eid) * g) == table.right[eid, col]
+        assert table.evaluate(table.word_of(len(table) - 1)) == table.element(len(table) - 1)
+
+
+class TestRightTableOracle:
+    def test_every_table_matches_the_batched_kernel(self, ws):
+        assert [_right_mismatches(t) for t in (ws.c1, ws.lc2)] == [0, 0]
+
+    def test_a_wrong_entry_is_counted(self, ws):
+        c1 = ws.c1
+        right = c1.right.copy()
+        right[5, 1] = right[6, 1]
+        broken = GroupTable("c1", c1.alphabet, c1.codes, c1.book, c1.words, right)
+        assert _right_mismatches(broken, rows=50) == 1
+
 
 class TestCanonicalOrder:
     def test_elements_sorted_by_encoding(self, ws):
-        datas = [m.data for m in ws.c1.elements]
+        datas = [ws.c1.element(e).data for e in range(len(ws.c1))]
         assert datas == sorted(datas)
         sample = [ws.c2.element(i).data for i in range(0, len(ws.c2), 997)]
         assert sample == sorted(sample)

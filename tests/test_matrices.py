@@ -152,7 +152,9 @@ class TestEncoding:
         with pytest.raises(AttributeError):
             m.dim = 2
         c1 = pickle.loads(pickle.dumps(ws.c1))
-        assert c1.elements == ws.c1.elements
+        assert [c1.element(e) for e in range(len(c1))] == [
+            ws.c1.element(e) for e in range(len(ws.c1))
+        ]
         assert c1.words == ws.c1.words
         assert (c1.right == ws.c1.right).all()
         assert c1.contains(H) == ws.c1.contains(H)
