@@ -80,6 +80,7 @@ class GroupTable:
         # indices into book, the distinct entry encodings in ascending order
         self.codes = codes
         self.book = book
+        self._book = np.frombuffer(b"".join(book), dtype=np.uint8).reshape(-1, ENTRY_BYTES)
         self.dim = isqrt(codes.shape[1])
         self.words = words
         # right[e, g] (int32) is the id of element(e) times the g-th
@@ -108,12 +109,12 @@ class GroupTable:
         return eid
 
     def element(self, eid: int) -> GateMatrix:
-        return GateMatrix(self.dim, self.encodings(self._check_id(eid)))
+        codes = self.codes[self._check_id(eid)].tobytes()
+        return GateMatrix(self.dim, b"".join(map(self.book.__getitem__, codes)))
 
     def encodings(self, ids: int | np.ndarray) -> bytes:
         """The encodings of the elements `ids`, concatenated in that order."""
-        book = np.frombuffer(b"".join(self.book), dtype=np.uint8)
-        return book.reshape(-1, ENTRY_BYTES)[self.codes[ids]].tobytes()
+        return self._book[self.codes[ids]].tobytes()
 
     def contains(self, m: GateMatrix) -> Optional[int]:
         """Element id of m, or None when m is not in the group."""

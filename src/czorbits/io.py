@@ -96,6 +96,47 @@ def write_atomic(path: Path, data: bytes | Iterable[bytes]) -> None:
         raise
 
 
+def read_table(path: Path) -> tuple[str, list[GateMatrix]]:
+    """Parse a table file into (name, elements); raises on any damage."""
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise InputFormatError(f"cannot read {path}: {exc}") from None
+    lines = text.splitlines()
+    if not lines:
+        raise InputFormatError(f"{path}: empty table file")
+    header = lines[0].split()
+    if len(header) != 4 or header[0] != TABLE_MAGIC or header[1] != TABLE_VERSION:
+        raise InputFormatError(f"{path}: bad table header {lines[0]!r}")
+    name = header[2]
+    try:
+        count = int(header[3])
+    except ValueError:
+        raise InputFormatError(f"{path}: bad element count {header[3]!r}") from None
+
+    body = lines[1:]
+    elements: list[GateMatrix] = []
+    pos = 0
+    for _ in range(count):
+        if pos >= len(body):
+            raise InputFormatError(f"{path}: truncated after {len(elements)} records")
+        try:
+            dim = int(body[pos])
+        except ValueError:
+            raise InputFormatError(f"{path}: bad record at line {pos + 2}") from None
+        record = body[pos : pos + 1 + dim]
+        if len(record) != 1 + dim:
+            raise InputFormatError(f"{path}: truncated record at line {pos + 2}")
+        try:
+            elements.append(parse_matrix("\n".join(record)))
+        except InputFormatError as exc:
+            raise InputFormatError(f"{path}: {exc}") from None
+        pos += 1 + dim
+    if any(body[pos:]):
+        raise InputFormatError(f"{path}: trailing data after {count} records")
+    return name, elements
+
+
 def format_orbit_map(atlas: OrbitAtlas) -> str:
     return "".join(
         f"{eid} {oid}\n" for eid, oid in enumerate(atlas.orbit_of)

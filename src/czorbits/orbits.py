@@ -14,8 +14,9 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from czorbits.errors import VerificationError
+from czorbits.errors import NotInGroupError, VerificationError
 from czorbits.groups import GroupTable
+from czorbits.matrices import GateMatrix
 
 
 class OrbitAtlas:
@@ -119,3 +120,9 @@ def assign_layers_and_labels(atlas: OrbitAtlas, graph) -> OrbitAtlas:
     layers = [layer_of[old] for old in old_order]
     return OrbitAtlas(orbit_of, members, atlas.ident_eid, layers)
 
+
+def orbit_of_matrix(atlas: OrbitAtlas, c2: GroupTable, m: GateMatrix) -> int:
+    eid = c2.contains(m)
+    if eid is None:
+        raise NotInGroupError("matrix is not an element of the group")
+    return atlas.orbit_of[eid]

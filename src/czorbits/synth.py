@@ -178,3 +178,10 @@ class Synthesizer:
     def synthesize_id(self, eid: int) -> Circuit:
         tail = self._tails[self.atlas.orbit_of[self.c2._check_id(eid)]]
         return make_circuit([self._local(self._factor[eid]), *tail])
+
+    def cz_cost_histogram(self) -> dict[int, int]:
+        counts: dict[int, int] = {}
+        for oid in range(1, self.atlas.n_orbits + 1):
+            lv = self.atlas.layer(oid)
+            counts[lv] = counts.get(lv, 0) + len(self.atlas.orbit_members(oid))
+        return dict(sorted(counts.items()))

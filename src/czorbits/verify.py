@@ -69,9 +69,10 @@ def _table_to_numpy(table: GroupTable) -> np.ndarray:
     return values[table.codes].reshape(len(table), table.dim, table.dim)
 
 
-def _right_mismatches(table: GroupTable, rows: int = 4096) -> int:
+def _right_mismatches(table: GroupTable) -> int:
     """Products element(e) * g, from the batched kernel, that differ from
-    the encoding of element(right[e, g]); `rows` elements at a time."""
+    the encoding of element(right[e, g]); 4096 elements at a time."""
+    rows = 4096
     gens = b"".join(g.data for g in table.alphabet.values())
     size = table.dim * table.dim * ENTRY_BYTES
     bad = 0

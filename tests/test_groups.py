@@ -241,11 +241,12 @@ class TestRightTableOracle:
         assert [_right_mismatches(t) for t in (ws.c1, ws.lc2)] == [0, 0]
 
     def test_a_wrong_entry_is_counted(self, ws):
-        c1 = ws.c1
-        right = c1.right.copy()
-        right[5, 1] = right[6, 1]
-        broken = GroupTable("c1", c1.alphabet, c1.codes, c1.book, c1.words, right)
-        assert _right_mismatches(broken, rows=50) == 1
+        # lc2 has 4608 rows, so the wrong entry sits in the second slice
+        lc2 = ws.lc2
+        right = lc2.right.copy()
+        right[4500, 1] = right[4501, 1]
+        broken = GroupTable("lc2", lc2.alphabet, lc2.codes, lc2.book, lc2.words, right)
+        assert _right_mismatches(broken) == 1
 
 
 class TestCanonicalOrder:

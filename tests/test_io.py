@@ -7,58 +7,17 @@ import pytest
 from czorbits.errors import InputFormatError
 from czorbits.io import (
     TABLE_MAGIC,
-    TABLE_VERSION,
     format_circuit,
     format_matrix,
     format_orbit_map,
     format_orbit_summary,
     format_table,
     parse_matrix,
+    read_table,
     write_atomic,
 )
 from czorbits.matrices import CZ, H, I4
 from czorbits.synth import CZ_OP, Circuit, LocalOp
-
-
-def read_table(path):
-    """Parse a table file into (name, elements); raises on any damage."""
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from None
-    lines = text.splitlines()
-    if not lines:
-        raise InputFormatError(f"{path}: empty table file")
-    header = lines[0].split()
-    if len(header) != 4 or header[0] != TABLE_MAGIC or header[1] != TABLE_VERSION:
-        raise InputFormatError(f"{path}: bad table header {lines[0]!r}")
-    name = header[2]
-    try:
-        count = int(header[3])
-    except ValueError:
-        raise InputFormatError(f"{path}: bad element count {header[3]!r}") from None
-
-    body = lines[1:]
-    elements = []
-    pos = 0
-    for _ in range(count):
-        if pos >= len(body):
-            raise InputFormatError(f"{path}: truncated after {len(elements)} records")
-        try:
-            dim = int(body[pos])
-        except ValueError:
-            raise InputFormatError(f"{path}: bad record at line {pos + 2}") from None
-        record = body[pos : pos + 1 + dim]
-        if len(record) != 1 + dim:
-            raise InputFormatError(f"{path}: truncated record at line {pos + 2}")
-        try:
-            elements.append(parse_matrix("\n".join(record)))
-        except InputFormatError as exc:
-            raise InputFormatError(f"{path}: {exc}") from None
-        pos += 1 + dim
-    if any(body[pos:]):
-        raise InputFormatError(f"{path}: trailing data after {count} records")
-    return name, elements
 
 
 class TestMatrixFormat:

@@ -6,13 +6,7 @@ import pytest
 
 from czorbits.errors import NotInGroupError
 from czorbits.matrices import CNOT_T1, CNOT_T2, CZ, H, I2, I4, P, SWAP
-
-
-def orbit_of_matrix(atlas, c2, m):
-    eid = c2.contains(m)
-    if eid is None:
-        raise NotInGroupError("matrix is not an element of the group")
-    return atlas.orbit_of[eid]
+from czorbits.orbits import orbit_of_matrix
 
 
 class TestPartition:

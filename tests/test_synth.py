@@ -11,14 +11,6 @@ from czorbits.matrices import CNOT_T1, CNOT_T2, CZ, H, I2, I4, P, SWAP
 from czorbits.synth import CZ_OP, Circuit, CzOp, LocalOp, Synthesizer, evaluate, make_circuit
 
 
-def cz_cost_histogram(synth):
-    counts: dict[int, int] = {}
-    for oid in range(1, synth.atlas.n_orbits + 1):
-        lv = synth.atlas.layer(oid)
-        counts[lv] = counts.get(lv, 0) + len(synth.atlas.orbit_members(oid))
-    return dict(sorted(counts.items()))
-
-
 def bfs_distance_from_identity_orbit(graph, oid):
     """Independent BFS over the edge list, not using stored layers."""
     dist = {1: 0}
@@ -171,7 +163,7 @@ class TestCircuitStructure:
                 )
 
     def test_histogram(self, ws):
-        assert cz_cost_histogram(ws.synthesizer) == {
+        assert ws.synthesizer.cz_cost_histogram() == {
             0: 4608,
             1: 41472,
             2: 41472,
