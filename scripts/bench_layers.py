@@ -81,7 +81,6 @@ def revision(tree: Path) -> dict:
         digest.update(path.relative_to(tree).as_posix().encode() + b"\0" + path.read_bytes())
     status = git("status", "--porcelain", "--", "src")
     return {
-        "tree": str(tree),
         "git_revision": git("rev-parse", "HEAD"),
         "src_differs_from_revision": None if status is None else bool(status),
         "src_sha256": digest.hexdigest(),
