@@ -2,16 +2,17 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_layers.py --baseline ../parent --runs 5 --out BENCH_6.json
+    python3 scripts/bench_layers.py --baseline ../parent --runs 5 --out BENCH_7.json
 
 Every run is a fresh interpreter (this script with --measure) that imports
 czorbits from one tree's src/. It times `import czorbits.cli`, then one cold
 `build_workspace()` with each stage timed by wrapping the names that
 `czorbits.workspace` calls (the C1, LC2 and C2 closures, the partition, the
-two CZ graphs and the synthesis plans), then `format_table(c2)`. It also
+CZ graph and the synthesis plans), then `format_table(c2)`. It also
 reports the peak RSS of the process right after the build. Runs alternate
 between the two trees; the output holds every sample and the median of each
-figure per tree, with the machine and each tree's git revision.
+figure per tree, with the machine, each tree's git revision and its
+non-generated line count (the lines of src/czorbits/*.py).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ STAGES = {
     "build_lc2": "lc2_closure_s",
     "build_c2": "c2_closure_s",
     "partition": "partition_s",
-    "build_graph": "graphs_s",
+    "build_graph": "graph_s",
     "Synthesizer": "plans_s",
 }
 
@@ -71,7 +72,8 @@ def measure() -> dict:
 
 
 def revision(tree: Path) -> dict:
-    """The tree's git revision, whether src/ differs from it, and a digest of src/."""
+    """The tree's git revision, whether src/ differs from it, a digest of src/
+    and the line count of src/czorbits/*.py."""
     def git(*args):
         out = subprocess.run(["git", "-C", str(tree), *args], capture_output=True, text=True)
         return out.stdout.strip() if out.returncode == 0 else None
@@ -84,6 +86,7 @@ def revision(tree: Path) -> dict:
         "git_revision": git("rev-parse", "HEAD"),
         "src_differs_from_revision": None if status is None else bool(status),
         "src_sha256": digest.hexdigest(),
+        "loc": sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "czorbits").glob("*.py")),
     }
 
 
@@ -110,7 +113,7 @@ def main() -> int:
     p.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--baseline", type=Path, help="checkout to compare against (the parent)")
     p.add_argument("--runs", type=int, default=5, help="fresh interpreters per tree")
-    p.add_argument("--out", type=Path, default=ROOT / "BENCH_6.json")
+    p.add_argument("--out", type=Path, default=ROOT / "BENCH_7.json")
     args = p.parse_args()
     if args.measure:
         print(json.dumps(measure()))

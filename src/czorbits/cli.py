@@ -2,7 +2,8 @@
 
 Subcommands: generate, orbits, graph, synth, lookup, verify. Exit codes:
 0 success, 1 verification failure, 2 usage error, 3 input-format error
-(including missing or corrupt table files), 4 matrix not in the group.
+(including missing or corrupt table files and a table directory that cannot
+be created, read or written), 4 matrix not in the group.
 """
 
 from __future__ import annotations
@@ -140,23 +141,30 @@ def main(argv=None) -> int:
         ws = build_workspace()
         table_dir = atlas_dir(args.out_dir)
 
+        try:
+            if args.command == "generate":
+                written = write_tables(ws, table_dir)
+            else:
+                ensure_tables(
+                    ws,
+                    table_dir,
+                    no_regen=args.no_regen,
+                    validate=(args.command == "verify"),
+                )
+            if args.command == "orbits":
+                table_dir.mkdir(parents=True, exist_ok=True)
+                write_atomic(table_dir / "orbit_map.txt", format_orbit_map(ws.atlas).encode())
+                summary = format_orbit_summary(ws.atlas, ws.c2)
+                write_atomic(table_dir / "orbit_summary.txt", summary.encode())
+        except OSError as exc:
+            raise InputFormatError(f"table directory {table_dir}: {exc}") from None
+
         if args.command == "generate":
-            for path in write_tables(ws, table_dir):
+            for path in written:
                 out.write(f"wrote {path}\n")
             return 0
 
-        ensure_tables(
-            ws,
-            table_dir,
-            no_regen=args.no_regen,
-            validate=(args.command == "verify"),
-        )
-
         if args.command == "orbits":
-            table_dir.mkdir(parents=True, exist_ok=True)
-            write_atomic(table_dir / "orbit_map.txt", format_orbit_map(ws.atlas).encode())
-            summary = format_orbit_summary(ws.atlas, ws.c2)
-            write_atomic(table_dir / "orbit_summary.txt", summary.encode())
             out.write(summary)
             return 0
 

@@ -8,7 +8,7 @@ weight 512; it must match the embedded reference diagram up to isomorphism.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -49,11 +49,7 @@ REFERENCE_EDGES: frozenset[tuple[int, int]] = frozenset(
 class CzGraph:
     """Symmetric weighted graph on 1-based orbit ids."""
 
-    def __init__(
-        self,
-        weight: list[list[int]],
-        witnesses: Optional[dict[tuple[int, int], int]] = None,
-    ) -> None:
+    def __init__(self, weight: list[list[int]], witnesses: dict[tuple[int, int], int]) -> None:
         self.n = len(weight)
         self.weight = weight
         # witnesses[(i, j)]: minimal element id u in O_i with CZ*u in O_j
@@ -76,6 +72,14 @@ class CzGraph:
 
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset((a, b) for a, b, _ in self.edges())
+
+    def relabeled(self, order: list[int]) -> CzGraph:
+        """The same graph with orbit order[k] renamed k + 1; witnesses are
+        element ids, which renaming orbits leaves as they are."""
+        new_of_old = {old: new + 1 for new, old in enumerate(order)}
+        weight = [[self.weight[a - 1][b - 1] for b in order] for a in order]
+        witnesses = {(new_of_old[a], new_of_old[b]): e for (a, b), e in self.witnesses.items()}
+        return CzGraph(weight, witnesses)
 
 
 def build_graph(atlas: OrbitAtlas, action: np.ndarray) -> CzGraph:
@@ -110,39 +114,25 @@ def check_weight_law(graph: CzGraph) -> None:
                 )
 
 
-def _edge_set(g: Union[CzGraph, Iterable[tuple[int, int]]]) -> frozenset:
-    if isinstance(g, CzGraph):
-        return g.edge_set()
-    return frozenset((min(a, b), max(a, b)) for a, b in g)
-
-
 def check_isomorphic(
-    g: Union[CzGraph, Iterable[tuple[int, int]]],
-    ref: Union[CzGraph, Iterable[tuple[int, int]]] = REFERENCE_EDGES,
-    anchors: Optional[Mapping[int, int]] = None,
-    n: int = 20,
+    edges: Iterable[tuple[int, int]],
+    ref: Iterable[tuple[int, int]] = REFERENCE_EDGES,
 ) -> Optional[dict[int, int]]:
-    """Edge-preserving node bijection g -> ref, or None.
+    """Edge-preserving node bijection from the 20-node graph `edges` to
+    `ref`, or None.
 
-    `anchors` pins chosen nodes of g to nodes of ref before the search;
-    the default pins 1 to 1 and n to n (identity orbit and deepest orbit
-    both carry forced labels). Backtracking with adjacency consistency is
-    instant at this size. Candidate nodes are tried in ascending order, so
-    mapping a graph onto itself yields the identity bijection.
+    Node 1 maps to 1 and node 20 to 20 (the identity orbit and the deepest
+    orbit both carry forced labels). Backtracking with adjacency consistency
+    is instant at this size. Candidate nodes are tried in ascending order,
+    so mapping a graph onto itself yields the identity bijection.
     """
-    a_edges = _edge_set(g)
-    b_edges = _edge_set(ref)
-    if anchors is None:
-        anchors = {1: 1, n: n}
-
+    n = 20
     a_adj = {v: set() for v in range(1, n + 1)}
     b_adj = {v: set() for v in range(1, n + 1)}
-    for x, y in a_edges:
-        a_adj[x].add(y)
-        a_adj[y].add(x)
-    for x, y in b_edges:
-        b_adj[x].add(y)
-        b_adj[y].add(x)
+    for adj, pairs in ((a_adj, edges), (b_adj, ref)):
+        for x, y in pairs:
+            adj[x].add(y)
+            adj[y].add(x)
 
     if sorted(len(a_adj[v]) for v in a_adj) != sorted(len(b_adj[v]) for v in b_adj):
         return None
@@ -158,7 +148,7 @@ def check_isomorphic(
                 return False
         return True
 
-    for u, v in anchors.items():
+    for u, v in ((1, 1), (n, n)):
         if not consistent(u, v):
             return None
         mapping[u] = v

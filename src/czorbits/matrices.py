@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 from czorbits import kernels
 from czorbits.encoding import ENTRY_BYTES, unpack_entries
-from czorbits.ring import IMAG_UNIT, MINUS_ONE, ONE, ZERO, CycloNum
+from czorbits.ring import IMAG_UNIT, INV_SQRT2, MINUS_ONE, ONE, ZERO, CycloNum
 
 
 @total_ordering
@@ -94,10 +94,6 @@ class GateMatrix:
     def dagger(self) -> GateMatrix:
         return GateMatrix(self.dim, kernels.mat_dagger(self.data, self.dim))
 
-    def scale(self, c: CycloNum) -> GateMatrix:
-        rows = [[c * v for v in row] for row in self.entries()]
-        return GateMatrix.from_entries(rows)
-
     def is_unitary(self) -> bool:
         # Galois conjugates of a unitary are unitary and an entry's four
         # conjugates have |.|² summing to 4(a²+b²+c²+d²)/2^k, so a unitary
@@ -125,13 +121,11 @@ def _perm_rows(dim: int, perm: Iterable[int]) -> list[list[CycloNum]]:
     return rows
 
 
-_H_COEFF = CycloNum(1, 0, 0, 0, 1)  # 1/sqrt(2)
-
 I2 = GateMatrix.identity(2)
 I4 = GateMatrix.identity(4)
 
 H = GateMatrix.from_entries(
-    [[_H_COEFF, _H_COEFF], [_H_COEFF, -_H_COEFF]]
+    [[INV_SQRT2, INV_SQRT2], [INV_SQRT2, -INV_SQRT2]]
 )
 P = GateMatrix.from_entries([[ONE, ZERO], [ZERO, IMAG_UNIT]])
 

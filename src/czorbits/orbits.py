@@ -14,9 +14,8 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from czorbits.errors import NotInGroupError, VerificationError
+from czorbits.errors import VerificationError
 from czorbits.groups import GroupTable
-from czorbits.matrices import GateMatrix
 
 
 class OrbitAtlas:
@@ -87,8 +86,9 @@ def partition(c2: GroupTable, lc2: GroupTable, lefts: Mapping[str, np.ndarray]) 
     return OrbitAtlas(orbit_of, members, c2.identity_id)
 
 
-def assign_layers_and_labels(atlas: OrbitAtlas, graph) -> OrbitAtlas:
-    """Relabel orbits deterministically and attach CZ layers.
+def assign_layers_and_labels(atlas: OrbitAtlas, graph) -> tuple:
+    """Relabel orbits deterministically and attach CZ layers; returns the
+    relabeled atlas and the CzGraph `graph` under the same relabeling.
 
     Layers come from BFS over the quotient graph starting at the orbit of
     the identity (layer 0). Final ids sort by (layer, representative), so
@@ -118,11 +118,4 @@ def assign_layers_and_labels(atlas: OrbitAtlas, graph) -> OrbitAtlas:
     orbit_of = [new_of_old[o] for o in atlas.orbit_of]
     members = [atlas.members[old - 1] for old in old_order]
     layers = [layer_of[old] for old in old_order]
-    return OrbitAtlas(orbit_of, members, atlas.ident_eid, layers)
-
-
-def orbit_of_matrix(atlas: OrbitAtlas, c2: GroupTable, m: GateMatrix) -> int:
-    eid = c2.contains(m)
-    if eid is None:
-        raise NotInGroupError("matrix is not an element of the group")
-    return atlas.orbit_of[eid]
+    return OrbitAtlas(orbit_of, members, atlas.ident_eid, layers), graph.relabeled(old_order)

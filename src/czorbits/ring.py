@@ -52,26 +52,6 @@ class CycloNum:
         self._d = check_coeff(d)
         self._k = k
 
-    @property
-    def a(self) -> int:
-        return self._a
-
-    @property
-    def b(self) -> int:
-        return self._b
-
-    @property
-    def c(self) -> int:
-        return self._c
-
-    @property
-    def d(self) -> int:
-        return self._d
-
-    @property
-    def k(self) -> int:
-        return self._k
-
     def coeffs(self) -> tuple[int, int, int, int, int]:
         return self._a, self._b, self._c, self._d, self._k
 
@@ -166,8 +146,6 @@ class CycloNum:
             + self._d * _OMEGA_COMPLEX**3
         )
         return num / _SQRT2**self._k
-
-    __complex__ = to_complex
 
     def pack(self) -> bytes:
         return pack_entry(self._a, self._b, self._c, self._d, self._k)

@@ -39,19 +39,9 @@ class LocalOp:
     b: tuple[str, ...]
 
 
+@dataclass(frozen=True)
 class CzOp:
     """Marker for a CZ gate in a circuit."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "CzOp()"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, CzOp)
-
-    def __hash__(self) -> int:
-        return hash(CzOp)
 
 
 CZ_OP = CzOp()
@@ -126,10 +116,6 @@ class Synthesizer:
         graph: CzGraph,
         lefts: Mapping[str, np.ndarray],
     ) -> None:
-        if atlas.layers is None:
-            raise ValueError("atlas must have layers assigned")
-        if graph.witnesses is None:
-            raise ValueError("graph must carry witnesses")
         self.c1 = c1
         self.lc2 = lc2
         self.c2 = c2
@@ -178,10 +164,3 @@ class Synthesizer:
     def synthesize_id(self, eid: int) -> Circuit:
         tail = self._tails[self.atlas.orbit_of[self.c2._check_id(eid)]]
         return make_circuit([self._local(self._factor[eid]), *tail])
-
-    def cz_cost_histogram(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for oid in range(1, self.atlas.n_orbits + 1):
-            lv = self.atlas.layer(oid)
-            counts[lv] = counts.get(lv, 0) + len(self.atlas.orbit_members(oid))
-        return dict(sorted(counts.items()))

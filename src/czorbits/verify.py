@@ -85,9 +85,7 @@ def _right_mismatches(table: GroupTable) -> int:
     return bad
 
 
-def run_verification(ws: Workspace | None = None) -> VerificationReport:
-    if ws is None:
-        ws = build_workspace()
+def run_verification(ws: Workspace) -> VerificationReport:
     rep = VerificationReport()
     rng = random.Random(SAMPLE_SEED)
     c1, lc2, c2 = ws.c1, ws.lc2, ws.c2

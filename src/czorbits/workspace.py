@@ -60,11 +60,10 @@ def build_workspace(fresh: bool = False) -> Workspace:
     c2 = build_c2()
     lefts = {label: c2.left(label) for label in c2.alphabet}
     pre = partition(c2, lc2, lefts)
-    pre_graph = build_graph(pre, lefts["CZ"])
-    check_weight_law(pre_graph)
-    atlas = assign_layers_and_labels(pre, pre_graph)
-    graph = build_graph(atlas, lefts["CZ"])
-    bijection = check_isomorphic(graph)
+    graph = build_graph(pre, lefts["CZ"])
+    check_weight_law(graph)
+    atlas, graph = assign_layers_and_labels(pre, graph)
+    bijection = check_isomorphic(graph.edge_set())
     synthesizer = Synthesizer(c1, lc2, c2, atlas, graph, lefts)
     ws = Workspace(c1, lc2, c2, lefts, atlas, graph, bijection, synthesizer)
     if _CACHE is None:

@@ -97,7 +97,7 @@ def test_criterion_04_layer_profile(ws):
 def test_criterion_05_figure_isomorphism(ws):
     edges = ws.graph.edges()
     degrees = [ws.graph.degree(o) for o in range(1, 21)]
-    bijection = check_isomorphic(ws.graph)
+    bijection = check_isomorphic(ws.graph.edge_set())
     ok = (
         len(edges) == 90
         and all(w == 512 for _, _, w in edges)

@@ -234,6 +234,19 @@ class TestExitCodes:
         assert "corrupt" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "args, below",
+        [(["lookup", "--element", "0"], ""), (["generate"], "sub"), (["orbits"], "")],
+        ids=["lookup", "generate", "orbits"],
+    )
+    def test_unusable_table_directory(self, tmp_path, capsys, args, below):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        assert main([*args, "--out-dir", str(blocker / below)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: table directory") and str(blocker) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "resize", [lambda b: b[:-1], lambda b: b + b"\n"], ids=["truncated", "trailing"]
     )
     def test_verify_rejects_resized_table(self, atlas, tmp_path, capsys, resize):

@@ -53,6 +53,26 @@ class TestIntersectionLaw:
             assert (b, a) in ws.graph.witnesses
 
 
+class TestOneGraph:
+    def test_relabeled_graph_equals_a_fresh_build(self, ws):
+        fresh = build_graph(ws.atlas, ws.lefts["CZ"])
+        assert fresh.weight == ws.graph.weight
+        assert fresh.witnesses == ws.graph.witnesses
+
+    def test_build_workspace_builds_the_graph_once(self, monkeypatch):
+        from czorbits import workspace
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return build_graph(*args)
+
+        monkeypatch.setattr(workspace, "build_graph", counting)
+        workspace.build_workspace(fresh=True)
+        assert len(calls) == 1
+
+
 class TestReferenceGraph:
     def test_reference_shape(self):
         assert len(REFERENCE_EDGES) == 90
@@ -77,6 +97,12 @@ class TestReferenceGraph:
     def test_missing_edge_not_isomorphic(self):
         edges = set(REFERENCE_EDGES)
         edges.discard((16, 19))
+        assert check_isomorphic(edges, REFERENCE_EDGES) is None
+
+    def test_anchors_are_fixed(self):
+        # still isomorphic, but node 1 must map to the node 3 steps from node 20
+        swap = {1: 2, 2: 1}
+        edges = {(swap.get(a, a), swap.get(b, b)) for a, b in REFERENCE_EDGES}
         assert check_isomorphic(edges, REFERENCE_EDGES) is None
 
 

@@ -13,11 +13,11 @@ from czorbits.io import (
     format_orbit_summary,
     format_table,
     parse_matrix,
-    read_table,
     write_atomic,
 )
 from czorbits.matrices import CZ, H, I4
 from czorbits.synth import CZ_OP, Circuit, LocalOp
+from czorbits.workspace import ensure_tables
 
 
 class TestMatrixFormat:
@@ -72,9 +72,10 @@ class TestTableFormat:
     def test_round_trip(self, ws, tmp_path):
         path = tmp_path / "c1.tbl"
         write_atomic(path, format_table(ws.c1).encode())
-        name, elements = read_table(path)
-        assert name == "c1"
-        assert elements == [ws.c1.element(e) for e in range(len(ws.c1))]
+        lines = path.read_text().splitlines()
+        assert lines[0] == f"{TABLE_MAGIC} v1 c1 192"
+        records = ["\n".join(lines[at : at + 3]) for at in range(1, len(lines), 3)]
+        assert [parse_matrix(r) for r in records] == [ws.c1.element(e) for e in range(len(ws.c1))]
 
     def test_header_contents(self, ws):
         blob = format_table(ws.c1)
@@ -92,20 +93,20 @@ class TestTableFormat:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(InputFormatError):
-            read_table(path)
+            ensure_tables(ws, tmp_path, validate=True)
 
     def test_trailing_data_rejected(self, ws, tmp_path):
         path = tmp_path / "c1.tbl"
         write_atomic(path, format_table(ws.c1).encode())
         path.write_bytes(path.read_bytes() + b"junk\n")
         with pytest.raises(InputFormatError):
-            read_table(path)
+            ensure_tables(ws, tmp_path, validate=True)
 
     def test_atomic_rewrite_leaves_no_temp_file(self, ws, tmp_path):
         path = tmp_path / "c1.tbl"
         path.write_bytes(b"stale\n")
         write_atomic(path, format_table(ws.c1).encode())
-        assert read_table(path) == ("c1", [ws.c1.element(e) for e in range(len(ws.c1))])
+        assert path.read_bytes() == format_table(ws.c1).encode()
         assert [p.name for p in tmp_path.iterdir()] == ["c1.tbl"]
 
     def test_failed_write_keeps_old_file(self, tmp_path):
@@ -116,11 +117,11 @@ class TestTableFormat:
         assert path.read_bytes() == b"old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["c1.tbl"]
 
-    def test_bad_header_rejected(self, tmp_path):
+    def test_bad_header_rejected(self, ws, tmp_path):
         path = tmp_path / "c1.tbl"
-        path.write_bytes(b"NOT-A-TABLE v1 c1 0\n")
+        path.write_bytes(b"NOT-A-TABLE" + format_table(ws.c1).encode()[len(TABLE_MAGIC) :])
         with pytest.raises(InputFormatError):
-            read_table(path)
+            ensure_tables(ws, tmp_path, validate=True)
 
 
 class TestOrbitFiles:

@@ -2,11 +2,7 @@
 
 import random
 
-import pytest
-
-from czorbits.errors import NotInGroupError
-from czorbits.matrices import CNOT_T1, CNOT_T2, CZ, H, I2, I4, P, SWAP
-from czorbits.orbits import orbit_of_matrix
+from czorbits.matrices import CNOT_T1, CNOT_T2, CZ, H, I4, P, SWAP
 
 
 class TestPartition:
@@ -77,20 +73,20 @@ class TestLayers:
 
     def test_identity_orbit_layer_zero(self, ws):
         assert ws.atlas.layer(1) == 0
-        assert orbit_of_matrix(ws.atlas, ws.c2, I4) == 1
+        assert ws.atlas.orbit_of[ws.c2.contains(I4)] == 1
 
     def test_local_gates_layer_zero(self, ws):
-        assert ws.atlas.layer(orbit_of_matrix(ws.atlas, ws.c2, H.tensor(P))) == 0
+        assert ws.atlas.layer(ws.atlas.orbit_of[ws.c2.contains(H.tensor(P))]) == 0
 
     def test_cz_layer_one(self, ws):
-        assert ws.atlas.layer(orbit_of_matrix(ws.atlas, ws.c2, CZ)) == 1
+        assert ws.atlas.layer(ws.atlas.orbit_of[ws.c2.contains(CZ)]) == 1
 
     def test_cnots_layer_one(self, ws):
         for cnot in (CNOT_T1, CNOT_T2):
-            assert ws.atlas.layer(orbit_of_matrix(ws.atlas, ws.c2, cnot)) == 1
+            assert ws.atlas.layer(ws.atlas.orbit_of[ws.c2.contains(cnot)]) == 1
 
     def test_swap_layer_three(self, ws):
-        assert ws.atlas.layer(orbit_of_matrix(ws.atlas, ws.c2, SWAP)) == 3
+        assert ws.atlas.layer(ws.atlas.orbit_of[ws.c2.contains(SWAP)]) == 3
 
     def test_layers_consistent_with_graph(self, ws):
         # each positive layer is 1 + min over its graph neighbors
@@ -108,19 +104,3 @@ class TestLayers:
             for oid in range(1, 21)
         ]
         assert keys == sorted(keys)
-
-
-class TestLookup:
-    def test_non_member_raises(self, ws):
-        from czorbits.matrices import GateMatrix
-        from czorbits.ring import OMEGA, ONE, ZERO
-
-        rows = [[ZERO] * 4 for _ in range(4)]
-        for i, v in enumerate([ONE, ONE, ONE, OMEGA]):
-            rows[i][i] = v
-        with pytest.raises(NotInGroupError):
-            orbit_of_matrix(ws.atlas, ws.c2, GateMatrix.from_entries(rows))
-
-    def test_wrong_dimension_raises(self, ws):
-        with pytest.raises(NotInGroupError):
-            orbit_of_matrix(ws.atlas, ws.c2, I2)

@@ -7,7 +7,7 @@ import pytest
 from czorbits import kernels
 from czorbits.errors import NotInGroupError, VerificationError
 from czorbits.groups import GroupTable
-from czorbits.matrices import CNOT_T1, CNOT_T2, CZ, H, I2, I4, P, SWAP
+from czorbits.matrices import CNOT_T1, CNOT_T2, CZ, H, I2, I4, P, SWAP, GateMatrix
 from czorbits.synth import CZ_OP, Circuit, CzOp, LocalOp, Synthesizer, evaluate, make_circuit
 
 
@@ -149,7 +149,7 @@ class TestRoundTrip:
 
     def test_non_member_rejected(self, ws):
         with pytest.raises(NotInGroupError):
-            ws.synthesizer.synthesize(I4.scale(I4.entry(0, 0) + I4.entry(0, 0)))
+            ws.synthesizer.synthesize(GateMatrix.from_entries([[v + v for v in row] for row in I4.entries()]))
 
 
 class TestCircuitStructure:
@@ -161,14 +161,6 @@ class TestCircuitStructure:
                 assert not (
                     isinstance(left, LocalOp) and isinstance(right, LocalOp)
                 )
-
-    def test_histogram(self, ws):
-        assert ws.synthesizer.cz_cost_histogram() == {
-            0: 4608,
-            1: 41472,
-            2: 41472,
-            3: 4608,
-        }
 
     def test_make_circuit_merges_locals(self):
         merged = make_circuit(
@@ -185,6 +177,7 @@ class TestCircuitStructure:
 
     def test_cz_op_identity(self):
         assert CZ_OP == CzOp()
+        assert hash(CZ_OP) == hash(CzOp()) and repr(CZ_OP) == "CzOp()"
         assert CZ_OP != LocalOp((), ())
 
 
