@@ -148,8 +148,9 @@ class TestRoundTrip:
             assert evaluate(circuit) == m
 
     def test_non_member_rejected(self, ws):
+        double = GateMatrix.from_entries([[v + v for v in row] for row in I4.entries()])
         with pytest.raises(NotInGroupError):
-            ws.synthesizer.synthesize(GateMatrix.from_entries([[v + v for v in row] for row in I4.entries()]))
+            ws.synthesizer.synthesize(double)
 
 
 class TestCircuitStructure:
