@@ -1,8 +1,8 @@
 """One-stop construction of the full group/orbit/graph workspace.
 
-Building everything from scratch takes about 0.7 s on a 2-vCPU machine,
-most of it the C2 closure; commands simply rebuild in memory on every
-invocation, and the table files on disk act as the deterministic
+Building everything from scratch takes 0.3-0.7 s on a shared 2-vCPU
+machine, most of it the C2 closure; commands simply rebuild in memory on
+every invocation, and the table files on disk act as the deterministic
 persistence layer. When files are present they can be validated by byte
 comparison against the regenerated content, which catches truncation or
 editing without trusting any cached state.
