@@ -118,7 +118,7 @@ def _read_matrix_arg(args, parser: argparse.ArgumentParser, ws: Workspace) -> Ga
         path = Path(args.matrix)
         try:
             text = path.read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputFormatError(f"cannot read {path}: {exc}") from None
     return parse_matrix(text)
 

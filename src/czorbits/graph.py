@@ -114,12 +114,9 @@ def check_weight_law(graph: CzGraph) -> None:
                 )
 
 
-def check_isomorphic(
-    edges: Iterable[tuple[int, int]],
-    ref: Iterable[tuple[int, int]] = REFERENCE_EDGES,
-) -> Optional[dict[int, int]]:
+def check_isomorphic(edges: Iterable[tuple[int, int]]) -> Optional[dict[int, int]]:
     """Edge-preserving node bijection from the 20-node graph `edges` to
-    `ref`, or None.
+    REFERENCE_EDGES, or None.
 
     Node 1 maps to 1 and node 20 to 20 (the identity orbit and the deepest
     orbit both carry forced labels). Backtracking with adjacency consistency
@@ -129,7 +126,7 @@ def check_isomorphic(
     n = 20
     a_adj = {v: set() for v in range(1, n + 1)}
     b_adj = {v: set() for v in range(1, n + 1)}
-    for adj, pairs in ((a_adj, edges), (b_adj, ref)):
+    for adj, pairs in ((a_adj, edges), (b_adj, REFERENCE_EDGES)):
         for x, y in pairs:
             adj[x].add(y)
             adj[y].add(x)

@@ -1,12 +1,14 @@
 """Finite matrix group tables built by breadth-first closure.
 
 A GroupTable holds the elements of a finitely generated matrix group in
-canonical encoding order (the element id is the rank in that order) and one
-generating word per element. An element is stored as dim*dim one-byte codes
-into the table's codebook, its distinct entry encodings in ascending order,
-so code rows sort like encodings and membership is a binary search over
-them. Closure uses right multiplication, so stored words read left-to-right
-as matrix products, and it keeps those products as an integer Cayley table.
+canonical encoding order (the element id is the rank in that order), as
+integer arrays only. An element is stored as dim*dim one-byte codes into the
+table's codebook, its distinct entry encodings in ascending order, so code
+rows sort like encodings and membership is a binary search over them.
+Closure uses right multiplication and keeps those products as an integer
+Cayley table. Its breadth-first tree gives each element a shortest word:
+the element's parent id and the generator that leads from the parent to it,
+so words read left-to-right as matrix products.
 
 The closure multiplies no matrices. Entry (i, j) of m * g sums m[i, t] *
 g[t, j] over the few nonzero g[t, j], so it is one lookup per nonzero in
@@ -57,7 +59,7 @@ def _row_keys(codes: np.ndarray) -> np.ndarray:
 
 
 class GroupTable:
-    """Immutable table of group elements with generator words.
+    """Immutable table of group elements with a shortest word for each.
 
     Precondition: the rows of `codes` ascend, as `closure()` leaves them and
     `build_lc2` keeps them, so an id is its element's rank and `contains`
@@ -70,7 +72,8 @@ class GroupTable:
         alphabet: Mapping[str, GateMatrix],
         codes: np.ndarray,
         book: list[bytes],
-        words: list[tuple[str, ...]],
+        parent: np.ndarray,
+        label: np.ndarray,
         right: np.ndarray,
         pairs: Optional[list[tuple[int, int]]] = None,
     ) -> None:
@@ -82,7 +85,10 @@ class GroupTable:
         self.book = book
         self._book = np.frombuffer(b"".join(book), dtype=np.uint8).reshape(-1, ENTRY_BYTES)
         self.dim = isqrt(codes.shape[1])
-        self.words = words
+        # the breadth-first tree: element e is element(parent[e]) (int32)
+        # times generator label[e] (int8); both are -1 at the identity
+        self.parent = parent
+        self.label = label
         # right[e, g] (int32) is the id of element(e) times the g-th
         # generator of the alphabet
         self.right = right
@@ -128,7 +134,12 @@ class GroupTable:
         return eid if eid < len(self) and self._keys[eid] == key else None
 
     def word_of(self, eid: int) -> tuple[str, ...]:
-        return self.words[self._check_id(eid)]
+        """The closure's shortest word for the element, read off the tree."""
+        labels, word, e = list(self.alphabet), [], self._check_id(eid)
+        while self.parent[e] >= 0:
+            word.append(labels[self.label[e]])
+            e = self.parent[e]
+        return tuple(reversed(word))
 
     def left(self, label: str) -> np.ndarray:
         """Left action of generator g: out[e] is the id of g * element(e).
@@ -160,7 +171,8 @@ def closure(generators: Mapping[str, GateMatrix], name: str = "group",
     position, then generator order), so the first word found for each
     element is a shortest one. Final ids follow canonical encoding order,
     which is independent of discovery order. Every product m * g the
-    search makes is kept, in final ids, as the table's `right`.
+    search makes is kept, in final ids, as the table's `right`, and the
+    product that first found each element as its `parent` and `label`.
 
     The search runs one word length at a time on code rows. A level's
     products are looked up against every element numbered so far, and the
@@ -225,8 +237,8 @@ def closure(generators: Mapping[str, GateMatrix], name: str = "group",
 
     frontier = np.eye(dim, dtype=np.uint8).reshape(1, -1)
     levels = [frontier]
-    words: list[tuple[str, ...]] = [()]
-    labels = [label for label, _ in gens]
+    # tree[L]: the (discovery number of the parent, generator) of level L
+    tree = [(np.full(1, -1), np.full(1, -1))]
     # known: the row keys met so far, ascending, and known_ids their discovery
     # numbers; right_levels[L][p, g]: that of frontier row p of level L times g
     known, known_ids = _row_keys(frontier), np.zeros(1, dtype=np.int32)
@@ -249,9 +261,7 @@ def closure(generators: Mapping[str, GateMatrix], name: str = "group",
         known_ids = np.insert(known_ids, pos[new], ids[new])
         right_levels.append(ids[inverse].reshape(-1, len(gens)))
         parent, label = np.divmod(first[fresh], len(gens))
-        words.extend(
-            words[start + p] + (labels[g],) for p, g in zip(parent.tolist(), label.tolist())
-        )
+        tree.append((start + parent, label))
         frontier = cand[first[fresh]]
         levels.append(frontier)
 
@@ -264,8 +274,10 @@ def closure(generators: Mapping[str, GateMatrix], name: str = "group",
     order = np.argsort(_row_keys(codes))
     rank = np.argsort(order).astype(np.int32)
     right = rank[np.concatenate(right_levels)[order]]
-    words = [words[i] for i in order.tolist()]
-    return GroupTable(name, dict(gens), codes[order], [book[c] for c in used], words, right)
+    parent, label = (np.concatenate(column)[order] for column in zip(*tree))
+    parent = np.where(parent < 0, -1, rank[parent]).astype(np.int32)
+    return GroupTable(name, dict(gens), codes[order], [book[c] for c in used],
+                      parent, label.astype(np.int8), right)
 
 
 def build_c1() -> GroupTable:
@@ -275,41 +287,29 @@ def build_c1() -> GroupTable:
 def build_lc2(c1: GroupTable) -> GroupTable:
     """The local group: the closure of H1, P1, H2 and P2, factored over c1.
 
-    Each element is A (x) B = (A (x) I)(I (x) B), so walking `right` from
-    the identity by A's letters on wire 1, then B's on wire 2, lands on it.
-    The 192*192 pairs collide in eights (opposite global phases cancel), so
-    each element keeps the pair with the fewest total letters, ties broken by
-    (ia, ib); its word is the wire-1 word followed by the wire-2 word, and
-    the identity factors as two empty words.
+    (A * g) (x) B = (A (x) B)(g (x) I), and the same holds on wire 2, so the
+    id of each A (x) B fills breadth-first from the identity pair along c1's
+    `right` on one wire and the closure's `right` on the whole. The 192*192
+    pairs collide in eights (opposite global phases cancel), so each element
+    keeps the pair with the fewest total letters of c1's words, ties broken
+    by (ia, ib); the identity factors as the identity pair.
     """
     table = closure({k: v for k, v in C2_GENERATORS.items() if k != "CZ"}, "lc2")
-    n = len(c1)
-    wl = np.array([len(w) for w in c1.words])
-    # letters[i, t]: the t-th letter of c1's word i as a c1 generator index
-    letters = np.full((n, wl.max()), -1)
-    c1_labels = list(c1.alphabet)
-    for i, word in enumerate(c1.words):
-        letters[i, : len(word)] = [c1_labels.index(lbl) for lbl in word]
-    # at[ia, ib]: id of the walk so far; wire w's letters are columns 2w, 2w+1
-    at = np.full((n, n), table.identity_id, dtype=np.int32)
-    for col in letters.T:
-        on = col >= 0
-        at[on] = table.right[at[on], col[on, None]]
-    for col in letters.T:
-        on = col >= 0
-        at[:, on] = table.right[at[:, on], 2 + col[on]]
+    n, k = len(c1), len(c1.alphabet)
+    ia, ib = np.divmod(np.arange(n * n), n)
+    # at[ia * n + ib]: id of c1's ia (x) c1's ib; wire w's generators are
+    # the closure's columns k*w .. k*w + k - 1
+    at = np.full(n * n, -1, dtype=np.int32)
+    at[c1.identity_id * (n + 1)] = table.identity_id
+    bfs_fill(at, [(c1.right[ia, g] * n + ib, table.right[:, g]) for g in range(k)]
+             + [(ia * n + c1.right[ib, g], table.right[:, k + g]) for g in range(k)])
+    wl = np.array([len(c1.word_of(e)) for e in range(n)])
     # candidates sorted by (total letters, ia, ib); keep each element's first
     order = np.lexsort((np.arange(n * n), (wl[:, None] + wl).ravel()))
-    _, first = np.unique(at.ravel()[order], return_index=True)
+    _, first = np.unique(at[order], return_index=True)
     pairs = [divmod(int(p), n) for p in order[first]]
-    words = [
-        tuple(lbl + "1" for lbl in c1.words[ia])
-        + tuple(lbl + "2" for lbl in c1.words[ib])
-        for ia, ib in pairs
-    ]
-    return GroupTable(
-        "lc2", table.alphabet, table.codes, table.book, words, table.right, pairs
-    )
+    return GroupTable("lc2", table.alphabet, table.codes, table.book, table.parent,
+                      table.label, table.right, pairs)
 
 
 def build_c2() -> GroupTable:

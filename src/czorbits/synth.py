@@ -121,11 +121,12 @@ class Synthesizer:
         self.c2 = c2
         self.atlas = atlas
         self.graph = graph
+        self._c1_words = [c1.word_of(e) for e in range(len(c1))]
         self._factor, self._tails = self._build_plans(lefts)
 
     def _local(self, lid: int) -> LocalOp:
         ia, ib = self.lc2.pairs[lid]
-        return LocalOp(self.c1.words[ia], self.c1.words[ib])
+        return LocalOp(self._c1_words[ia], self._c1_words[ib])
 
     def _build_plans(
         self, lefts: Mapping[str, np.ndarray]

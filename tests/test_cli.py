@@ -281,6 +281,15 @@ class TestSubprocess:
         assert proc.returncode == 0
         assert "layer 1" in proc.stdout
 
+    @pytest.mark.parametrize("command", ["lookup", "synth"])
+    def test_matrix_file_not_utf8(self, atlas, tmp_path, command):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfe4\n")
+        proc = run_cli([command, str(path), "--out-dir", str(atlas)])
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: cannot read")
+        assert "Traceback" not in proc.stderr
+
     def test_usage_error_exit_code(self):
         proc = run_cli([])
         assert proc.returncode == 2

@@ -7,8 +7,9 @@ agree with each other.
 
 The closure's discovery order is pinned too: the shortest word kept for each
 C2 element, and the right-action table, are not covered by the six outputs.
-Nor are the circuits `synth` prints, nor LC2's factor pairs and words that
-those circuits are spelled in; they are pinned here as well.
+Nor are the circuits `synth` prints, nor LC2's factor pairs and the words
+over C1's words on each wire that those circuits are spelled in; they are
+pinned here as well.
 """
 
 import hashlib
@@ -30,20 +31,26 @@ GOLDEN_SHA256 = {
     "graph.json": "b87524bc43635d21d933be3da9e9e284a0908788057f6de0c21768c3f6855b60",
 }
 
-# c2.words as one line per element id, its labels separated by single spaces
+# c2.word_of(e) as one line per element id e, its labels separated by single spaces
 C2_WORDS_SHA256 = "0dd0d413a4668d9adc12f19af785df132dd2ae918c1aca7a1ec2344895e5d9a2"
 # c2.right as little-endian int32, row-major (92160 x 5)
 C2_RIGHT_SHA256 = "0b43e6dc7a7407fc1f7ae92e31c6f1372b281f44b41a51a002e212e3d0dd859b"
 # lc2.pairs as one "ia ib" line per element id
 LC2_PAIRS_SHA256 = "4a8cc635fef63f36a8250a6202f044aa0e5385c7f636cc483f41886fd7c19280"
-# lc2.words in the c2.words format
+# each lc2 pair (ia, ib) spelled c1.word_of(ia) on wire 1, then c1.word_of(ib)
+# on wire 2 (labels suffixed 1 and 2), in the C2 words format
 LC2_WORDS_SHA256 = "2666e681b83f945304a1a5e00045e7e51025ff03b6905831003e9feb4e9bebf9"
 # format_circuit of every element's synthesis, ids 0..92159, concatenated
 CIRCUITS_SHA256 = "58d505794fbc3b99c3be81c932f494883ff6994e0a20b051ced7cbe9ed18adbe"
 
 
-def _words_text(table) -> str:
-    return "".join(" ".join(word) + "\n" for word in table.words)
+def _words_text(words) -> str:
+    return "".join(" ".join(word) + "\n" for word in words)
+
+
+def _pair_words(lc2, c1):
+    for ia, ib in lc2.pairs:
+        yield [lbl + "1" for lbl in c1.word_of(ia)] + [lbl + "2" for lbl in c1.word_of(ib)]
 
 
 def _output(ws, name: str) -> str:
@@ -63,7 +70,8 @@ def test_output_matches_pinned_digest(ws, name):
 
 
 def test_c2_words_match_pinned_digest(ws):
-    assert hashlib.sha256(_words_text(ws.c2).encode()).hexdigest() == C2_WORDS_SHA256
+    words = map(ws.c2.word_of, range(len(ws.c2)))
+    assert hashlib.sha256(_words_text(words).encode()).hexdigest() == C2_WORDS_SHA256
 
 
 def test_c2_right_table_matches_pinned_digest(ws):
@@ -77,7 +85,8 @@ def test_lc2_pairs_match_pinned_digest(ws):
 
 
 def test_lc2_words_match_pinned_digest(ws):
-    assert hashlib.sha256(_words_text(ws.lc2).encode()).hexdigest() == LC2_WORDS_SHA256
+    text = _words_text(_pair_words(ws.lc2, ws.c1))
+    assert hashlib.sha256(text.encode()).hexdigest() == LC2_WORDS_SHA256
 
 
 def test_circuits_match_pinned_digest(ws):
@@ -101,5 +110,7 @@ def test_build_without_the_batched_kernel_matches_the_pinned_tables(ws):
     for got, want in zip(tables, (ws.c1, ws.lc2, ws.c2)):
         assert np.array_equal(got.codes, want.codes)
         assert np.array_equal(got.right, want.right)
-        assert (got.book, got.words) == (want.book, want.words)
+        assert np.array_equal(got.parent, want.parent)
+        assert np.array_equal(got.label, want.label)
+        assert got.book == want.book
     assert tables[1].pairs == ws.lc2.pairs

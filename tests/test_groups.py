@@ -110,6 +110,15 @@ class TestWords:
         for eid in rng.sample(range(len(ws.lc2)), 200):
             assert ws.lc2.evaluate(ws.lc2.word_of(eid)) == ws.lc2.element(eid)
 
+    @pytest.mark.parametrize("name, longest", [("c1", 16), ("lc2", 17), ("c2", 23)])
+    def test_words_are_a_breadth_first_tree(self, ws, name, longest):
+        table = ws.table(name)
+        assert table.parent.dtype == np.int32 and table.label.dtype == np.int8
+        assert np.flatnonzero(table.parent < 0).tolist() == [table.identity_id]
+        rest = np.flatnonzero(table.parent >= 0)
+        assert (table.right[table.parent[rest], table.label[rest]] == rest).all()
+        assert max(len(table.word_of(e)) for e in range(len(table))) == longest
+
     def test_lc2_pairs_factor_elements(self, ws):
         rng = random.Random(53)
         for lid in rng.sample(range(len(ws.lc2)), 200):
@@ -245,7 +254,9 @@ class TestRightTableOracle:
         lc2 = ws.lc2
         right = lc2.right.copy()
         right[4500, 1] = right[4501, 1]
-        broken = GroupTable("lc2", lc2.alphabet, lc2.codes, lc2.book, lc2.words, right)
+        broken = GroupTable(
+            "lc2", lc2.alphabet, lc2.codes, lc2.book, lc2.parent, lc2.label, right
+        )
         assert _right_mismatches(broken) == 1
 
 

@@ -155,7 +155,9 @@ class TestEncoding:
         assert [c1.element(e) for e in range(len(c1))] == [
             ws.c1.element(e) for e in range(len(ws.c1))
         ]
-        assert c1.words == ws.c1.words
+        assert [c1.word_of(e) for e in range(len(c1))] == [
+            ws.c1.word_of(e) for e in range(len(ws.c1))
+        ]
         assert (c1.right == ws.c1.right).all()
         assert c1.contains(H) == ws.c1.contains(H)
 

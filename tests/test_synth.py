@@ -32,7 +32,7 @@ def local_op(synth, v):
     if lid is None:
         raise VerificationError("descent produced a non-local factor")
     ia, ib = synth.lc2.pairs[lid]
-    return LocalOp(synth.c1.words[ia], synth.c1.words[ib])
+    return LocalOp(synth.c1.word_of(ia), synth.c1.word_of(ib))
 
 
 def synthesize_by_scan(synth, m):
