@@ -2,19 +2,23 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_layers.py --baseline ../parent --runs 5 --out BENCH_8.json
+    python3 scripts/bench_layers.py --baseline ../parent --runs 5 --out BENCH_9.json
 
 Every run is a fresh interpreter (this script with --measure) that imports
 czorbits from one tree's src/. It times `import czorbits.cli`, then one cold
 `build_workspace()` with each stage timed by wrapping the names that
 `czorbits.workspace` calls (the C1, LC2 and C2 closures, the partition, the
-CZ graph and the synthesis plans), then `format_table(c2)`. It also
-reports the peak RSS of the process right after the build, and the size of
-`pickle.dumps(workspace)` (the snapshot a fast start would load, and the
-pickle perfbench's query-mix loads) with the time to load it. Runs alternate
-between the two trees; the output holds every sample and the median of each
-figure per tree, with the machine, each tree's git revision and its
-non-generated line count (the lines of src/czorbits/*.py).
+CZ graph and the synthesis plans), then `format_table(c2)`. A group table
+fills its generators' left actions when its closure makes it, so
+`c2_closure_s` includes C2's five left fills (about 20 ms), which
+`build_workspace` made after the closures in trees that kept them as
+`Workspace.lefts`. It also reports the peak RSS of the process right after
+the build, and the size of `pickle.dumps(workspace)` (the snapshot a fast
+start would load, and the pickle perfbench's query-mix loads) with the time
+to load it. Runs alternate between the two trees; the output holds every
+sample and the median of each figure per tree, with the machine, each
+tree's git revision and its non-generated line count (the lines of
+src/czorbits/*.py).
 """
 
 from __future__ import annotations
@@ -121,7 +125,7 @@ def main() -> int:
     p.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--baseline", type=Path, help="checkout to compare against (the parent)")
     p.add_argument("--runs", type=int, default=5, help="fresh interpreters per tree")
-    p.add_argument("--out", type=Path, default=ROOT / "BENCH_8.json")
+    p.add_argument("--out", type=Path, default=ROOT / "BENCH_9.json")
     args = p.parse_args()
     if args.measure:
         print(json.dumps(measure()))

@@ -104,12 +104,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_matrix_arg(args, parser: argparse.ArgumentParser, ws: Workspace) -> GateMatrix:
+def _resolve(args, parser: argparse.ArgumentParser, ws: Workspace) -> tuple[int, GateMatrix]:
+    """The queried element's id and matrix, from --element ID or FILE."""
     if (args.matrix is None) == (args.element is None):
         parser.error("provide exactly one of FILE or --element ID")
     if args.element is not None:
         try:
-            return ws.c2.element(args.element)
+            return args.element, ws.c2.element(args.element)
         except ValueError as exc:
             parser.error(f"--element: {exc}")
     if args.matrix == "-":
@@ -120,16 +121,14 @@ def _read_matrix_arg(args, parser: argparse.ArgumentParser, ws: Workspace) -> Ga
             text = path.read_text()
         except (OSError, UnicodeDecodeError) as exc:
             raise InputFormatError(f"cannot read {path}: {exc}") from None
-    return parse_matrix(text)
-
-
-def _require_member(ws: Workspace, m: GateMatrix) -> int:
+    m = parse_matrix(text)
+    eid = ws.c2.contains(m)
+    if eid is not None:
+        return eid, m
+    # every element is unitary, so only a miss needs the exact product
     if not m.is_unitary():
         raise NotInGroupError("matrix is not unitary")
-    eid = ws.c2.contains(m)
-    if eid is None:
-        raise NotInGroupError("matrix is unitary but not an element of the group")
-    return eid
+    raise NotInGroupError("matrix is unitary but not an element of the group")
 
 
 def main(argv=None) -> int:
@@ -176,17 +175,15 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "synth":
-            m = _read_matrix_arg(args, parser, ws)
-            _require_member(ws, m)
-            circuit = ws.synthesizer.synthesize(m)
+            eid, m = _resolve(args, parser, ws)
+            circuit = ws.synthesizer.synthesize_id(eid)
             if args.verify and evaluate(circuit) != m:
                 raise VerificationError("circuit does not reproduce the input")
             out.write(format_circuit(circuit, time_order=args.time_order))
             return 0
 
         if args.command == "lookup":
-            m = _read_matrix_arg(args, parser, ws)
-            eid = _require_member(ws, m)
+            eid, _ = _resolve(args, parser, ws)
             oid = ws.atlas.orbit_of[eid]
             out.write(f"element {eid}\n")
             out.write(f"orbit O{oid}\n")

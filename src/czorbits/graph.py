@@ -174,20 +174,18 @@ def check_isomorphic(edges: Iterable[tuple[int, int]]) -> Optional[dict[int, int
     return dict(sorted(mapping.items())) if extend() else None
 
 
-def cnot_graph_equivalence(
-    atlas: OrbitAtlas, c2: GroupTable, graph: CzGraph, lefts: Mapping[str, np.ndarray]
-) -> bool:
+def cnot_graph_equivalence(atlas: OrbitAtlas, c2: GroupTable, graph: CzGraph) -> bool:
     """True iff both CNOT pushforward graphs equal the CZ graph exactly.
 
     The CNOT onto wire w is H_w*CZ*H_w (checked exactly), so its left
-    action composes three of the generator actions lefts[g] on c2.
+    action composes three of c2's generator actions.
     """
-    cz = lefts["CZ"]
+    cz = c2.left("CZ")
     for wire, cnot in (("2", CNOT_T2), ("1", CNOT_T1)):
         h = c2.alphabet["H" + wire]
         if h * c2.alphabet["CZ"] * h != cnot:
             raise VerificationError(f"H{wire}*CZ*H{wire} is not the CNOT onto wire {wire}")
-        lh = lefts["H" + wire]
+        lh = c2.left("H" + wire)
         if build_graph(atlas, lh[cz[lh]]).weight != graph.weight:
             return False
     return True

@@ -6,7 +6,8 @@ integer arrays only. An element is stored as dim*dim one-byte codes into the
 table's codebook, its distinct entry encodings in ascending order, so code
 rows sort like encodings and membership is a binary search over them.
 Closure uses right multiplication and keeps those products as an integer
-Cayley table. Its breadth-first tree gives each element a shortest word:
+Cayley table, from which the table fills each generator's left action once,
+when it is made. Its breadth-first tree gives each element a shortest word:
 the element's parent id and the generator that leads from the parent to it,
 so words read left-to-right as matrix products.
 
@@ -53,17 +54,18 @@ def bfs_fill(out: np.ndarray, moves: Sequence[tuple[np.ndarray, np.ndarray]]) ->
 
 
 def _row_keys(codes: np.ndarray) -> np.ndarray:
-    """Each code row as one byte string; offset by one, since numpy's S
-    dtype drops trailing NUL bytes."""
-    return (codes + np.uint8(1)).view(f"S{codes.shape[1]}").ravel()
+    """Each code row as one byte string, a view of the rows. numpy's S dtype
+    drops trailing NUL bytes, which on rows of one width keeps them distinct
+    and in order."""
+    return codes.view(f"S{codes.shape[1]}").ravel()
 
 
 class GroupTable:
-    """Immutable table of group elements with a shortest word for each.
+    """Immutable table of group elements with a shortest word for each and
+    the right and left actions of its generators on element ids.
 
-    Precondition: the rows of `codes` ascend, as `closure()` leaves them and
-    `build_lc2` keeps them, so an id is its element's rank and `contains`
-    is a binary search.
+    Precondition: the rows of `codes` ascend, as `closure()` leaves them,
+    so an id is its element's rank and `contains` is a binary search.
     """
 
     def __init__(
@@ -75,7 +77,6 @@ class GroupTable:
         parent: np.ndarray,
         label: np.ndarray,
         right: np.ndarray,
-        pairs: Optional[list[tuple[int, int]]] = None,
     ) -> None:
         self.name = name
         self.alphabet = dict(alphabet)
@@ -93,11 +94,19 @@ class GroupTable:
         # generator of the alphabet
         self.right = right
         # pairs: for the local group, the (wire-1 id, wire-2 id) factor
-        # pair of each element over the single-qubit table
-        self.pairs = pairs
-        # each entry's byte in the row keys that contains bisects
-        self._key_of = {data: code + 1 for code, data in enumerate(book)}
-        self._keys = _row_keys(codes)
+        # pair of each element over the single-qubit table, set by build_lc2
+        self.pairs: Optional[list[tuple[int, int]]] = None
+        # each entry encoding's code, to spell a query as a code row
+        self._key_of = {data: code for code, data in enumerate(book)}
+        # _left[g, e] (int32): the id of the g-th generator times element(e).
+        # No matrix product: g * 1 = g and g * (e * h) = (g * e) * h, so each
+        # row fills breadth-first over `right` from the identity
+        ident, moves = self.identity_id, [(column, column) for column in right.T]
+        self._left = np.full((len(self.alphabet), len(codes)), -1, dtype=np.int32)
+        for g, row in enumerate(self._left):
+            row[ident] = right[ident, g]
+            bfs_fill(row, moves)
+        self._left.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -130,8 +139,10 @@ class GroupTable:
             key = bytes(map(self._key_of.__getitem__, _SPLIT[self.dim].unpack(m.data)))
         except KeyError:  # an entry no element has
             return None
-        eid = bisect_left(self._keys, key)
-        return eid if eid < len(self) and self._keys[eid] == key else None
+        # stripped, as the S dtype reads the rows without trailing NUL bytes
+        key, keys = key.rstrip(b"\0"), _row_keys(self.codes)
+        eid = bisect_left(keys, key)
+        return eid if eid < len(self) and keys[eid] == key else None
 
     def word_of(self, eid: int) -> tuple[str, ...]:
         """The closure's shortest word for the element, read off the tree."""
@@ -142,15 +153,9 @@ class GroupTable:
         return tuple(reversed(word))
 
     def left(self, label: str) -> np.ndarray:
-        """Left action of generator g: out[e] is the id of g * element(e).
-
-        No matrix product: g * 1 = g and g * (e * h) = (g * e) * h, so a
-        breadth-first walk over `right` from the identity fills every entry.
-        """
-        ident = self.identity_id
-        out = np.full(len(self), -1, dtype=np.int32)
-        out[ident] = self.right[ident, list(self.alphabet).index(label)]
-        return bfs_fill(out, [(column, column) for column in self.right.T])
+        """Left action of generator `label`, read-only: out[e] is the id of
+        the generator times element(e)."""
+        return self._left[list(self.alphabet).index(label)]
 
     def evaluate(self, word: Iterable[str]) -> GateMatrix:
         """Exact left-to-right product of the word's generators."""
@@ -163,8 +168,7 @@ class GroupTable:
         return m
 
 
-def closure(generators: Mapping[str, GateMatrix], name: str = "group",
-            cap: int = CLOSURE_CAP) -> GroupTable:
+def closure(generators: Mapping[str, GateMatrix], name: str) -> GroupTable:
     """Breadth-first closure of the group generated by `generators`.
 
     Elements are discovered in word-length order (ties broken by frontier
@@ -173,11 +177,6 @@ def closure(generators: Mapping[str, GateMatrix], name: str = "group",
     which is independent of discovery order. Every product m * g the
     search makes is kept, in final ids, as the table's `right`, and the
     product that first found each element as its `parent` and `label`.
-
-    The search runs one word length at a time on code rows. A level's
-    products are looked up against every element numbered so far, and the
-    new ones are numbered in (parent, generator) order of first occurrence,
-    the order of one product at a time.
     """
     gens = list(generators.items())
     if not gens:
@@ -188,7 +187,17 @@ def closure(generators: Mapping[str, GateMatrix], name: str = "group",
             raise ValueError("generators must share one dimension")
         if not g.is_unitary():
             raise ValueError(f"generator {label!r} is not unitary")
+    # the table fills its left actions, so it is made once the level arrays are freed
+    return GroupTable(name, dict(gens), *_level_search(gens, dim, name))
 
+
+def _level_search(gens: list[tuple[str, GateMatrix]], dim: int, name: str) -> tuple:
+    """closure's search, one word length at a time on code rows; returns the
+    table's codes, book, parent, label and right. A level's products are
+    looked up against every element numbered so far, and the new ones are
+    numbered in (parent, generator) order of first occurrence, the order of
+    one product at a time. More than CLOSURE_CAP elements stop the search.
+    """
     # codes 0 and 1 are zero and one, so the identity's row is eye(dim)
     book = [ZERO.pack(), ONE.pack()]
     code_of = {data: code for code, data in enumerate(book)}
@@ -251,9 +260,9 @@ def closure(generators: Mapping[str, GateMatrix], name: str = "group",
         ids = known_ids[np.minimum(pos, found - 1)]
         new = np.flatnonzero(known[np.minimum(pos, found - 1)] != keys)
         fresh = new[np.argsort(first[new])]
-        if found + len(fresh) > cap:
+        if found + len(fresh) > CLOSURE_CAP:
             raise VerificationError(
-                f"closure of {name} exceeded {cap} elements; "
+                f"closure of {name} exceeded {CLOSURE_CAP} elements; "
                 "the representation is not closing"
             )
         ids[fresh] = np.arange(found, found + len(fresh))
@@ -276,8 +285,7 @@ def closure(generators: Mapping[str, GateMatrix], name: str = "group",
     right = rank[np.concatenate(right_levels)[order]]
     parent, label = (np.concatenate(column)[order] for column in zip(*tree))
     parent = np.where(parent < 0, -1, rank[parent]).astype(np.int32)
-    return GroupTable(name, dict(gens), codes[order], [book[c] for c in used],
-                      parent, label.astype(np.int8), right)
+    return codes[order], [book[c] for c in used], parent, label.astype(np.int8), right
 
 
 def build_c1() -> GroupTable:
@@ -307,9 +315,8 @@ def build_lc2(c1: GroupTable) -> GroupTable:
     # candidates sorted by (total letters, ia, ib); keep each element's first
     order = np.lexsort((np.arange(n * n), (wl[:, None] + wl).ravel()))
     _, first = np.unique(at[order], return_index=True)
-    pairs = [divmod(int(p), n) for p in order[first]]
-    return GroupTable("lc2", table.alphabet, table.codes, table.book, table.parent,
-                      table.label, table.right, pairs)
+    table.pairs = [divmod(int(p), n) for p in order[first]]
+    return table
 
 
 def build_c2() -> GroupTable:

@@ -10,7 +10,7 @@ lists, and (after labeling) each orbit's CZ layer. Orbit ids are 1-based.
 from __future__ import annotations
 
 from array import array
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -57,15 +57,15 @@ class OrbitAtlas:
         return self.layers[oid - 1]
 
 
-def partition(c2: GroupTable, lc2: GroupTable, lefts: Mapping[str, np.ndarray]) -> OrbitAtlas:
+def partition(c2: GroupTable, lc2: GroupTable) -> OrbitAtlas:
     """Split c2 into left cosets of lc2, labeled in discovery order.
 
-    lefts[g] is the left action of generator g on c2, as GroupTable.left
-    gives it. Every id takes the minimum of its neighbours' labels under lc2's
-    generators until nothing changes, leaving each coset labeled by its
-    minimal id; orbit ids follow those minima in increasing order.
+    Every id takes the minimum of its neighbours' labels under the left
+    actions on c2 of lc2's generators until nothing changes, leaving each
+    coset labeled by its minimal id; orbit ids follow those minima in
+    increasing order.
     """
-    actions = [lefts[label] for label in lc2.alphabet]
+    actions = [c2.left(label) for label in lc2.alphabet]
     low = np.arange(len(c2), dtype=np.int32)
     while True:
         nxt = low.copy()

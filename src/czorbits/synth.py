@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Union
+from typing import Union
 
 import numpy as np
 
@@ -114,7 +114,6 @@ class Synthesizer:
         c2: GroupTable,
         atlas: OrbitAtlas,
         graph: CzGraph,
-        lefts: Mapping[str, np.ndarray],
     ) -> None:
         self.c1 = c1
         self.lc2 = lc2
@@ -122,17 +121,15 @@ class Synthesizer:
         self.atlas = atlas
         self.graph = graph
         self._c1_words = [c1.word_of(e) for e in range(len(c1))]
-        self._factor, self._tails = self._build_plans(lefts)
+        self._factor, self._tails = self._build_plans()
 
     def _local(self, lid: int) -> LocalOp:
         ia, ib = self.lc2.pairs[lid]
         return LocalOp(self._c1_words[ia], self._c1_words[ib])
 
-    def _build_plans(
-        self, lefts: Mapping[str, np.ndarray]
-    ) -> tuple[np.ndarray, dict[int, tuple[Op, ...]]]:
+    def _build_plans(self) -> tuple[np.ndarray, dict[int, tuple[Op, ...]]]:
         """Each element's factor, as an lc2 id, and each orbit's tail, from
-        the left actions lefts[g] of the generators on c2."""
+        the left actions of the generators on c2 and on lc2."""
         atlas, graph = self.atlas, self.graph
         # anchors below O1, shallow orbits first so each tail reuses the one below
         anchors: dict[int, int] = {}
@@ -147,9 +144,9 @@ class Synthesizer:
 
         factor = np.full(len(self.c2), -1, dtype=np.int32)
         factor[[atlas.ident_eid, *anchors.values()]] = self.lc2.identity_id
-        bfs_fill(factor, [(lefts[g], self.lc2.left(g)) for g in self.lc2.alphabet])
+        bfs_fill(factor, [(self.c2.left(g), self.lc2.left(g)) for g in self.lc2.alphabet])
 
-        cz = lefts["CZ"]
+        cz = self.c2.left("CZ")
         tails: dict[int, tuple[Op, ...]] = {1: ()}
         for oid, anchor in anchors.items():
             pushed = cz[anchor]

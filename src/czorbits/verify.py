@@ -134,7 +134,7 @@ def run_verification(ws: Workspace) -> VerificationReport:
     rep.add("layer-element-counts", [4608, 41472, 41472, 4608], elem_counts)
 
     rep.add("figure-isomorphism", True, ws.bijection is not None)
-    rep.add("cnot-equivalence", True, cnot_graph_equivalence(atlas, c2, graph, ws.lefts))
+    rep.add("cnot-equivalence", True, cnot_graph_equivalence(atlas, c2, graph))
 
     failures = 0
     max_cz = 0
@@ -191,7 +191,7 @@ def run_verification(ws: Workspace) -> VerificationReport:
     rep.add("word-roundtrip-sample", SAMPLE_SIZE, ok)
 
     gens = list(c2.alphabet.values())
-    lefts = [ws.lefts[label] for label in c2.alphabet]
+    lefts = [c2.left(label) for label in c2.alphabet]
     ok = 0
     for _ in range(SAMPLE_SIZE):
         col, eid = rng.randrange(len(gens)), rng.randrange(len(c2))

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
-import numpy as np
-
 from czorbits.errors import InputFormatError
 from czorbits.graph import CzGraph, build_graph, check_isomorphic, check_weight_law
 from czorbits.groups import GroupTable, build_c1, build_c2, build_lc2
@@ -32,8 +30,6 @@ class Workspace:
     c1: GroupTable
     lc2: GroupTable
     c2: GroupTable
-    # lefts[g]: left action of c2's generator g on c2 ids, as GroupTable.left
-    lefts: dict[str, np.ndarray]
     atlas: OrbitAtlas
     graph: CzGraph
     bijection: Optional[dict[int, int]]
@@ -49,8 +45,10 @@ _CACHE: Optional[Workspace] = None
 def build_workspace(fresh: bool = False) -> Workspace:
     """Build (or fetch the cached) full workspace.
 
-    fresh=True forces a complete rebuild and does not touch the cache;
-    determinism checks compare such a rebuild against the cached one.
+    fresh=True forces a complete rebuild even when a workspace is cached;
+    determinism checks compare such a rebuild against the cached one. The
+    first workspace built in a process, fresh or not, becomes the cached
+    one, and a later build never replaces it.
     """
     global _CACHE
     if _CACHE is not None and not fresh:
@@ -58,14 +56,13 @@ def build_workspace(fresh: bool = False) -> Workspace:
     c1 = build_c1()
     lc2 = build_lc2(c1)
     c2 = build_c2()
-    lefts = {label: c2.left(label) for label in c2.alphabet}
-    pre = partition(c2, lc2, lefts)
-    graph = build_graph(pre, lefts["CZ"])
+    pre = partition(c2, lc2)
+    graph = build_graph(pre, c2.left("CZ"))
     check_weight_law(graph)
     atlas, graph = assign_layers_and_labels(pre, graph)
     bijection = check_isomorphic(graph.edge_set())
-    synthesizer = Synthesizer(c1, lc2, c2, atlas, graph, lefts)
-    ws = Workspace(c1, lc2, c2, lefts, atlas, graph, bijection, synthesizer)
+    synthesizer = Synthesizer(c1, lc2, c2, atlas, graph)
+    ws = Workspace(c1, lc2, c2, atlas, graph, bijection, synthesizer)
     if _CACHE is None:
         _CACHE = ws
     return ws

@@ -130,7 +130,7 @@ def test_criterion_06_synthesis_totality_and_minimality(ws):
 
 
 def test_criterion_07_cnot_equivalence(ws):
-    ok = cnot_graph_equivalence(ws.atlas, ws.c2, ws.graph, ws.lefts)
+    ok = cnot_graph_equivalence(ws.atlas, ws.c2, ws.graph)
     assert _report("cnot-equivalence", ok)
 
 

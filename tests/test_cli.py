@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from czorbits import kernels
 from czorbits.cli import main
 from czorbits.io import format_matrix
 from czorbits.matrices import CNOT_T1, CZ, GateMatrix, I4
@@ -115,6 +116,23 @@ class TestLookup:
         lines = capsys.readouterr().out.splitlines()
         assert lines[1] == "orbit O1"
         assert lines[3] == "layer 0"
+
+
+class TestOneLookup:
+    @pytest.mark.parametrize("command", ["lookup", "synth"])
+    def test_member_file_needs_no_matrix_product(self, atlas, tmp_path, monkeypatch,
+                                                 capsys, command):
+        # a member resolves by membership alone; the exact unitarity
+        # product runs only for a matrix outside the group
+        def refuse(*args):
+            raise AssertionError("a member query multiplied matrices")
+
+        path = tmp_path / "cnot.txt"
+        path.write_text(format_matrix(CNOT_T1))
+        monkeypatch.setattr(kernels, "mat_mul", refuse)
+        monkeypatch.setattr(kernels, "mat_dagger", refuse)
+        assert main([command, str(path), "--out-dir", str(atlas)]) == 0
+        assert capsys.readouterr().out
 
 
 class TestParserReuse:

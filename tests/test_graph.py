@@ -55,7 +55,7 @@ class TestIntersectionLaw:
 
 class TestOneGraph:
     def test_relabeled_graph_equals_a_fresh_build(self, ws):
-        fresh = build_graph(ws.atlas, ws.lefts["CZ"])
+        fresh = build_graph(ws.atlas, ws.c2.left("CZ"))
         assert fresh.weight == ws.graph.weight
         assert fresh.witnesses == ws.graph.witnesses
 
@@ -128,7 +128,7 @@ class TestComputedIsomorphism:
 
 class TestGateSubstitution:
     def test_cnot_graphs_identical(self, ws):
-        assert cnot_graph_equivalence(ws.atlas, ws.c2, ws.graph, ws.lefts)
+        assert cnot_graph_equivalence(ws.atlas, ws.c2, ws.graph)
 
     def test_local_gate_degenerate_probe(self, ws):
         probe = build_graph(ws.atlas, ws.c2.left("H1"))

@@ -7,6 +7,7 @@ import pytest
 
 from czorbits.encoding import ENTRY_BYTES
 from czorbits.errors import VerificationError
+from czorbits import groups
 from czorbits.groups import CLOSURE_CAP, MAX_CODES, GroupTable, build_lc2, closure
 from czorbits.matrices import (
     C1_GENERATORS,
@@ -165,12 +166,26 @@ class TestActionTables:
 
     @pytest.mark.parametrize("label", ["H1", "P1", "H2", "P2", "CZ"])
     def test_left_matches_exact_products(self, ws, label):
-        action = ws.c2.left(label)
-        assert sorted(action.tolist()) == list(range(len(ws.c2)))
-        gen = ws.c2.alphabet[label]
         rng = random.Random(67)
-        for eid in rng.sample(range(len(ws.c2)), 200):
-            assert action[eid] == ws.c2.contains(gen * ws.c2.element(eid))
+        for table in (ws.c2, ws.lc2):
+            if label not in table.alphabet:
+                continue  # CZ generates c2 only
+            action = table.left(label)
+            assert sorted(action.tolist()) == list(range(len(table)))
+            gen = table.alphabet[label]
+            for eid in rng.sample(range(len(table)), 200):
+                assert action[eid] == table.contains(gen * table.element(eid))
+
+    def test_left_actions_are_kept_not_recomputed(self, ws, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("left() ran a breadth-first fill")
+
+        monkeypatch.setattr(groups, "bfs_fill", refuse)
+        for table in (ws.c1, ws.lc2, ws.c2):
+            for label in table.alphabet:
+                action = table.left(label)
+                assert action.shape == (len(table),) and action.dtype == np.int32
+                assert not action.flags.writeable
 
     def test_left_of_whole_c1(self, ws):
         for label, gen in ws.c1.alphabet.items():
@@ -183,9 +198,10 @@ class TestActionTables:
 
 
 class TestClosureValidation:
-    def test_cap_triggers(self):
+    def test_cap_triggers(self, monkeypatch):
+        monkeypatch.setattr(groups, "CLOSURE_CAP", 10)
         with pytest.raises(VerificationError):
-            closure(C1_GENERATORS, "capped", cap=10)
+            closure(C1_GENERATORS, "capped")
         assert CLOSURE_CAP == 10**6
 
     def test_rejects_non_unitary_generator(self):

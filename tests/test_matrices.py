@@ -160,6 +160,9 @@ class TestEncoding:
         ]
         assert (c1.right == ws.c1.right).all()
         assert c1.contains(H) == ws.c1.contains(H)
+        assert [c1.contains(c1.element(e)) for e in range(len(c1))] == list(range(len(c1)))
+        for label in c1.alphabet:
+            assert (c1.left(label) == ws.c1.left(label)).all()
 
     def test_bad_dimension_rejected(self):
         with pytest.raises(ValueError):

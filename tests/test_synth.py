@@ -135,7 +135,7 @@ class TestRoundTrip:
         members += [I4, CZ, SWAP]
         for name in ("mat_mul", "mat_dagger", "mat_tensor"):
             monkeypatch.setattr(kernels, name, refuse)
-        synth = Synthesizer(ws.c1, ws.lc2, ws.c2, ws.atlas, ws.graph, ws.lefts)
+        synth = Synthesizer(ws.c1, ws.lc2, ws.c2, ws.atlas, ws.graph)
         monkeypatch.setattr(GroupTable, "contains", counting_contains)
         by_id = [synth.synthesize_id(eid) for eid in ids]
         by_matrix = [synth.synthesize(m) for m in members]
