@@ -5,9 +5,9 @@ import random
 import numpy as np
 import pytest
 
+from czorbits import groups
 from czorbits.encoding import ENTRY_BYTES
 from czorbits.errors import VerificationError
-from czorbits import groups
 from czorbits.groups import CLOSURE_CAP, MAX_CODES, GroupTable, build_lc2, closure
 from czorbits.matrices import (
     C1_GENERATORS,
