@@ -2,13 +2,15 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_layers.py --baseline ../parent --runs 5 --out BENCH_9.json
+    python3 scripts/bench_layers.py --baseline ../parent --runs 5 --out BENCH_10.json
 
 Every run is a fresh interpreter (this script with --measure) that imports
 czorbits from one tree's src/. It times `import czorbits.cli`, then one cold
 `build_workspace()` with each stage timed by wrapping the names that
 `czorbits.workspace` calls (the C1, LC2 and C2 closures, the partition, the
-CZ graph and the synthesis plans), then `format_table(c2)`. A group table
+CZ graph and the synthesis plans), then `format_table(c2)`, which builds C2's
+file as one string, and `write_tables` into a temporary directory, which
+streams all three table files to disk as `generate` does. A group table
 fills its generators' left actions when its closure makes it, so
 `c2_closure_s` includes C2's five left fills (about 20 ms), which
 `build_workspace` made after the closures in trees that kept them as
@@ -33,6 +35,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -75,6 +78,10 @@ def measure() -> dict:
     t0 = time.perf_counter()
     format_table(ws.c2)
     figures["format_table_c2_s"] = time.perf_counter() - t0
+    with tempfile.TemporaryDirectory() as out_dir:
+        t0 = time.perf_counter()
+        workspace.write_tables(ws, Path(out_dir))
+        figures["write_tables_s"] = time.perf_counter() - t0
     blob = pickle.dumps(ws, protocol=pickle.HIGHEST_PROTOCOL)
     figures["pickle_mb"] = len(blob) / 1e6
     t0 = time.perf_counter()
@@ -125,7 +132,7 @@ def main() -> int:
     p.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--baseline", type=Path, help="checkout to compare against (the parent)")
     p.add_argument("--runs", type=int, default=5, help="fresh interpreters per tree")
-    p.add_argument("--out", type=Path, default=ROOT / "BENCH_9.json")
+    p.add_argument("--out", type=Path, default=ROOT / "BENCH_10.json")
     args = p.parse_args()
     if args.measure:
         print(json.dumps(measure()))

@@ -3,7 +3,9 @@
 Matrix text format: the dimension on one line, then dim lines of dim
 entries "a,b,c,d/k" separated by single spaces. Table files carry the
 header "CLIFFORD-TABLE v1 <name> <count>" followed by one matrix per
-record in canonical order. Orbit files are line-oriented: the map file
+record in canonical order. A table holds few distinct rows of entry codes
+(480 in C2's 92160 elements), so its file is written from each distinct
+row's text, printed once. Orbit files are line-oriented: the map file
 has "element_id orbit_id" lines, the summary file
 "orbit_id layer size representative_encoding" with the encoding in hex.
 """
@@ -13,6 +15,8 @@ from __future__ import annotations
 import os
 from pathlib import Path
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from czorbits.encoding import unpack_entries, unpack_entry
 from czorbits.errors import InputFormatError
@@ -24,6 +28,7 @@ from czorbits.ring import CycloNum, parse_integer
 TABLE_MAGIC = "CLIFFORD-TABLE"
 TABLE_VERSION = "v1"
 _ENTRY = "%d,%d,%d,%d/%d"
+CHUNK_BYTES = 1 << 20
 
 
 def _template(dim: int) -> str:
@@ -63,19 +68,30 @@ def parse_matrix(text: str) -> GateMatrix:
     return GateMatrix.from_entries(rows)
 
 
-def table_records(table: GroupTable) -> Iterator[str]:
-    """The table file's text: the header line, then one record per element."""
-    yield f"{TABLE_MAGIC} {TABLE_VERSION} {table.name} {len(table)}\n"
-    # one text per code, then each record is its element's codes filled in
-    texts = [_ENTRY % unpack_entry(data) for data in table.book]
-    template, width = _template(table.dim), table.dim * table.dim
-    codes = table.codes.tobytes()
-    for at in range(0, len(codes), width):
-        yield template % tuple(map(texts.__getitem__, codes[at : at + width]))
+def table_records(table: GroupTable) -> Iterator[bytes]:
+    """The table file as chunks of at most CHUNK_BYTES: the header, then one
+    record of dim code rows per element. Each distinct row is printed once, and
+    once more after the "<dim>" line that opens a record; a chunk joins the
+    pieces its rows find by binary search, so no whole file or index is held."""
+    yield f"{TABLE_MAGIC} {TABLE_VERSION} {table.name} {len(table)}\n".encode()
+    dim, texts = table.dim, [_ENTRY % unpack_entry(data) for data in table.book]
+    # each row of dim one-byte codes as one unsigned integer; a uint8 view of
+    # the distinct keys gives their codes back in either byte order
+    keys = table.codes.view(f"u{dim}").ravel()
+    rows = np.unique(keys)
+    rest = [(" ".join(map(texts.__getitem__, row)) + "\n").encode()
+            for row in rows.view(np.uint8).reshape(-1, dim).tolist()]
+    first = [b"%d\n" % dim + piece for piece in rest]
+    pieces, shift = first + rest, np.repeat([0, len(rows)], [1, dim - 1])
+    longest = max(map(len, first)) + (dim - 1) * max(map(len, rest))
+    step = max(1, CHUNK_BYTES // longest) * dim
+    for at in range(0, len(keys), step):
+        picks = np.searchsorted(rows, keys[at : at + step]).reshape(-1, dim) + shift
+        yield b"".join(map(pieces.__getitem__, picks.ravel().tolist()))
 
 
 def format_table(table: GroupTable) -> str:
-    return "".join(table_records(table))
+    return b"".join(table_records(table)).decode("ascii")
 
 
 def write_atomic(path: Path, data: bytes | Iterable[bytes]) -> None:

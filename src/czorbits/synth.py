@@ -19,7 +19,7 @@ factor's local layer followed by its orbit's tail.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Union
 
 import numpy as np
@@ -27,7 +27,7 @@ import numpy as np
 from czorbits.errors import NotInGroupError, VerificationError
 from czorbits.graph import CzGraph
 from czorbits.groups import GroupTable, bfs_fill
-from czorbits.matrices import CZ, H, I2, P, GateMatrix
+from czorbits.matrices import CZ, H, I2, I4, P, GateMatrix
 from czorbits.orbits import OrbitAtlas
 
 
@@ -94,14 +94,10 @@ def _local_matrix(a: tuple[str, ...], b: tuple[str, ...]) -> GateMatrix:
 
 
 def evaluate(circuit: Circuit) -> GateMatrix:
-    """Exact product of the circuit's matrices, left-to-right."""
-    m = GateMatrix.identity(4)
-    for op in circuit.ops:
-        if isinstance(op, CzOp):
-            m = m * CZ
-        else:
-            m = m * _local_matrix(op.a, op.b)
-    return m
+    """Exact product of the circuit's matrices, left-to-right: n - 1 products
+    for n ops, and the identity for none."""
+    mats = [CZ if isinstance(op, CzOp) else _local_matrix(op.a, op.b) for op in circuit.ops]
+    return reduce(GateMatrix.__mul__, mats) if mats else I4
 
 
 class Synthesizer:

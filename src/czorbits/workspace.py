@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from czorbits.errors import InputFormatError
 from czorbits.graph import CzGraph, build_graph, check_isomorphic, check_weight_law
@@ -79,7 +79,7 @@ def write_tables(ws: Workspace, out_dir: Path) -> list[Path]:
     written = []
     for name in TABLE_NAMES:
         path = out_dir / f"{name}.tbl"
-        write_atomic(path, _table_bytes(ws, name))
+        write_atomic(path, table_records(ws.table(name)))
         written.append(path)
     return written
 
@@ -99,17 +99,12 @@ def ensure_tables(
                     f"missing table file {path} and regeneration is disabled"
                 )
             out_dir.mkdir(parents=True, exist_ok=True)
-            write_atomic(path, _table_bytes(ws, name))
-        elif validate and not _matches(path, _table_bytes(ws, name)):
+            write_atomic(path, table_records(ws.table(name)))
+        elif validate and not _matches(path, table_records(ws.table(name))):
             raise InputFormatError(
                 f"corrupt table file {path}: content does not match "
                 "the regenerated table"
             )
-
-
-def _table_bytes(ws: Workspace, name: str) -> Iterator[bytes]:
-    """The table file, streamed record by record instead of held whole."""
-    return (record.encode() for record in table_records(ws.table(name)))
 
 
 def _matches(path: Path, chunks: Iterable[bytes]) -> bool:

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from czorbits import kernels
+from czorbits.cli import main
 from czorbits.graph import to_json
 from czorbits.groups import build_c1, build_c2, build_lc2
 from czorbits.io import format_circuit, format_orbit_map, format_orbit_summary, format_table
@@ -67,6 +68,17 @@ def _output(ws, name: str) -> str:
 def test_output_matches_pinned_digest(ws, name):
     digest = hashlib.sha256(_output(ws, name).encode()).hexdigest()
     assert digest == GOLDEN_SHA256[name]
+
+
+def test_cli_writes_the_pinned_bytes(ws, tmp_path, capsys):
+    """The files `generate` and `orbits` write, read back from disk: the
+    chunked write path must give the same bytes as the formatters."""
+    for command in ("generate", "orbits"):
+        assert main([command, "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    for name in ("c1.tbl", "lc2.tbl", "c2.tbl", "orbit_map.txt", "orbit_summary.txt"):
+        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest == GOLDEN_SHA256[name], name
 
 
 def test_c2_words_match_pinned_digest(ws):

@@ -13,11 +13,12 @@ from czorbits.io import (
     format_orbit_summary,
     format_table,
     parse_matrix,
+    table_records,
     write_atomic,
 )
 from czorbits.matrices import CZ, H, I4
 from czorbits.synth import CZ_OP, Circuit, LocalOp
-from czorbits.workspace import ensure_tables
+from czorbits.workspace import ensure_tables, write_tables
 
 
 class TestMatrixFormat:
@@ -120,6 +121,25 @@ class TestTableFormat:
     def test_bad_header_rejected(self, ws, tmp_path):
         path = tmp_path / "c1.tbl"
         path.write_bytes(b"NOT-A-TABLE" + format_table(ws.c1).encode()[len(TABLE_MAGIC) :])
+        with pytest.raises(InputFormatError):
+            ensure_tables(ws, tmp_path, validate=True)
+
+
+class TestTableStreaming:
+    def test_c2_streams_in_chunks_of_at_most_one_mib(self, ws):
+        sizes = [len(chunk) for chunk in table_records(ws.c2)]
+        assert len(sizes) > 2
+        assert max(sizes) <= 1 << 20
+
+    def test_corruption_past_the_first_chunk_rejected(self, ws, tmp_path):
+        write_tables(ws, tmp_path)
+        ensure_tables(ws, tmp_path, validate=True)
+        path = tmp_path / "c2.tbl"
+        blob = bytearray(path.read_bytes())
+        at = next(i for i in range(len(blob) * 3 // 4, len(blob)) if blob[i : i + 1].isdigit())
+        assert at > 1 << 20
+        blob[at] = ord("8") if blob[at] == ord("7") else ord("7")
+        path.write_bytes(blob)
         with pytest.raises(InputFormatError):
             ensure_tables(ws, tmp_path, validate=True)
 

@@ -203,3 +203,25 @@ class TestEvaluate:
     def test_bad_word_rejected(self):
         with pytest.raises(ValueError):
             evaluate(Circuit((LocalOp(("Q",), ()),)))
+
+    def test_no_wasted_product(self, ws, monkeypatch):
+        """A circuit of n ops costs n - 1 products and builds no identity."""
+        circuit = ws.synthesizer.synthesize(SWAP)
+        assert circuit.cz_count == 3
+        evaluate(circuit)  # fill the local-layer caches first
+        products = []
+        real_mat_mul = kernels.mat_mul
+
+        def counting_mat_mul(*args):
+            products.append(args)
+            return real_mat_mul(*args)
+
+        def refuse(*args):
+            raise AssertionError("evaluate built an identity matrix")
+
+        monkeypatch.setattr(kernels, "mat_mul", counting_mat_mul)
+        monkeypatch.setattr(GateMatrix, "identity", refuse)
+        assert evaluate(circuit) == SWAP
+        assert len(products) == len(circuit.ops) - 1
+        assert evaluate(Circuit(())) is I4
+        assert len(products) == len(circuit.ops) - 1
