@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_layers.py --baseline ../parent --runs 5 --out BENCH_10.json
+    python3 scripts/bench_layers.py --baseline ../parent --runs 5 --out BENCH_11.json
 
 Every run is a fresh interpreter (this script with --measure) that imports
 czorbits from one tree's src/. It times `import czorbits.cli`, then one cold
@@ -10,14 +10,19 @@ czorbits from one tree's src/. It times `import czorbits.cli`, then one cold
 `czorbits.workspace` calls (the C1, LC2 and C2 closures, the partition, the
 CZ graph and the synthesis plans), then `format_table(c2)`, which builds C2's
 file as one string, and `write_tables` into a temporary directory, which
-streams all three table files to disk as `generate` does. A group table
-fills its generators' left actions when its closure makes it, so
+streams all three table files to disk as `generate` does, and the mean time
+of one `c2.element` and one `c2.contains` call over every 31st element of
+C2 (2973 calls each; the matrices `element` made are the ones `contains`
+looks up). A group table fills its generators' left actions when its
+closure makes it, so
 `c2_closure_s` includes C2's five left fills (about 20 ms), which
 `build_workspace` made after the closures in trees that kept them as
 `Workspace.lefts`. It also reports the peak RSS of the process right after
 the build, and the size of `pickle.dumps(workspace)` (the snapshot a fast
 start would load, and the pickle perfbench's query-mix loads) with the time
-to load it. Runs alternate between the two trees; the output holds every
+to load it, and the host's one-minute load average (`os.getloadavg()`)
+when the sample starts, since load on a shared host moves the build times
+by about 2x. Runs alternate between the two trees; the output holds every
 sample and the median of each figure per tree, with the machine, each
 tree's git revision and its non-generated line count (the lines of
 src/czorbits/*.py).
@@ -53,12 +58,14 @@ STAGES = {
 
 def measure() -> dict:
     """The figures of one cold run in this interpreter."""
+    load = os.getloadavg()[0]
     t0 = time.perf_counter()
     import czorbits.cli  # noqa: F401
     import czorbits.workspace as workspace
     from czorbits.io import format_table
 
     figures = {"import_s": time.perf_counter() - t0, **dict.fromkeys(STAGES.values(), 0.0)}
+    figures["loadavg_1m"] = load
 
     def timed(fn, figure):
         def wrapper(*args, **kwargs):
@@ -82,6 +89,14 @@ def measure() -> dict:
         t0 = time.perf_counter()
         workspace.write_tables(ws, Path(out_dir))
         figures["write_tables_s"] = time.perf_counter() - t0
+    ids = range(0, len(ws.c2), 31)
+    t0 = time.perf_counter()
+    matrices = [ws.c2.element(e) for e in ids]
+    figures["c2_element_us"] = (time.perf_counter() - t0) / len(ids) * 1e6
+    t0 = time.perf_counter()
+    for m in matrices:
+        ws.c2.contains(m)
+    figures["c2_contains_us"] = (time.perf_counter() - t0) / len(ids) * 1e6
     blob = pickle.dumps(ws, protocol=pickle.HIGHEST_PROTOCOL)
     figures["pickle_mb"] = len(blob) / 1e6
     t0 = time.perf_counter()
@@ -132,7 +147,7 @@ def main() -> int:
     p.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--baseline", type=Path, help="checkout to compare against (the parent)")
     p.add_argument("--runs", type=int, default=5, help="fresh interpreters per tree")
-    p.add_argument("--out", type=Path, default=ROOT / "BENCH_10.json")
+    p.add_argument("--out", type=Path, default=ROOT / "BENCH_11.json")
     args = p.parse_args()
     if args.measure:
         print(json.dumps(measure()))

@@ -2,26 +2,27 @@
 
 A GroupTable holds the elements of a finitely generated matrix group in
 canonical encoding order (the element id is the rank in that order), as
-integer arrays only. An element is stored as dim*dim one-byte codes into the
-table's codebook, its distinct entry encodings in ascending order, so code
-rows sort like encodings and membership is a binary search over them.
-Closure uses right multiplication and keeps those products as an integer
-Cayley table, from which the table fills each generator's left action once,
-when it is made. Its breadth-first tree gives each element a shortest word:
-the element's parent id and the generator that leads from the parent to it,
-so words read left-to-right as matrix products.
+integer arrays only. The groups have few distinct matrix rows (48 in C1, 288
+in LC2, 480 in C2's 92160 elements): the table keeps them once, as its row
+book, their encodings in ascending order. An element is its dim row ids
+packed into one int64 key, ROW_BITS bits each and the first row highest.
+Rows of one width sort like their ids, so keys sort like encodings and
+membership is a binary search over them.
 
-The closure multiplies no matrices. Entry (i, j) of m * g sums m[i, t] *
-g[t, j] over the few nonzero g[t, j], so it is one lookup per nonzero in
-small tables indexed by codes, whose cells are computed once each in exact
-arithmetic.
+Closure multiplies no matrices. Since (m * g)[i, :] = m[i, :] * g, a
+generator acts on each row on its own: the row book is closed from the unit
+rows under r -> r * g in exact arithmetic, and right multiplication of an
+element is then one gather per row in a small (generators, rows) table.
+Closure keeps those products as an integer Cayley table, from which the
+table fills each generator's left action once, when it is made. Its
+breadth-first tree gives each element a shortest word: the element's parent
+id and the generator that leads from the parent to it, so words read
+left-to-right as matrix products.
 """
 
 from __future__ import annotations
 
-import struct
-from bisect import bisect_left
-from math import isqrt
+from functools import reduce
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -29,13 +30,14 @@ import numpy as np
 from czorbits.encoding import ENTRY_BYTES
 from czorbits.errors import VerificationError
 from czorbits.matrices import C1_GENERATORS, C2_GENERATORS, I2, I4, GateMatrix
-from czorbits.ring import ONE, ZERO, CycloNum
+from czorbits.ring import ONE, ZERO
 
 CLOSURE_CAP = 10**6
-# _SPLIT[dim].unpack(data): a dim x dim encoding's entries, row-major
-_SPLIT = {dim: struct.Struct(f"{ENTRY_BYTES}s" * dim * dim) for dim in (2, 4)}
-# codes are one byte, and the code 255 marks a cell not computed yet
-MAX_CODES = 255
+# a key holds dim row ids of ROW_BITS bits each, so a book holds MAX_ROWS rows
+ROW_BITS = 9
+MAX_ROWS = 1 << ROW_BITS
+# _SHIFTS[dim]: the shift of each row's id in a key, first row first
+_SHIFTS = {dim: range(ROW_BITS * (dim - 1), -1, -ROW_BITS) for dim in (2, 4)}
 
 
 def bfs_fill(out: np.ndarray, moves: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -53,26 +55,27 @@ def bfs_fill(out: np.ndarray, moves: Sequence[tuple[np.ndarray, np.ndarray]]) ->
     return out
 
 
-def _row_keys(codes: np.ndarray) -> np.ndarray:
-    """Each code row as one byte string, a view of the rows. numpy's S dtype
-    drops trailing NUL bytes, which on rows of one width keeps them distinct
-    and in order."""
-    return codes.view(f"S{codes.shape[1]}").ravel()
+def _pack(rows: np.ndarray) -> np.ndarray:
+    """The int64 key of each row of row ids, the first id highest."""
+    keys = rows[:, 0].astype(np.int64)
+    for column in rows.T[1:]:
+        keys = keys << ROW_BITS | column
+    return keys
 
 
 class GroupTable:
     """Immutable table of group elements with a shortest word for each and
     the right and left actions of its generators on element ids.
 
-    Precondition: the rows of `codes` ascend, as `closure()` leaves them,
-    so an id is its element's rank and `contains` is a binary search.
+    Precondition: `keys` ascend, as `closure()` leaves them, so an id is its
+    element's rank and `contains` is a binary search.
     """
 
     def __init__(
         self,
         name: str,
         alphabet: Mapping[str, GateMatrix],
-        codes: np.ndarray,
+        keys: np.ndarray,
         book: list[bytes],
         parent: np.ndarray,
         label: np.ndarray,
@@ -80,12 +83,13 @@ class GroupTable:
     ) -> None:
         self.name = name
         self.alphabet = dict(alphabet)
-        # codes[e] (uint8, dim*dim): element e's entries, row-major, as
-        # indices into book, the distinct entry encodings in ascending order
-        self.codes = codes
+        self.dim = next(iter(self.alphabet.values())).dim
+        # keys[e] (int64): element e's row ids, packed; book[r]: the encoding
+        # of row r, the distinct rows in ascending order
+        self.keys = keys
         self.book = book
-        self._book = np.frombuffer(b"".join(book), dtype=np.uint8).reshape(-1, ENTRY_BYTES)
-        self.dim = isqrt(codes.shape[1])
+        self._book = np.frombuffer(b"".join(book), dtype=np.uint8).reshape(len(book), -1)
+        self._row_of = {data: r for r, data in enumerate(book)}
         # the breadth-first tree: element e is element(parent[e]) (int32)
         # times generator label[e] (int8); both are -1 at the identity
         self.parent = parent
@@ -96,20 +100,18 @@ class GroupTable:
         # pairs: for the local group, the (wire-1 id, wire-2 id) factor
         # pair of each element over the single-qubit table, set by build_lc2
         self.pairs: Optional[list[tuple[int, int]]] = None
-        # each entry encoding's code, to spell a query as a code row
-        self._key_of = {data: code for code, data in enumerate(book)}
         # _left[g, e] (int32): the id of the g-th generator times element(e).
         # No matrix product: g * 1 = g and g * (e * h) = (g * e) * h, so each
         # row fills breadth-first over `right` from the identity
         ident, moves = self.identity_id, [(column, column) for column in right.T]
-        self._left = np.full((len(self.alphabet), len(codes)), -1, dtype=np.int32)
+        self._left = np.full((len(self.alphabet), len(keys)), -1, dtype=np.int32)
         for g, row in enumerate(self._left):
             row[ident] = right[ident, g]
             bfs_fill(row, moves)
         self._left.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.codes)
+        return len(self.keys)
 
     def __repr__(self) -> str:
         return f"GroupTable({self.name!r}, size={len(self)})"
@@ -124,25 +126,30 @@ class GroupTable:
         return eid
 
     def element(self, eid: int) -> GateMatrix:
-        codes = self.codes[self._check_id(eid)].tobytes()
-        return GateMatrix(self.dim, b"".join(map(self.book.__getitem__, codes)))
+        key = int(self.keys[self._check_id(eid)])
+        rows = [self.book[(key >> s) & (MAX_ROWS - 1)] for s in _SHIFTS[self.dim]]
+        return GateMatrix(self.dim, b"".join(rows))
+
+    def row_ids(self, ids: int | slice | np.ndarray) -> np.ndarray:
+        """The row ids of the elements `ids`, one more axis of dim."""
+        return (self.keys[ids][..., None] >> np.array(_SHIFTS[self.dim])) & (MAX_ROWS - 1)
 
     def encodings(self, ids: int | np.ndarray) -> bytes:
         """The encodings of the elements `ids`, concatenated in that order."""
-        return self._book[self.codes[ids]].tobytes()
+        return self._book[self.row_ids(ids)].tobytes()
 
     def contains(self, m: GateMatrix) -> Optional[int]:
         """Element id of m, or None when m is not in the group."""
         if m.dim != self.dim:
             return None
-        try:
-            key = bytes(map(self._key_of.__getitem__, _SPLIT[self.dim].unpack(m.data)))
-        except KeyError:  # an entry no element has
-            return None
-        # stripped, as the S dtype reads the rows without trailing NUL bytes
-        key, keys = key.rstrip(b"\0"), _row_keys(self.codes)
-        eid = bisect_left(keys, key)
-        return eid if eid < len(self) and keys[eid] == key else None
+        size, key = self.dim * ENTRY_BYTES, 0
+        for at in range(0, len(m.data), size):
+            r = self._row_of.get(m.data[at : at + size])
+            if r is None:  # a row no element has
+                return None
+            key = key << ROW_BITS | r
+        eid = int(self.keys.searchsorted(key))
+        return eid if eid < len(self) and self.keys[eid] == key else None
 
     def word_of(self, eid: int) -> tuple[str, ...]:
         """The closure's shortest word for the element, read off the tree."""
@@ -158,14 +165,13 @@ class GroupTable:
         return self._left[list(self.alphabet).index(label)]
 
     def evaluate(self, word: Iterable[str]) -> GateMatrix:
-        """Exact left-to-right product of the word's generators."""
-        m = GateMatrix.identity(self.dim)
-        for label in word:
-            gen = self.alphabet.get(label)
-            if gen is None:
-                raise ValueError(f"unknown generator label {label!r}")
-            m = m * gen
-        return m
+        """Exact left-to-right product of the word's generators: n - 1
+        products for n letters, and the identity for none."""
+        try:
+            gens = [self.alphabet[label] for label in word]
+        except KeyError as exc:
+            raise ValueError(f"unknown generator label {exc.args[0]!r}") from None
+        return reduce(GateMatrix.__mul__, gens) if gens else (I2 if self.dim == 2 else I4)
 
 
 def closure(generators: Mapping[str, GateMatrix], name: str) -> GroupTable:
@@ -191,71 +197,53 @@ def closure(generators: Mapping[str, GateMatrix], name: str) -> GroupTable:
     return GroupTable(name, dict(gens), *_level_search(gens, dim, name))
 
 
+def _row_book(gens: list[tuple[str, GateMatrix]], dim: int, name: str) -> tuple:
+    """The closure of the dim unit rows under r -> r * g for each generator,
+    in exact arithmetic: the row encodings in ascending order, act[g, r]
+    (uint16), the id of row r times the g-th generator, and the identity's
+    row ids. More than MAX_ROWS rows stop the search."""
+    mats = [g.entries() for _, g in gens]
+    rows = [tuple(ONE if i == j else ZERO for j in range(dim)) for i in range(dim)]
+    found = {row: r for r, row in enumerate(rows)}
+    images = []
+    for row in rows:  # rows grows while it is read: each new row is met once
+        if len(rows) > MAX_ROWS:
+            raise VerificationError(f"closure of {name} met more than {MAX_ROWS} distinct rows")
+        images.append([])
+        for g in mats:
+            image = tuple(sum((row[t] * g[t][j] for t in range(dim) if row[t] and g[t][j]), ZERO)
+                          for j in range(dim))
+            if image not in found:
+                found[image] = len(rows)
+                rows.append(image)
+            images[-1].append(found[image])
+    book = [b"".join(v.pack() for v in row) for row in rows]
+    order = sorted(range(len(rows)), key=book.__getitem__)
+    rank = np.argsort(order).astype(np.uint16)
+    return [book[r] for r in order], rank[np.array(images)[order].T], rank[:dim]
+
+
 def _level_search(gens: list[tuple[str, GateMatrix]], dim: int, name: str) -> tuple:
-    """closure's search, one word length at a time on code rows; returns the
-    table's codes, book, parent, label and right. A level's products are
-    looked up against every element numbered so far, and the new ones are
-    numbered in (parent, generator) order of first occurrence, the order of
-    one product at a time. More than CLOSURE_CAP elements stop the search.
+    """closure's search, one word length at a time on keys of row ids; returns
+    the table's keys, row book, parent, label and right. A level's products
+    are gathers in the row book's action table, looked up by key against every
+    element numbered so far, and the new ones are numbered in (parent,
+    generator) order of first occurrence, the order of one product at a time.
+    More than CLOSURE_CAP elements stop the search.
     """
-    # codes 0 and 1 are zero and one, so the identity's row is eye(dim)
-    book = [ZERO.pack(), ONE.pack()]
-    code_of = {data: code for code, data in enumerate(book)}
-    # cells[k][a << 8 | c]: code of book[a] + book[c] * k, 255 until needed
-    cells: dict[CycloNum, np.ndarray] = {}
-
-    def add_times(acc: np.ndarray, k: CycloNum, src: np.ndarray) -> np.ndarray:
-        table = cells.get(k)
-        if table is None:
-            table = cells[k] = np.full(1 << 16, MAX_CODES, dtype=np.uint8)
-        index = (acc.astype(np.intp) << 8) | src
-        out = table[index]
-        if (out == MAX_CODES).any():
-            for i in np.unique(index[out == MAX_CODES]).tolist():
-                a, c = CycloNum.unpack(book[i >> 8]), CycloNum.unpack(book[i & 255])
-                data = (a + c * k).pack()
-                if data not in code_of:
-                    if len(book) == MAX_CODES:
-                        raise VerificationError(
-                            f"closure of {name} met more than {MAX_CODES} distinct entries"
-                        )
-                    code_of[data] = len(book)
-                    book.append(data)
-                table[i] = code_of[data]
-            out = table[index]
-        return out
-
-    # columns[g][j]: the nonzero entries (t, g[t, j]) of column j of generator g
-    columns = [
-        [[(t, g.entry(t, j)) for t in range(dim) if g.entry(t, j)] for j in range(dim)]
-        for _, g in gens
-    ]
-
-    def products(rows: np.ndarray) -> np.ndarray:
-        """Code rows of rows[p] * g, in (p, g) order: (m * g)[i, j] is the
-        sum of m[i, t] * g[t, j], added up one nonzero g[t, j] at a time."""
-        m = rows.reshape(-1, dim, dim)
-        out = np.empty((len(m), len(gens), dim, dim), dtype=np.uint8)
-        for gi, cols in enumerate(columns):
-            for j, terms in enumerate(cols):
-                acc = np.zeros_like(m[:, :, 0])
-                for t, k in terms:
-                    acc = add_times(acc, k, m[:, :, t])
-                out[:, gi, :, j] = acc
-        return out.reshape(-1, dim * dim)
-
-    frontier = np.eye(dim, dtype=np.uint8).reshape(1, -1)
-    levels = [frontier]
+    book, act, identity = _row_book(gens, dim, name)
+    # frontier[p] (uint16): the row ids of the p-th element of the level
+    frontier = identity.reshape(1, dim)
     # tree[L]: the (discovery number of the parent, generator) of level L
     tree = [(np.full(1, -1), np.full(1, -1))]
-    # known: the row keys met so far, ascending, and known_ids their discovery
+    # known: the keys met so far, ascending, and known_ids their discovery
     # numbers; right_levels[L][p, g]: that of frontier row p of level L times g
-    known, known_ids = _row_keys(frontier), np.zeros(1, dtype=np.int32)
+    known, known_ids = _pack(frontier), np.zeros(1, dtype=np.int32)
     right_levels = []
     while len(frontier):
         start, found = len(known) - len(frontier), len(known)
-        cand = products(frontier)
-        keys, first, inverse = np.unique(_row_keys(cand), return_index=True, return_inverse=True)
+        cand = act[:, frontier].transpose(1, 0, 2).reshape(-1, dim)
+        keys, first, inverse = np.unique(_pack(cand), return_index=True, return_inverse=True)
         pos = np.searchsorted(known, keys)
         ids = known_ids[np.minimum(pos, found - 1)]
         new = np.flatnonzero(known[np.minimum(pos, found - 1)] != keys)
@@ -272,20 +260,14 @@ def _level_search(gens: list[tuple[str, GateMatrix]], dim: int, name: str) -> tu
         parent, label = np.divmod(first[fresh], len(gens))
         tree.append((start + parent, label))
         frontier = cand[first[fresh]]
-        levels.append(frontier)
 
-    # renumber the codes that rows use in encoding order, then sort the rows
-    codes = np.concatenate(levels)
-    used = sorted(np.unique(codes).tolist(), key=book.__getitem__)
-    recode = np.zeros(len(book), dtype=np.uint8)
-    recode[used] = np.arange(len(used))
-    codes = recode[codes]
-    order = np.argsort(_row_keys(codes))
-    rank = np.argsort(order).astype(np.int32)
-    right = rank[np.concatenate(right_levels)[order]]
-    parent, label = (np.concatenate(column)[order] for column in zip(*tree))
+    # known_ids lists the discovery numbers in key order: rank inverts it
+    rank = np.empty(len(known), dtype=np.int32)
+    rank[known_ids] = np.arange(len(known))
+    right = rank[np.concatenate(right_levels)[known_ids]]
+    parent, label = (np.concatenate(column)[known_ids] for column in zip(*tree))
     parent = np.where(parent < 0, -1, rank[parent]).astype(np.int32)
-    return codes[order], [book[c] for c in used], parent, label.astype(np.int8), right
+    return known, book, parent, label.astype(np.int8), right
 
 
 def build_c1() -> GroupTable:

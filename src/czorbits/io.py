@@ -3,11 +3,11 @@
 Matrix text format: the dimension on one line, then dim lines of dim
 entries "a,b,c,d/k" separated by single spaces. Table files carry the
 header "CLIFFORD-TABLE v1 <name> <count>" followed by one matrix per
-record in canonical order. A table holds few distinct rows of entry codes
-(480 in C2's 92160 elements), so its file is written from each distinct
-row's text, printed once. Orbit files are line-oriented: the map file
-has "element_id orbit_id" lines, the summary file
-"orbit_id layer size representative_encoding" with the encoding in hex.
+record in canonical order. A table stores each element as the ids of its
+rows in the table's row book (480 rows for C2's 92160 elements), so its
+file is written from each book row's text, printed once. Orbit files are
+line-oriented: the map file has "element_id orbit_id" lines, the summary
+file "orbit_id layer size representative_encoding" with the encoding in hex.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from czorbits.encoding import unpack_entries, unpack_entry
+from czorbits.encoding import unpack_entries
 from czorbits.errors import InputFormatError
 from czorbits.groups import GroupTable
 from czorbits.matrices import GateMatrix
@@ -70,23 +70,19 @@ def parse_matrix(text: str) -> GateMatrix:
 
 def table_records(table: GroupTable) -> Iterator[bytes]:
     """The table file as chunks of at most CHUNK_BYTES: the header, then one
-    record of dim code rows per element. Each distinct row is printed once, and
-    once more after the "<dim>" line that opens a record; a chunk joins the
-    pieces its rows find by binary search, so no whole file or index is held."""
+    record of dim rows per element. Each row of the table's row book is
+    printed once, and once more after the "<dim>" line that opens a record; a
+    chunk joins the pieces its elements' row ids pick, so no whole file is held."""
     yield f"{TABLE_MAGIC} {TABLE_VERSION} {table.name} {len(table)}\n".encode()
-    dim, texts = table.dim, [_ENTRY % unpack_entry(data) for data in table.book]
-    # each row of dim one-byte codes as one unsigned integer; a uint8 view of
-    # the distinct keys gives their codes back in either byte order
-    keys = table.codes.view(f"u{dim}").ravel()
-    rows = np.unique(keys)
-    rest = [(" ".join(map(texts.__getitem__, row)) + "\n").encode()
-            for row in rows.view(np.uint8).reshape(-1, dim).tolist()]
+    dim = table.dim
+    rest = [(" ".join(_ENTRY % e for e in unpack_entries(row)) + "\n").encode()
+            for row in table.book]
     first = [b"%d\n" % dim + piece for piece in rest]
-    pieces, shift = first + rest, np.repeat([0, len(rows)], [1, dim - 1])
+    pieces, shift = first + rest, np.repeat([0, len(rest)], [1, dim - 1])
     longest = max(map(len, first)) + (dim - 1) * max(map(len, rest))
-    step = max(1, CHUNK_BYTES // longest) * dim
-    for at in range(0, len(keys), step):
-        picks = np.searchsorted(rows, keys[at : at + step]).reshape(-1, dim) + shift
+    step = max(1, CHUNK_BYTES // longest)
+    for at in range(0, len(table), step):
+        picks = table.row_ids(slice(at, at + step)) + shift
         yield b"".join(map(pieces.__getitem__, picks.ravel().tolist()))
 
 

@@ -9,7 +9,7 @@ its value.
 `mat_tensor` is one `mat_mul` of its two factors padded to 4x4.
 `mat_mul_batch` multiplies many matrices by many at once in numpy int64,
 with the scalar `mat_mul` as its reference. Group closure uses neither:
-it works on entry codes (see `groups`). The batched kernel is the
+it works on row ids (see `groups`). The batched kernel is the
 independent oracle that `verify` holds every closure's Cayley table to.
 """
 

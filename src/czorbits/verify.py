@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from czorbits import kernels
-from czorbits.encoding import ENTRY_BYTES
+from czorbits.encoding import ENTRY_BYTES, unpack_entries
 from czorbits.graph import cnot_graph_equivalence
 from czorbits.groups import GroupTable
 from czorbits.io import format_orbit_map, format_table
@@ -65,8 +65,8 @@ class VerificationReport:
 
 def _table_to_numpy(table: GroupTable) -> np.ndarray:
     """All elements as one (n, dim, dim) complex array, vectorized."""
-    values = np.array([CycloNum.unpack(data).to_complex() for data in table.book])
-    return values[table.codes].reshape(len(table), table.dim, table.dim)
+    book = [[CycloNum(*e).to_complex() for e in unpack_entries(row)] for row in table.book]
+    return np.array(book)[table.row_ids(slice(None))]
 
 
 def _right_mismatches(table: GroupTable) -> int:

@@ -120,7 +120,7 @@ def test_build_without_the_batched_kernel_matches_the_pinned_tables(ws):
         c1 = build_c1()
         tables = [c1, build_lc2(c1), build_c2()]
     for got, want in zip(tables, (ws.c1, ws.lc2, ws.c2)):
-        assert np.array_equal(got.codes, want.codes)
+        assert np.array_equal(got.keys, want.keys)
         assert np.array_equal(got.right, want.right)
         assert np.array_equal(got.parent, want.parent)
         assert np.array_equal(got.label, want.label)

@@ -5,10 +5,10 @@ import random
 import numpy as np
 import pytest
 
-from czorbits import groups
+from czorbits import groups, kernels
 from czorbits.encoding import ENTRY_BYTES
 from czorbits.errors import VerificationError
-from czorbits.groups import CLOSURE_CAP, MAX_CODES, GroupTable, build_lc2, closure
+from czorbits.groups import CLOSURE_CAP, MAX_ROWS, GroupTable, build_lc2, closure
 from czorbits.matrices import (
     C1_GENERATORS,
     CZ,
@@ -146,6 +146,27 @@ class TestWords:
         with pytest.raises(ValueError):
             ws.c1.evaluate(("H", "X"))
 
+    def test_evaluate_makes_no_wasted_product(self, ws, monkeypatch):
+        """A word of n letters costs n - 1 products and builds no identity."""
+        word = ws.c2.word_of(len(ws.c2) - 1)
+        products = []
+        real_mat_mul = kernels.mat_mul
+
+        def counting_mat_mul(*args):
+            products.append(args)
+            return real_mat_mul(*args)
+
+        def refuse(*args):
+            raise AssertionError("evaluate built an identity matrix")
+
+        monkeypatch.setattr(kernels, "mat_mul", counting_mat_mul)
+        monkeypatch.setattr(GateMatrix, "identity", refuse)
+        assert ws.c2.evaluate(word) == ws.c2.element(len(ws.c2) - 1)
+        assert len(products) == len(word) - 1
+        assert ws.c2.evaluate(()) is I4 and ws.c1.evaluate(()) is I2
+        assert ws.c1.evaluate(("H",)) is H
+        assert len(products) == len(word) - 1
+
 
 class TestActionTables:
     def test_right_table_shape(self, ws):
@@ -217,37 +238,44 @@ class TestClosureValidation:
         with pytest.raises(ValueError):
             closure({}, "empty")
 
-    def test_more_entry_values_than_codes_raises(self):
-        # H and T generate an infinite group, whose entries never repeat
-        with pytest.raises(VerificationError, match=f"more than {MAX_CODES} distinct entries"):
+    def test_more_rows_than_keys_hold_raises(self):
+        # H and T generate an infinite group, whose rows never repeat
+        assert MAX_ROWS == 512
+        with pytest.raises(VerificationError, match="more than 512 distinct rows"):
             closure({"H": H, "T": T}, "ht")
 
 
-class TestEntryCodes:
-    @pytest.mark.parametrize("name, size", [("c1", 17), ("lc2", 25), ("c2", 25)])
-    def test_codebook_ascends_and_rows_rise_strictly(self, ws, name, size):
+class TestRowBook:
+    @pytest.mark.parametrize("name, size", [("c1", 48), ("lc2", 288), ("c2", 480)])
+    def test_row_book_ascends_and_keys_rise_strictly(self, ws, name, size):
         table = ws.table(name)
         assert len(table.book) == size
+        assert all(len(row) == table.dim * ENTRY_BYTES for row in table.book)
         assert all(a < b for a, b in zip(table.book, table.book[1:]))
-        assert table.codes.dtype == np.uint8
-        assert table.codes.shape == (len(table), table.dim**2)
-        rows = [row.tobytes() for row in table.codes]
-        assert all(a < b for a, b in zip(rows, rows[1:]))
+        assert table.keys.dtype == np.int64 and table.keys.shape == (len(table),)
+        assert (np.diff(table.keys) > 0).all()
+
+    @pytest.mark.parametrize("name, step", [("c1", 1), ("lc2", 1), ("c2", 7)])
+    def test_key_order_is_encoding_order(self, ws, name, step):
+        table = ws.table(name)
+        datas = [table.element(e).data for e in range(0, len(table), step)]
+        assert all(a < b for a, b in zip(datas, datas[1:]))
 
     def test_contains_inverts_element_on_every_id(self, ws):
         c2 = ws.c2
         assert all(c2.contains(c2.element(e)) == e for e in range(len(c2)))
 
-    def test_non_members_in_and_outside_the_codebook(self, ws):
+    def test_non_members_in_and_outside_the_row_book(self, ws):
         c2 = ws.c2
         t1 = T.tensor(I2)
-        entries = range(0, len(t1.data), ENTRY_BYTES)
-        # 0, 1 and omega are all entries of C2 elements: a binary-search miss
-        assert {t1.data[o : o + ENTRY_BYTES] for o in entries} <= set(c2.book)
+        rows = range(0, len(t1.data), 4 * ENTRY_BYTES)
+        # each row of T (x) I is a unit row times a power of omega, a row of
+        # some C2 element: a binary-search miss
+        assert {t1.data[o : o + 4 * ENTRY_BYTES] for o in rows} <= set(c2.book)
         assert c2.contains(t1) is None
-        # H T H has the entry (1 + omega) / 2, which no C2 element has
+        # H T H has the entry (1 + omega) / 2, which no C2 row has
         hth = (H * T * H).tensor(I2)
-        assert not {hth.data[o : o + ENTRY_BYTES] for o in entries} <= set(c2.book)
+        assert not {hth.data[o : o + 4 * ENTRY_BYTES] for o in rows} <= set(c2.book)
         assert c2.contains(hth) is None
         assert c2.contains(H) is None and c2.contains(I2) is None
 
@@ -271,7 +299,7 @@ class TestRightTableOracle:
         right = lc2.right.copy()
         right[4500, 1] = right[4501, 1]
         broken = GroupTable(
-            "lc2", lc2.alphabet, lc2.codes, lc2.book, lc2.parent, lc2.label, right
+            "lc2", lc2.alphabet, lc2.keys, lc2.book, lc2.parent, lc2.label, right
         )
         assert _right_mismatches(broken) == 1
 

@@ -146,12 +146,13 @@ class TestEncoding:
         with pytest.raises(AttributeError):
             H.dim = 4
 
-    def test_pickle_round_trip(self, ws):
-        m = pickle.loads(pickle.dumps(CZ))
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, ws, protocol):
+        m = pickle.loads(pickle.dumps(CZ, protocol=protocol))
         assert m == CZ and m.dim == 4 and hash(m) == hash(CZ)
         with pytest.raises(AttributeError):
             m.dim = 2
-        c1 = pickle.loads(pickle.dumps(ws.c1))
+        c1 = pickle.loads(pickle.dumps(ws.c1, protocol=protocol))
         assert [c1.element(e) for e in range(len(c1))] == [
             ws.c1.element(e) for e in range(len(ws.c1))
         ]
