@@ -2,15 +2,19 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_layers.py --baseline ../parent --runs 5 --out BENCH_11.json
+    python3 scripts/bench_layers.py --baseline ../parent --runs 5 --out BENCH_12.json
 
 Every run is a fresh interpreter (this script with --measure) that imports
 czorbits from one tree's src/. It times `import czorbits.cli`, then one cold
 `build_workspace()` with each stage timed by wrapping the names that
-`czorbits.workspace` calls (the C1, LC2 and C2 closures, the partition, the
-CZ graph and the synthesis plans), then `format_table(c2)`, which builds C2's
-file as one string, and `write_tables` into a temporary directory, which
-streams all three table files to disk as `generate` does, and the mean time
+`czorbits.workspace` calls (the C1 and C2 closures, LC2, which trees since
+BENCH_12.json read off C2 and older trees closed on their own, the
+partition, the CZ graph and the synthesis plans), then `format_table(c2)`,
+which builds C2's file as one string, and `write_tables` into a temporary
+directory, which streams all three table files to disk as `generate` does,
+the wall time of `czorbits lookup --element 83679` in a fresh interpreter
+with those table files on disk (`python -m czorbits.cli`, which rebuilds the
+workspace as every command does), and the mean time
 of one `c2.element` and one `c2.contains` call over every 31st element of
 C2 (2973 calls each; the matrices `element` made are the ones `contains`
 looks up). A group table fills its generators' left actions when its
@@ -89,6 +93,11 @@ def measure() -> dict:
         t0 = time.perf_counter()
         workspace.write_tables(ws, Path(out_dir))
         figures["write_tables_s"] = time.perf_counter() - t0
+        lookup = [sys.executable, "-m", "czorbits.cli", "lookup", "--element", "83679",
+                  "--out-dir", out_dir, "--no-regen"]
+        t0 = time.perf_counter()
+        subprocess.run(lookup, capture_output=True, check=True, timeout=600)
+        figures["lookup_wall_s"] = time.perf_counter() - t0
     ids = range(0, len(ws.c2), 31)
     t0 = time.perf_counter()
     matrices = [ws.c2.element(e) for e in ids]
@@ -147,7 +156,7 @@ def main() -> int:
     p.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--baseline", type=Path, help="checkout to compare against (the parent)")
     p.add_argument("--runs", type=int, default=5, help="fresh interpreters per tree")
-    p.add_argument("--out", type=Path, default=ROOT / "BENCH_11.json")
+    p.add_argument("--out", type=Path, default=ROOT / "BENCH_12.json")
     args = p.parse_args()
     if args.measure:
         print(json.dumps(measure()))

@@ -20,7 +20,7 @@ from czorbits.errors import (
     VerificationError,
 )
 from czorbits.graph import to_dot, to_json
-from czorbits.io import format_circuit, format_orbit_map, format_orbit_summary
+from czorbits.io import format_circuit, format_orbit_summary, orbit_map_records
 from czorbits.io import parse_matrix, write_atomic
 from czorbits.matrices import GateMatrix
 from czorbits.synth import evaluate
@@ -152,7 +152,7 @@ def main(argv=None) -> int:
                 )
             if args.command == "orbits":
                 table_dir.mkdir(parents=True, exist_ok=True)
-                write_atomic(table_dir / "orbit_map.txt", format_orbit_map(ws.atlas).encode())
+                write_atomic(table_dir / "orbit_map.txt", orbit_map_records(ws.atlas))
                 summary = format_orbit_summary(ws.atlas, ws.c2)
                 write_atomic(table_dir / "orbit_summary.txt", summary.encode())
         except OSError as exc:

@@ -11,18 +11,17 @@ membership is a binary search over them.
 
 Closure multiplies no matrices. Since (m * g)[i, :] = m[i, :] * g, a
 generator acts on each row on its own: the row book is closed from the unit
-rows under r -> r * g in exact arithmetic, and right multiplication of an
-element is then one gather per row in a small (generators, rows) table.
-Closure keeps those products as an integer Cayley table, from which the
-table fills each generator's left action once, when it is made. Its
-breadth-first tree gives each element a shortest word: the element's parent
-id and the generator that leads from the parent to it, so words read
-left-to-right as matrix products.
+rows under r -> r * g, and right multiplication of an element is then one
+gather per row in a small (generators, rows) table. Closure keeps those
+products as an integer Cayley table, from which the table fills all left
+actions in one walk, and a breadth-first tree that gives each element a
+shortest word: its parent id and the generator that leads from the parent to
+it, so words read left-to-right as matrix products. LC2 is read off C2's.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cache, reduce
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -30,7 +29,7 @@ import numpy as np
 from czorbits.encoding import ENTRY_BYTES
 from czorbits.errors import VerificationError
 from czorbits.matrices import C1_GENERATORS, C2_GENERATORS, I2, I4, GateMatrix
-from czorbits.ring import ONE, ZERO
+from czorbits.ring import ONE, ZERO, CycloNum
 
 CLOSURE_CAP = 10**6
 # a key holds dim row ids of ROW_BITS bits each, so a book holds MAX_ROWS rows
@@ -41,15 +40,17 @@ _SHIFTS = {dim: range(ROW_BITS * (dim - 1), -1, -ROW_BITS) for dim in (2, 4)}
 
 
 def bfs_fill(out: np.ndarray, moves: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Set out[step[e]] = relabel[out[e]] for each (step, relabel), breadth-first
-    from the entries >= 0 until no more entries of -1 are reached; returns out."""
-    frontier = np.flatnonzero(out >= 0)
+    """Set out[..., step[e]] = relabel[out[..., e]] for each (step, relabel),
+    breadth-first from the entries >= 0 until no more entries of -1 are
+    reached; returns out. The rows of a 2-D out share one walk, its first row's."""
+    first = out.reshape(-1, out.shape[-1])[0]
+    frontier = np.flatnonzero(first >= 0)
     while frontier.size:
         reached = []
         for step, relabel in moves:
             dst = step[frontier]
-            fresh = out[dst] < 0
-            out[dst[fresh]] = relabel[out[frontier[fresh]]]
+            fresh = first[dst] < 0
+            out[..., dst[fresh]] = relabel[out[..., frontier[fresh]]]
             reached.append(dst[fresh])
         frontier = np.concatenate(reached)
     return out
@@ -100,14 +101,11 @@ class GroupTable:
         # pairs: for the local group, the (wire-1 id, wire-2 id) factor
         # pair of each element over the single-qubit table, set by build_lc2
         self.pairs: Optional[list[tuple[int, int]]] = None
-        # _left[g, e] (int32): the id of the g-th generator times element(e).
-        # No matrix product: g * 1 = g and g * (e * h) = (g * e) * h, so each
-        # row fills breadth-first over `right` from the identity
-        ident, moves = self.identity_id, [(column, column) for column in right.T]
+        # _left[g, e] (int32): the id of the g-th generator times element(e). As
+        # g * 1 = g and g * (e * h) = (g * e) * h, all rows fill in one walk over `right`
         self._left = np.full((len(self.alphabet), len(keys)), -1, dtype=np.int32)
-        for g, row in enumerate(self._left):
-            row[ident] = right[ident, g]
-            bfs_fill(row, moves)
+        self._left[:, self.identity_id] = right[self.identity_id]
+        bfs_fill(self._left, [(column, column) for column in right.T])
         self._left.flags.writeable = False
 
     def __len__(self) -> int:
@@ -201,23 +199,32 @@ def _row_book(gens: list[tuple[str, GateMatrix]], dim: int, name: str) -> tuple:
     """The closure of the dim unit rows under r -> r * g for each generator,
     in exact arithmetic: the row encodings in ascending order, act[g, r]
     (uint16), the id of row r times the g-th generator, and the identity's
-    row ids. More than MAX_ROWS rows stop the search."""
-    mats = [g.entries() for _, g in gens]
-    rows = [tuple(ONE if i == j else ZERO for j in range(dim)) for i in range(dim)]
+    row ids. More than MAX_ROWS rows stop the search. Entry j of r * g sums
+    r[t] * g[t, j] over the nonzeros (t, g[t, j]) in columns[g][j], memoised on
+    those entries of r, which take few values: rows are stabilizer states up to a phase."""
+    columns = [[[(t, m[t][j]) for t in range(dim) if m[t][j]] for j in range(dim)]
+               for m in (g.entries() for _, g in gens)]
+
+    @cache
+    def entry(g: int, j: int, *entries: bytes) -> bytes:
+        terms = zip(entries, columns[g][j])
+        return sum((CycloNum.unpack(e) * v for e, (_, v) in terms), ZERO).pack()
+
+    rows = [tuple((ONE if i == j else ZERO).pack() for j in range(dim)) for i in range(dim)]
     found = {row: r for r, row in enumerate(rows)}
     images = []
     for row in rows:  # rows grows while it is read: each new row is met once
         if len(rows) > MAX_ROWS:
             raise VerificationError(f"closure of {name} met more than {MAX_ROWS} distinct rows")
         images.append([])
-        for g in mats:
-            image = tuple(sum((row[t] * g[t][j] for t in range(dim) if row[t] and g[t][j]), ZERO)
-                          for j in range(dim))
+        for g, column in enumerate(columns):
+            image = tuple(entry(g, j, *[row[t] for t, _ in terms])
+                          for j, terms in enumerate(column))
             if image not in found:
                 found[image] = len(rows)
                 rows.append(image)
             images[-1].append(found[image])
-    book = [b"".join(v.pack() for v in row) for row in rows]
+    book = [b"".join(row) for row in rows]
     order = sorted(range(len(rows)), key=book.__getitem__)
     rank = np.argsort(order).astype(np.uint16)
     return [book[r] for r in order], rank[np.array(images)[order].T], rank[:dim]
@@ -261,34 +268,59 @@ def _level_search(gens: list[tuple[str, GateMatrix]], dim: int, name: str) -> tu
         tree.append((start + parent, label))
         frontier = cand[first[fresh]]
 
-    # known_ids lists the discovery numbers in key order: rank inverts it
-    rank = np.empty(len(known), dtype=np.int32)
+    # known_ids lists the discovery numbers in key order: rank inverts it, and
+    # rank[-1], the identity's parent, is -1
+    rank = np.full(len(known) + 1, -1, dtype=np.int32)
     rank[known_ids] = np.arange(len(known))
     right = rank[np.concatenate(right_levels)[known_ids]]
     parent, label = (np.concatenate(column)[known_ids] for column in zip(*tree))
-    parent = np.where(parent < 0, -1, rank[parent]).astype(np.int32)
-    return known, book, parent, label.astype(np.int8), right
+    return known, book, rank[parent], label.astype(np.int8), right
 
 
 def build_c1() -> GroupTable:
     return closure(C1_GENERATORS, "c1")
 
 
-def build_lc2(c1: GroupTable) -> GroupTable:
-    """The local group: the closure of H1, P1, H2 and P2, factored over c1.
+def build_lc2(c1: GroupTable, c2: GroupTable) -> GroupTable:
+    """The local group H1, P1, H2 and P2 generate, read off c2 and factored over c1.
+
+    Its closure is a breadth-first walk from c2's identity over c2's `right`
+    columns of those generators, numbering new ids in (parent, generator)
+    order as closure() does. c2's ids ascend in encoding order, so the ids
+    reached, ascending, are LC2's, and its row book is the c2 rows they use.
 
     (A * g) (x) B = (A (x) B)(g (x) I), and the same holds on wire 2, so the
     id of each A (x) B fills breadth-first from the identity pair along c1's
-    `right` on one wire and the closure's `right` on the whole. The 192*192
-    pairs collide in eights (opposite global phases cancel), so each element
-    keeps the pair with the fewest total letters of c1's words, ties broken
-    by (ia, ib); the identity factors as the identity pair.
+    `right` on one wire and LC2's `right` on the whole. The 192*192 pairs
+    collide in eights (opposite global phases cancel), so each element keeps
+    the pair with the fewest total letters of c1's words, ties broken by
+    (ia, ib); the identity factors as the identity pair.
     """
-    table = closure({k: v for k, v in C2_GENERATORS.items() if k != "CZ"}, "lc2")
+    alphabet = {k: v for k, v in c2.alphabet.items() if k != "CZ"}
+    cols, k = [list(c2.alphabet).index(label) for label in alphabet], len(alphabet)
+    # the c2 id and generator that first led to each c2 id (-2: not reached)
+    parent, label = np.full(len(c2), -2, dtype=np.int32), np.full(len(c2), -1, dtype=np.int8)
+    frontier = np.array([c2.identity_id])
+    parent[frontier] = -1
+    while frontier.size:
+        # the level's products in (parent, generator) order; fresh: new ids' first
+        cand = c2.right[frontier[:, None], cols].ravel()
+        _, first = np.unique(cand, return_index=True)
+        fresh = np.sort(first[parent[cand[first]] == -2])
+        parent[cand[fresh]], label[cand[fresh]] = frontier[fresh // k], fresh % k
+        frontier = cand[fresh]
+    ids = np.flatnonzero(parent > -2)
+    rank = np.full(len(c2) + 1, -1, dtype=np.int32)  # rank[-1], the identity's parent, is -1
+    rank[ids] = np.arange(len(ids))
+    rows, used = c2.row_ids(ids), np.zeros(len(c2.book), dtype=bool)
+    used[rows] = True
+    table = GroupTable("lc2", alphabet, _pack((np.cumsum(used) - 1)[rows]),
+                       [c2.book[r] for r in np.flatnonzero(used)], rank[parent[ids]],
+                       label[ids], rank[c2.right[ids[:, None], cols]])
     n, k = len(c1), len(c1.alphabet)
     ia, ib = np.divmod(np.arange(n * n), n)
     # at[ia * n + ib]: id of c1's ia (x) c1's ib; wire w's generators are
-    # the closure's columns k*w .. k*w + k - 1
+    # LC2's columns k*w .. k*w + k - 1
     at = np.full(n * n, -1, dtype=np.int32)
     at[c1.identity_id * (n + 1)] = table.identity_id
     bfs_fill(at, [(c1.right[ia, g] * n + ib, table.right[:, g]) for g in range(k)]

@@ -13,6 +13,7 @@ file "orbit_id layer size representative_encoding" with the encoding in hex.
 from __future__ import annotations
 
 import os
+import sys
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -108,10 +109,17 @@ def write_atomic(path: Path, data: bytes | Iterable[bytes]) -> None:
         raise
 
 
+def orbit_map_records(atlas: OrbitAtlas) -> Iterator[bytes]:
+    """The orbit map's "element_id orbit_id" lines in chunks, so the map is never
+    held whole: CHUNK_BYTES bounds a chunk's lines as str objects, before the join."""
+    of = atlas.orbit_of
+    step = max(1, CHUNK_BYTES // sys.getsizeof(f"{len(of) - 1} {max(of)}\n"))
+    for at in range(0, len(of), step):
+        yield "".join(map("{} {}\n".format, range(at, at + step), of[at : at + step])).encode()
+
+
 def format_orbit_map(atlas: OrbitAtlas) -> str:
-    return "".join(
-        f"{eid} {oid}\n" for eid, oid in enumerate(atlas.orbit_of)
-    )
+    return b"".join(orbit_map_records(atlas)).decode("ascii")
 
 
 def format_orbit_summary(atlas: OrbitAtlas, c2: GroupTable) -> str:

@@ -117,8 +117,8 @@ def test_build_without_the_batched_kernel_matches_the_pinned_tables(ws):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "mat_mul_batch", refuse)
-        c1 = build_c1()
-        tables = [c1, build_lc2(c1), build_c2()]
+        c1, c2 = build_c1(), build_c2()
+        tables = [c1, build_lc2(c1, c2), c2]
     for got, want in zip(tables, (ws.c1, ws.lc2, ws.c2)):
         assert np.array_equal(got.keys, want.keys)
         assert np.array_equal(got.right, want.right)

@@ -11,6 +11,7 @@ from czorbits.errors import VerificationError
 from czorbits.groups import CLOSURE_CAP, MAX_ROWS, GroupTable, build_lc2, closure
 from czorbits.matrices import (
     C1_GENERATORS,
+    C2_GENERATORS,
     CZ,
     GateMatrix,
     H,
@@ -213,9 +214,36 @@ class TestActionTables:
             expected = [ws.c1.contains(gen * m) for m in map(ws.c1.element, range(len(ws.c1)))]
             assert ws.c1.left(label).tolist() == expected
 
+    def test_left_of_whole_hh_cz_closure(self):
+        # a closure other than the workspace's: every left action, every element
+        table = closure({"HH": H.tensor(H), "CZ": CZ}, "hh-cz")
+        for label, gen in table.alphabet.items():
+            expected = [table.contains(gen * table.element(e)) for e in range(len(table))]
+            assert table.left(label).tolist() == expected
+
     def test_left_rejects_unknown_label(self, ws):
         with pytest.raises(ValueError):
             ws.c2.left("X")
+
+
+class TestLc2FromC2:
+    def test_derived_lc2_equals_its_own_closure(self, ws):
+        """LC2 read off C2's tables is the table closing H1, P1, H2, P2 makes."""
+        local = {k: v for k, v in C2_GENERATORS.items() if k != "CZ"}
+        closed = closure(local, "lc2")
+        derived = build_lc2(ws.c1, ws.c2)
+        assert derived.name == closed.name and derived.alphabet == closed.alphabet
+        assert derived.book == closed.book
+        for field in ("keys", "parent", "label", "right"):
+            got, want = getattr(derived, field), getattr(closed, field)
+            assert got.dtype == want.dtype and np.array_equal(got, want), field
+        for label in local:
+            assert np.array_equal(derived.left(label), closed.left(label)), label
+        assert derived.pairs == ws.lc2.pairs
+
+    def test_derived_lc2_ids_are_its_c2_elements_in_order(self, ws):
+        ids = [ws.c2.contains(ws.lc2.element(e)) for e in range(len(ws.lc2))]
+        assert None not in ids and ids == sorted(ids)
 
 
 class TestClosureValidation:

@@ -6,12 +6,14 @@ import pytest
 
 from czorbits.errors import InputFormatError
 from czorbits.io import (
+    CHUNK_BYTES,
     TABLE_MAGIC,
     format_circuit,
     format_matrix,
     format_orbit_map,
     format_orbit_summary,
     format_table,
+    orbit_map_records,
     parse_matrix,
     table_records,
     write_atomic,
@@ -152,6 +154,12 @@ class TestOrbitFiles:
         assert eids == list(range(92160))
         oids = {int(line.split()[1]) for line in lines}
         assert oids == set(range(1, 21))
+
+    def test_map_streams_in_bounded_chunks(self, ws):
+        chunks = list(orbit_map_records(ws.atlas))
+        assert len(chunks) > 1
+        assert all(0 < len(chunk) <= CHUNK_BYTES for chunk in chunks)
+        assert b"".join(chunks) == format_orbit_map(ws.atlas).encode()
 
     def test_summary_shape(self, ws):
         lines = format_orbit_summary(ws.atlas, ws.c2).strip().splitlines()
