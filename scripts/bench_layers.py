@@ -7,14 +7,14 @@ Usage, from the root of a checkout:
 Every run is a fresh interpreter (this script with --measure) that imports
 czorbits from one tree's src/. It times `import czorbits.cli`, then one cold
 `build_workspace()` with each stage timed by wrapping the names that
-`czorbits.workspace` calls (the C1 and C2 closures, LC2, which trees since
-BENCH_12.json read off C2 and older trees closed on their own, the
-partition, the CZ graph and the synthesis plans), then `format_table(c2)`,
-which builds C2's file as one string, and `write_tables` into a temporary
-directory, which streams all three table files to disk as `generate` does,
-the wall time of `czorbits lookup --element 83679` in a fresh interpreter
-with those table files on disk (`python -m czorbits.cli`, which rebuilds the
-workspace as every command does), and the mean time
+`czorbits.workspace` calls (the C1 and C2 closures; LC2, read off C2 since
+BENCH_12.json and closed on its own before; the partition, the CZ graph and
+the synthesis plans), then `format_table(c2)`, which builds C2's file as one
+string, and `write_tables` into a temporary directory, which streams all
+three table files to disk as `generate` does, then the wall time of
+`czorbits lookup --element 83679` in a fresh interpreter with those table
+files on disk (`python -m czorbits.cli`, which rebuilds the workspace as
+every command does), and the mean time
 of one `c2.element` and one `c2.contains` call over every 31st element of
 C2 (2973 calls each; the matrices `element` made are the ones `contains`
 looks up). A group table fills its generators' left actions when its

@@ -3,9 +3,9 @@
 Building everything from scratch takes 0.25-0.5 s on a shared 2-vCPU
 machine, most of it the C2 closure, off which LC2 is read; commands simply
 rebuild in memory on every invocation, and the table files on disk act as
-the deterministic persistence layer. When files are present they can be validated by byte
-comparison against the regenerated content, which catches truncation or
-editing without trusting any cached state.
+the deterministic persistence layer. When files are present they can be
+validated by byte comparison against the regenerated content, which catches
+truncation or editing without trusting any cached state.
 """
 
 from __future__ import annotations
