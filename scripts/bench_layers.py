@@ -2,14 +2,15 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_layers.py --baseline ../parent --runs 5 --out BENCH_12.json
+    python3 scripts/bench_layers.py --baseline ../parent --runs 5 --out BENCH_13.json
 
 Every run is a fresh interpreter (this script with --measure) that imports
 czorbits from one tree's src/. It times `import czorbits.cli`, then one cold
 `build_workspace()` with each stage timed by wrapping the names that
-`czorbits.workspace` calls (the C1 and C2 closures; LC2, read off C2 since
-BENCH_12.json and closed on its own before; the partition, the CZ graph and
-the synthesis plans), then `format_table(c2)`, which builds C2's file as one
+`czorbits.workspace` calls (the C1 and C2 closures; LC2, read off C2's
+`right` by the closures' own tree walk since BENCH_13.json, by a walk of its
+own in BENCH_12.json and closed on its own before; the partition, the CZ
+graph and the synthesis plans), then `format_table(c2)`, which builds C2's file as one
 string, and `write_tables` into a temporary directory, which streams all
 three table files to disk as `generate` does, then the wall time of
 `czorbits lookup --element 83679` in a fresh interpreter with those table
@@ -156,7 +157,7 @@ def main() -> int:
     p.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--baseline", type=Path, help="checkout to compare against (the parent)")
     p.add_argument("--runs", type=int, default=5, help="fresh interpreters per tree")
-    p.add_argument("--out", type=Path, default=ROOT / "BENCH_12.json")
+    p.add_argument("--out", type=Path, default=ROOT / "BENCH_13.json")
     args = p.parse_args()
     if args.measure:
         print(json.dumps(measure()))

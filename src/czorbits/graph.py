@@ -92,9 +92,10 @@ def build_graph(atlas: OrbitAtlas, action: np.ndarray) -> CzGraph:
     orbit = np.asarray(atlas.orbit_of) - 1
     pair = orbit * n + orbit[action]
     weight = np.bincount(pair, minlength=n * n).reshape(n, n).tolist()
-    # the first index of each pair is its minimal element id
-    pairs, first = np.unique(pair, return_index=True)
-    witnesses = {(p // n + 1, p % n + 1): e for p, e in zip(pairs.tolist(), first.tolist())}
+    # each pair's witness is its minimal element id
+    first = np.full(n * n, len(pair))
+    np.minimum.at(first, pair, np.arange(len(pair)))
+    witnesses = {(p // n + 1, p % n + 1): e for p, e in enumerate(first.tolist()) if e < len(pair)}
     return CzGraph(weight, witnesses)
 
 

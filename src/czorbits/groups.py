@@ -12,11 +12,12 @@ membership is a binary search over them.
 Closure multiplies no matrices. Since (m * g)[i, :] = m[i, :] * g, a
 generator acts on each row on its own: the row book is closed from the unit
 rows under r -> r * g, and right multiplication of an element is then one
-gather per row in a small (generators, rows) table. Closure keeps those
-products as an integer Cayley table, from which the table fills all left
-actions in one walk, and a breadth-first tree that gives each element a
-shortest word: its parent id and the generator that leads from the parent to
-it, so words read left-to-right as matrix products. LC2 is read off C2's.
+gather per row in a small (generators, rows) table. Closure finds the element
+set on keys one word length at a time, reads the integer Cayley table `right`
+off it by binary search, and walks `right` breadth-first for a tree that gives
+each element a shortest word: its parent id and the generator that leads from
+the parent to it, so words read left-to-right as matrix products. LC2 is read
+off C2's `right` by the same walk; a table fills its left actions in another.
 """
 
 from __future__ import annotations
@@ -54,6 +55,11 @@ def bfs_fill(out: np.ndarray, moves: Sequence[tuple[np.ndarray, np.ndarray]]) ->
             reached.append(dst[fresh])
         frontier = np.concatenate(reached)
     return out
+
+
+def _unpack(keys: np.ndarray, dim: int) -> np.ndarray:
+    """The row ids of each key, one more axis of dim, the first id first."""
+    return (keys[..., None] >> np.array(_SHIFTS[dim])) & (MAX_ROWS - 1)
 
 
 def _pack(rows: np.ndarray) -> np.ndarray:
@@ -130,7 +136,7 @@ class GroupTable:
 
     def row_ids(self, ids: int | slice | np.ndarray) -> np.ndarray:
         """The row ids of the elements `ids`, one more axis of dim."""
-        return (self.keys[ids][..., None] >> np.array(_SHIFTS[self.dim])) & (MAX_ROWS - 1)
+        return _unpack(self.keys[ids], self.dim)
 
     def encodings(self, ids: int | np.ndarray) -> bytes:
         """The encodings of the elements `ids`, concatenated in that order."""
@@ -175,12 +181,11 @@ class GroupTable:
 def closure(generators: Mapping[str, GateMatrix], name: str) -> GroupTable:
     """Breadth-first closure of the group generated by `generators`.
 
-    Elements are discovered in word-length order (ties broken by frontier
-    position, then generator order), so the first word found for each
-    element is a shortest one. Final ids follow canonical encoding order,
-    which is independent of discovery order. Every product m * g the
-    search makes is kept, in final ids, as the table's `right`, and the
-    product that first found each element as its `parent` and `label`.
+    Ids follow canonical encoding order. Every product m * g is kept, in
+    ids, as the table's `right`. A breadth-first walk over `right` from the
+    identity meets elements in word-length order (ties broken by frontier
+    position, then generator order), and the product that first meets each
+    element is its `parent` and `label`, so its word is a shortest one.
     """
     gens = list(generators.items())
     if not gens:
@@ -231,50 +236,45 @@ def _row_book(gens: list[tuple[str, GateMatrix]], dim: int, name: str) -> tuple:
 
 
 def _level_search(gens: list[tuple[str, GateMatrix]], dim: int, name: str) -> tuple:
-    """closure's search, one word length at a time on keys of row ids; returns
-    the table's keys, row book, parent, label and right. A level's products
-    are gathers in the row book's action table, looked up by key against every
-    element numbered so far, and the new ones are numbered in (parent,
-    generator) order of first occurrence, the order of one product at a time.
-    More than CLOSURE_CAP elements stop the search.
-    """
+    """closure's search on keys of row ids; returns the table's keys, row book,
+    parent, label and right. The keys met one word length at a time, each
+    product a gather per row in the row book's action table, ascend as the ids.
+    More than CLOSURE_CAP elements stop the search."""
     book, act, identity = _row_book(gens, dim, name)
-    # frontier[p] (uint16): the row ids of the p-th element of the level
-    frontier = identity.reshape(1, dim)
-    # tree[L]: the (discovery number of the parent, generator) of level L
-    tree = [(np.full(1, -1), np.full(1, -1))]
-    # known: the keys met so far, ascending, and known_ids their discovery
-    # numbers; right_levels[L][p, g]: that of frontier row p of level L times g
-    known, known_ids = _pack(frontier), np.zeros(1, dtype=np.int32)
-    right_levels = []
+    # identity: now its key; known: the keys met so far, ascending; frontier: the last level's
+    known = frontier = identity = _pack(identity[None])
     while len(frontier):
-        start, found = len(known) - len(frontier), len(known)
-        cand = act[:, frontier].transpose(1, 0, 2).reshape(-1, dim)
-        keys, first, inverse = np.unique(_pack(cand), return_index=True, return_inverse=True)
-        pos = np.searchsorted(known, keys)
-        ids = known_ids[np.minimum(pos, found - 1)]
-        new = np.flatnonzero(known[np.minimum(pos, found - 1)] != keys)
-        fresh = new[np.argsort(first[new])]
-        if found + len(fresh) > CLOSURE_CAP:
-            raise VerificationError(
-                f"closure of {name} exceeded {CLOSURE_CAP} elements; "
-                "the representation is not closing"
-            )
-        ids[fresh] = np.arange(found, found + len(fresh))
-        known = np.insert(known, pos[new], keys[new])
-        known_ids = np.insert(known_ids, pos[new], ids[new])
-        right_levels.append(ids[inverse].reshape(-1, len(gens)))
-        parent, label = np.divmod(first[fresh], len(gens))
-        tree.append((start + parent, label))
-        frontier = cand[first[fresh]]
+        rows = _unpack(frontier, dim)
+        cand = np.sort(np.concatenate([_pack(a[rows]) for a in act]))
+        pos = np.minimum(np.searchsorted(known, cand), len(known) - 1)
+        cand = cand[(known[pos] != cand) & (np.diff(cand, prepend=-1) != 0)]
+        if len(known) + len(cand) > CLOSURE_CAP:
+            raise VerificationError(f"closure of {name} exceeded {CLOSURE_CAP} elements; "
+                                    "the representation is not closing")
+        known, frontier = np.sort(np.concatenate([known, cand])), cand
+    rows, right = _unpack(known, dim), np.empty((len(known), len(gens)), dtype=np.int32)
+    for g, a in enumerate(act):  # right by binary search, one generator at a time
+        right[:, g] = np.searchsorted(known, _pack(a[rows]))
+    return known, book, *_bfs_tree(right, int(np.searchsorted(known, identity[0]))), right
 
-    # known_ids lists the discovery numbers in key order: rank inverts it, and
-    # rank[-1], the identity's parent, is -1
-    rank = np.full(len(known) + 1, -1, dtype=np.int32)
-    rank[known_ids] = np.arange(len(known))
-    right = rank[np.concatenate(right_levels)[known_ids]]
-    parent, label = (np.concatenate(column)[known_ids] for column in zip(*tree))
-    return known, book, rank[parent], label.astype(np.int8), right
+
+def _bfs_tree(right: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
+    """The breadth-first tree from `start` over the columns of `right`, as one product
+    at a time finds it: parent[e] (int32) and label[e] (int8) are the id and column that
+    first reached e, -1 at start; parent is -2 at ids not reached."""
+    n, k = right.shape
+    parent, label = np.full(n, -2, dtype=np.int32), np.full(n, -1, dtype=np.int8)
+    parent[start] = -1
+    frontier = np.array([start])
+    while frontier.size:
+        # first[e]: e's first position among the level's products
+        cand, first = right[frontier].ravel(), np.full(n, n * k)
+        at = np.flatnonzero(parent[cand] == -2)
+        np.minimum.at(first, cand[at], at)
+        fresh = at[first[cand[at]] == at]
+        parent[cand[fresh]], label[cand[fresh]] = frontier[fresh // k], fresh % k
+        frontier = cand[fresh]
+    return parent, label
 
 
 def build_c1() -> GroupTable:
@@ -284,10 +284,9 @@ def build_c1() -> GroupTable:
 def build_lc2(c1: GroupTable, c2: GroupTable) -> GroupTable:
     """The local group H1, P1, H2 and P2 generate, read off c2 and factored over c1.
 
-    Its closure is a breadth-first walk from c2's identity over c2's `right`
-    columns of those generators, numbering new ids in (parent, generator)
-    order as closure() does. c2's ids ascend in encoding order, so the ids
-    reached, ascending, are LC2's, and its row book is the c2 rows they use.
+    Its tree is closure()'s walk, _bfs_tree, from c2's identity over c2's
+    `right` columns of those generators. c2's ids ascend in encoding order, so
+    the ids reached, ascending, are LC2's; its row book is the c2 rows they use.
 
     (A * g) (x) B = (A (x) B)(g (x) I), and the same holds on wire 2, so the
     id of each A (x) B fills breadth-first from the identity pair along c1's
@@ -297,18 +296,8 @@ def build_lc2(c1: GroupTable, c2: GroupTable) -> GroupTable:
     (ia, ib); the identity factors as the identity pair.
     """
     alphabet = {k: v for k, v in c2.alphabet.items() if k != "CZ"}
-    cols, k = [list(c2.alphabet).index(label) for label in alphabet], len(alphabet)
-    # the c2 id and generator that first led to each c2 id (-2: not reached)
-    parent, label = np.full(len(c2), -2, dtype=np.int32), np.full(len(c2), -1, dtype=np.int8)
-    frontier = np.array([c2.identity_id])
-    parent[frontier] = -1
-    while frontier.size:
-        # the level's products in (parent, generator) order; fresh: new ids' first
-        cand = c2.right[frontier[:, None], cols].ravel()
-        _, first = np.unique(cand, return_index=True)
-        fresh = np.sort(first[parent[cand[first]] == -2])
-        parent[cand[fresh]], label[cand[fresh]] = frontier[fresh // k], fresh % k
-        frontier = cand[fresh]
+    cols = [list(c2.alphabet).index(label) for label in alphabet]
+    parent, label = _bfs_tree(c2.right[:, cols], c2.identity_id)
     ids = np.flatnonzero(parent > -2)
     rank = np.full(len(c2) + 1, -1, dtype=np.int32)  # rank[-1], the identity's parent, is -1
     rank[ids] = np.arange(len(ids))

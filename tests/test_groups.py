@@ -226,6 +226,40 @@ class TestActionTables:
             ws.c2.left("X")
 
 
+def _reference_closure(generators):
+    """A plain breadth-first search over exact products, one at a time: the
+    elements numbered in (parent, generator) order, then ranked by encoding.
+    Returns the encodings in rank order and parent, label and right in ranks."""
+    gens = list(generators.values())
+    found = [GateMatrix.identity(gens[0].dim)]
+    number, tree, right = {found[0].data: 0}, [(-1, -1)], []
+    for i, m in enumerate(found):  # found grows while it is read
+        right.append([])
+        for g, gen in enumerate(gens):
+            product = m * gen
+            if product.data not in number:
+                number[product.data] = len(found)
+                found.append(product)
+                tree.append((i, g))
+            right[-1].append(number[product.data])
+    order = sorted(range(len(found)), key=lambda i: found[i].data)
+    rank = {i: r for r, i in enumerate(order)} | {-1: -1}
+    return ([found[i].data for i in order], [rank[tree[i][0]] for i in order],
+            [tree[i][1] for i in order], [[rank[j] for j in right[i]] for i in order])
+
+
+class TestClosureAgainstReference:
+    @pytest.mark.parametrize("name, generators", [
+        ("c1", C1_GENERATORS), ("hh-cz", {"HH": H.tensor(H), "CZ": CZ})])
+    def test_closure_equals_a_plain_search(self, name, generators):
+        table = closure(generators, name)
+        encodings, parent, label, right = _reference_closure(generators)
+        assert [table.element(e).data for e in range(len(table))] == encodings
+        assert table.parent.tolist() == parent
+        assert table.label.tolist() == label
+        assert table.right.tolist() == right
+
+
 class TestLc2FromC2:
     def test_derived_lc2_equals_its_own_closure(self, ws):
         """LC2 read off C2's tables is the table closing H1, P1, H2, P2 makes."""
