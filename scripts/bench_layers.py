@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_layers.py --baseline ../parent --runs 5 --out BENCH_13.json
+    python3 scripts/bench_layers.py --baseline ../parent --runs 5 --out BENCH_15.json
 
 Every run is a fresh interpreter (this script with --measure) that imports
 czorbits from one tree's src/. It times `import czorbits.cli`, then one cold
@@ -19,15 +19,20 @@ every command does), and the mean time
 of one `c2.element` and one `c2.contains` call over every 31st element of
 C2 (2973 calls each; the matrices `element` made are the ones `contains`
 looks up). A group table fills its generators' left actions when its
-closure makes it, so
-`c2_closure_s` includes C2's five left fills (about 20 ms), which
-`build_workspace` made after the closures in trees that kept them as
-`Workspace.lefts`. It also reports the peak RSS of the process right after
+closure makes it, so `c2_closure_s` includes C2's five left fills (about
+20 ms), which `build_workspace` made after the closures in trees that kept
+them as `Workspace.lefts`. It also reports the peak RSS of the process right after
 the build, and the size of `pickle.dumps(workspace)` (the snapshot a fast
 start would load, and the pickle perfbench's query-mix loads) with the time
 to load it, and the host's one-minute load average (`os.getloadavg()`)
 when the sample starts, since load on a shared host moves the build times
-by about 2x. Runs alternate between the two trees; the output holds every
+by about 2x. Since BENCH_15.json it then times the exact work behind one
+query, each figure a mean per call over the same elements: `parse_matrix`
+of their `format_matrix` text, `kernels.mat_mul` of consecutive pairs of
+them, `kernels.mat_tensor` of 192 pairs of C1 elements, and
+`synth.evaluate` of their circuits after one warm pass over the same
+circuits; and last one `run_verification(ws)` call, the whole verification
+suite. Runs alternate between the two trees; the output holds every
 sample and the median of each figure per tree, with the machine, each
 tree's git revision and its non-generated line count (the lines of
 src/czorbits/*.py).
@@ -68,6 +73,7 @@ def measure() -> dict:
     import czorbits.cli  # noqa: F401
     import czorbits.workspace as workspace
     from czorbits.io import format_table
+    from czorbits.verify import run_verification
 
     figures = {"import_s": time.perf_counter() - t0, **dict.fromkeys(STAGES.values(), 0.0)}
     figures["loadavg_1m"] = load
@@ -112,7 +118,39 @@ def measure() -> dict:
     t0 = time.perf_counter()
     pickle.loads(blob)
     figures["pickle_load_s"] = time.perf_counter() - t0
+    figures.update(query_figures(ws, ids, matrices))
+    t0 = time.perf_counter()
+    run_verification(ws)
+    figures["run_verification_s"] = time.perf_counter() - t0
     return figures
+
+
+def query_figures(ws, ids, matrices) -> dict:
+    """Mean microseconds per call of the exact steps behind one query."""
+    from czorbits import kernels
+    from czorbits.io import format_matrix, parse_matrix
+    from czorbits.synth import evaluate
+
+    def per_call_us(fn, args):
+        t0 = time.perf_counter()
+        for a in args:
+            fn(*a)
+        return (time.perf_counter() - t0) / len(args) * 1e6
+
+    c1 = [ws.c1.element(e).data for e in range(len(ws.c1))]
+    circuits = [ws.synthesizer.synthesize_id(e) for e in ids]
+    for circuit in circuits:
+        evaluate(circuit)
+    return {
+        "parse_matrix_us": per_call_us(parse_matrix, [(format_matrix(m),) for m in matrices]),
+        "mat_mul_us": per_call_us(
+            kernels.mat_mul, [(x.data, y.data, 4) for x, y in zip(matrices, matrices[1:])]
+        ),
+        "mat_tensor_us": per_call_us(
+            kernels.mat_tensor, [(x, c1[(31 * i + 7) % len(c1)]) for i, x in enumerate(c1)]
+        ),
+        "evaluate_us": per_call_us(evaluate, [(c,) for c in circuits]),
+    }
 
 
 def revision(tree: Path) -> dict:
@@ -157,7 +195,7 @@ def main() -> int:
     p.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--baseline", type=Path, help="checkout to compare against (the parent)")
     p.add_argument("--runs", type=int, default=5, help="fresh interpreters per tree")
-    p.add_argument("--out", type=Path, default=ROOT / "BENCH_13.json")
+    p.add_argument("--out", type=Path, default=ROOT / "BENCH_15.json")
     args = p.parse_args()
     if args.measure:
         print(json.dumps(measure()))

@@ -13,18 +13,19 @@ file "orbit_id layer size representative_encoding" with the encoding in hex.
 from __future__ import annotations
 
 import os
+import struct
 import sys
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from czorbits.encoding import unpack_entries
+from czorbits.encoding import BIAS, unpack_entries
 from czorbits.errors import InputFormatError
 from czorbits.groups import GroupTable
 from czorbits.matrices import GateMatrix
 from czorbits.orbits import OrbitAtlas
-from czorbits.ring import CycloNum, parse_integer
+from czorbits.ring import parse_entry, parse_integer
 
 TABLE_MAGIC = "CLIFFORD-TABLE"
 TABLE_VERSION = "v1"
@@ -44,6 +45,8 @@ def format_matrix(m: GateMatrix) -> str:
 
 
 def parse_matrix(text: str) -> GateMatrix:
+    """The matrix of the text format; each entry is parsed and reduced by
+    `ring.parse_entry` and packed into the encoding with one struct call."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise InputFormatError("empty matrix text")
@@ -57,16 +60,18 @@ def parse_matrix(text: str) -> GateMatrix:
         raise InputFormatError(
             f"expected {dim} rows after the dimension, got {len(lines) - 1}"
         )
-    rows = []
+    words: list[int] = []
     for ln in lines[1:]:
         tokens = ln.split()
         if len(tokens) != dim:
             raise InputFormatError(f"expected {dim} entries per row, got {ln!r}")
         try:
-            rows.append([CycloNum.parse(tok) for tok in tokens])
+            for tok in tokens:
+                a, b, c, d, k = parse_entry(tok)
+                words += (a + BIAS, b + BIAS, c + BIAS, d + BIAS, k)
         except ValueError as exc:
             raise InputFormatError(str(exc)) from None
-    return GateMatrix.from_entries(rows)
+    return GateMatrix(dim, struct.pack(f">{len(words)}I", *words))
 
 
 def table_records(table: GroupTable) -> Iterator[bytes]:

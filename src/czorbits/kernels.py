@@ -5,8 +5,10 @@ Matrices are the packed byte encodings described in `encoding`, entries
 reduced, and reduced forms are unique, so a product's bytes depend only on
 its value.
 
-`mat_mul` and `mat_dagger` act on one matrix in Python integers, and
-`mat_tensor` is one `mat_mul` of its two factors padded to 4x4.
+`mat_mul`, `mat_tensor` and `mat_dagger` act on one matrix in Python
+integers. `mat_mul` lifts each operand once to its largest exponent, skips
+zero entries and reduces each output entry once; `mat_tensor` makes each of
+its 16 entries as one ring product of its factors' entries.
 `mat_mul_batch` multiplies many matrices by many at once in numpy int64,
 with the scalar `mat_mul` as its reference. Group closure uses neither:
 it works on row ids (see `groups`). The batched kernel is the
@@ -19,136 +21,136 @@ import struct
 
 import numpy as np
 
-from .encoding import BIAS, COEF_LIMIT, ENTRY_BYTES, K_LIMIT, pack_entry
+from .encoding import BIAS, COEF_LIMIT, ENTRY_BYTES, K_LIMIT
 
 BACKEND = "pure-python"
 
-_ZERO = pack_entry(0, 0, 0, 0, 0)
-
-_STRUCTS = {
-    20: struct.Struct(">20I"),
-    80: struct.Struct(">80I"),
+# per entry four signed coefficients and the unsigned exponent
+_STRUCTS = {size: struct.Struct(">" + "4iI" * (size // 5)) for size in (20, 80)}
+# Adding the bias 2^31 to a 32-bit word is, mod 2^32, flipping its top bit:
+# XOR with this mask turns the biased coefficient words into signed ones and
+# back, and leaves the exponent words alone.
+_SIGN_BITS = {
+    size * 4: int.from_bytes((b"\x80\0\0\0" * 4 + bytes(4)) * (size // 5), "big")
+    for size in _STRUCTS
 }
+
+
+def _flip(data: bytes) -> bytes:
+    return (int.from_bytes(data, "big") ^ _SIGN_BITS[len(data)]).to_bytes(len(data), "big")
 
 
 def _unpack(data: bytes) -> list[int]:
     st = _STRUCTS.get(len(data) // 4)
     if st is None or st.size != len(data):
         raise ValueError(f"bad matrix encoding length {len(data)}")
-    vals = list(st.unpack(data))
-    for i in range(0, len(vals), 5):
-        vals[i] -= BIAS
-        vals[i + 1] -= BIAS
-        vals[i + 2] -= BIAS
-        vals[i + 3] -= BIAS
-    return vals
+    return list(st.unpack(_flip(data)))
 
 
 def _pack(vals: list[int]) -> bytes:
-    for i in range(0, len(vals), 5):
-        vals[i] += BIAS
-        vals[i + 1] += BIAS
-        vals[i + 2] += BIAS
-        vals[i + 3] += BIAS
     try:
-        return _STRUCTS[len(vals)].pack(*vals)
+        return _flip(_STRUCTS[len(vals)].pack(*vals))
     except (struct.error, KeyError):
         raise AssertionError("coefficient exceeds the 32-bit range") from None
 
 
+def _reduced(a: int, b: int, c: int, d: int, k: int) -> tuple[int, int, int, int, int]:
+    """The reduced form of (a + bω + cω² + dω³)/√2^k."""
+    if not (a or b or c or d):
+        return 0, 0, 0, 0, 0
+    # √2 divides the numerator iff a ≡ c and b ≡ d (mod 2); the quotient is
+    # the inverse of the ×√2 map (a,b,c,d) -> (b−d, a+c, b+d, c−a)
+    while k and (a ^ c) & 1 == 0 and (b ^ d) & 1 == 0:
+        a, b, c, d = (b - d) >> 1, (a + c) >> 1, (b + d) >> 1, (c - a) >> 1
+        k -= 1
+    return a, b, c, d, k
+
+
+def _scaled(a: int, b: int, c: int, d: int, gap: int) -> tuple[int, int, int, int]:
+    """The numerator times √2^gap: an odd gap's ×√2 step (√2 = ω − ω³), then a shift."""
+    if gap & 1:
+        a, b, c, d = b - d, a + c, b + d, c - a
+    s = gap >> 1
+    return a << s, b << s, c << s, d << s
+
+
+def _lifted(data: bytes) -> tuple[list, int]:
+    """The numerators of one matrix's entries in row-major order, all on the
+    matrix's largest exponent k (m = num / √2^k), None for a zero entry, and k."""
+    vals = _unpack(data)
+    top = max(vals[4::5])
+    return [
+        None if not (a or b or c or d)
+        else (a, b, c, d) if k == top else _scaled(a, b, c, d, top - k)
+        for a, b, c, d, k in zip(*[iter(vals)] * 5)
+    ], top
+
+
 def mat_mul(x: bytes, y: bytes, dim: int) -> bytes:
+    """x * y for dim x dim encodings: each output entry sums the ring products
+    over y's nonzero column entries at the fixed exponent kx + ky, reduced once."""
     if len(x) != dim * dim * 20 or len(y) != dim * dim * 20:
         raise ValueError("matrix encoding does not match dimension")
-    a = _unpack(x)
-    b = _unpack(y)
-    out = [0] * (dim * dim * 5)
-    stride = dim * 5
-    for i in range(dim):
-        arow = i * stride
-        for j in range(dim):
+    xs, kx = _lifted(x)
+    ys, ky = _lifted(y)
+    k = kx + ky
+    cols = [[(t, *ys[t * dim + j]) for t in range(dim) if ys[t * dim + j]] for j in range(dim)]
+    out: list[int] = []
+    for i in range(0, dim * dim, dim):
+        row = xs[i : i + dim]
+        for col in cols:
             sa = sb = sc = sd = 0
-            sk = 0
-            for t in range(dim):
-                pa = arow + t * 5
-                pb = t * stride + j * 5
-                a1 = a[pa]
-                b1 = a[pa + 1]
-                c1 = a[pa + 2]
-                d1 = a[pa + 3]
-                a2 = b[pb]
-                b2 = b[pb + 1]
-                c2 = b[pb + 2]
-                d2 = b[pb + 3]
-                e = a1 * a2 - b1 * d2 - c1 * c2 - d1 * b2
-                f = a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2
-                g = a1 * c2 + b1 * b2 + c1 * a2 - d1 * d2
-                h = a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2
-                if e | f | g | h == 0:
+            for t, a2, b2, c2, d2 in col:
+                e = row[t]
+                if e is None:
                     continue
-                kk = a[pa + 4] + b[pb + 4]
-                # align denominators via the push-down map (×√2 on numerators)
-                while kk < sk:
-                    e, f, g, h = f - h, e + g, f + h, g - e
-                    kk += 1
-                if sk < kk:
-                    if sa | sb | sc | sd == 0:
-                        sk = kk
-                    else:
-                        while sk < kk:
-                            sa, sb, sc, sd = sb - sd, sa + sc, sb + sd, sc - sa
-                            sk += 1
-                sa += e
-                sb += f
-                sc += g
-                sd += h
-            if sa | sb | sc | sd == 0:
-                sk = 0
-            else:
-                while sk > 0 and (sa ^ sc) & 1 == 0 and (sb ^ sd) & 1 == 0:
-                    sa, sb, sc, sd = (
-                        (sb - sd) // 2,
-                        (sa + sc) // 2,
-                        (sb + sd) // 2,
-                        (sc - sa) // 2,
-                    )
-                    sk -= 1
-            o = (i * dim + j) * 5
-            out[o] = sa
-            out[o + 1] = sb
-            out[o + 2] = sc
-            out[o + 3] = sd
-            out[o + 4] = sk
+                a1, b1, c1, d1 = e
+                # ω-power convolution with the wrap ω⁴ = −1
+                sa += a1 * a2 - b1 * d2 - c1 * c2 - d1 * b2
+                sb += a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2
+                sc += a1 * c2 + b1 * b2 + c1 * a2 - d1 * d2
+                sd += a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2
+            out += _reduced(sa, sb, sc, sd, k)
     return _pack(out)
 
 
+# (entry of x, entry of y) behind each entry of x (x) y, row-major; basis
+# index 2*q1 + q2, so x acts on q1 (the high bit) and y on q2
+_TENSOR_CELLS = [
+    ((i1 * 2 + j1) * 5, (i2 * 2 + j2) * 5)
+    for i1 in range(2) for i2 in range(2) for j1 in range(2) for j2 in range(2)
+]
+
+
 def mat_tensor(x: bytes, y: bytes) -> bytes:
-    """x (x) y for 2x2 encodings, as the product (x (x) I)(I (x) y)."""
+    """x (x) y for 2x2 encodings: each of the 16 entries is one ring product
+    of an entry of x and an entry of y, reduced."""
     if len(x) != 80 or len(y) != 80:
         raise ValueError("tensor expects two 2x2 encodings")
-    xs = [x[o : o + ENTRY_BYTES] for o in range(0, 80, ENTRY_BYTES)]
-    ys = [y[o : o + ENTRY_BYTES] for o in range(0, 80, ENTRY_BYTES)]
-    # basis index 2*q1 + q2: x acts on q1 (the high bit), y on q2
-    cells = [(r, c) for r in range(4) for c in range(4)]
-    xi = b"".join(xs[(r >> 1) * 2 + (c >> 1)] if r & 1 == c & 1 else _ZERO for r, c in cells)
-    iy = b"".join(ys[(r & 1) * 2 + (c & 1)] if r >> 1 == c >> 1 else _ZERO for r, c in cells)
-    return mat_mul(xi, iy, 4)
+    xs, ys = _unpack(x), _unpack(y)
+    out: list[int] = []
+    for p, q in _TENSOR_CELLS:
+        a1, b1, c1, d1, k1 = xs[p : p + 5]
+        a2, b2, c2, d2, k2 = ys[q : q + 5]
+        out += _reduced(
+            a1 * a2 - b1 * d2 - c1 * c2 - d1 * b2,
+            a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
+            a1 * c2 + b1 * b2 + c1 * a2 - d1 * d2,
+            a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2,
+            k1 + k2,
+        )
+    return _pack(out)
 
 
 def mat_dagger(x: bytes, dim: int) -> bytes:
     if len(x) != dim * dim * 20:
         raise ValueError("matrix encoding does not match dimension")
-    a = _unpack(x)
-    out = [0] * (dim * dim * 5)
+    entries = list(zip(*[iter(_unpack(x))] * 5))
+    out: list[int] = []
     for i in range(dim):
-        for j in range(dim):
-            p = (j * dim + i) * 5
-            o = (i * dim + j) * 5
-            # conjugation (a,b,c,d) -> (a,−d,−c,−b) preserves reducedness
-            out[o] = a[p]
-            out[o + 1] = -a[p + 3]
-            out[o + 2] = -a[p + 2]
-            out[o + 3] = -a[p + 1]
-            out[o + 4] = a[p + 4]
+        # row i is column i conjugated, (a,b,c,d) -> (a,−d,−c,−b): still reduced
+        for a, b, c, d, k in entries[i::dim]:
+            out += (a, -d, -c, -b, k)
     return _pack(out)
 
 

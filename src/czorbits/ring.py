@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import re
 
-from .encoding import check_coeff, pack_entry, unpack_entry
+from .encoding import COEF_LIMIT, K_LIMIT, check_coeff, pack_entry, unpack_entry
 
 _OMEGA_COMPLEX = cmath.exp(1j * cmath.pi / 4)
 _SQRT2 = 2.0**0.5
@@ -37,6 +37,20 @@ def _reduce(a: int, b: int, c: int, d: int, k: int) -> tuple[int, int, int, int,
         a, b, c, d = (b - d) // 2, (a + c) // 2, (b + d) // 2, (c - a) // 2
         k -= 1
     return a, b, c, d, k
+
+
+def parse_entry(text: str) -> tuple[int, int, int, int, int]:
+    """The reduced (a, b, c, d, k) of the textual entry form "a,b,c,d/k",
+    with k at most K_LIMIT and every |coefficient| below COEF_LIMIT."""
+    match = _ENTRY.fullmatch(text)
+    if match is None:
+        raise ValueError(f"malformed ring entry {text!r}")
+    a, b, c, d, k = map(int, match.groups())
+    if k < 0 or k > K_LIMIT:
+        raise ValueError(f"denominator exponent out of range in {text!r}")
+    if max(abs(a), abs(b), abs(c), abs(d)) >= COEF_LIMIT:
+        raise ValueError(f"coefficient out of range in {text!r}")
+    return _reduce(a, b, c, d, k)
 
 
 class CycloNum:
@@ -64,17 +78,7 @@ class CycloNum:
     @classmethod
     def parse(cls, text: str) -> CycloNum:
         """Parse the textual entry form "a,b,c,d/k"."""
-        from .encoding import COEF_LIMIT, K_LIMIT
-
-        match = _ENTRY.fullmatch(text)
-        if match is None:
-            raise ValueError(f"malformed ring entry {text!r}")
-        a, b, c, d, k = map(int, match.groups())
-        if k < 0 or k > K_LIMIT:
-            raise ValueError(f"denominator exponent out of range in {text!r}")
-        if max(abs(a), abs(b), abs(c), abs(d)) >= COEF_LIMIT:
-            raise ValueError(f"coefficient out of range in {text!r}")
-        return cls(a, b, c, d, k)
+        return cls(*parse_entry(text))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CycloNum):

@@ -19,7 +19,7 @@ factor's local layer followed by its orbit's tail.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -88,16 +88,20 @@ def _word_matrix(word: tuple[str, ...]) -> GateMatrix:
     return m
 
 
-@lru_cache(maxsize=16384)
-def _local_matrix(a: tuple[str, ...], b: tuple[str, ...]) -> GateMatrix:
-    return _word_matrix(a).tensor(_word_matrix(b))
+@lru_cache(maxsize=256)
+def _suffix_product(ops: tuple[Op, ...]) -> GateMatrix:
+    op, rest = ops[0], ops[1:]
+    head = CZ if isinstance(op, CzOp) else _word_matrix(op.a).tensor(_word_matrix(op.b))
+    return head * _suffix_product(rest) if rest else head
 
 
 def evaluate(circuit: Circuit) -> GateMatrix:
-    """Exact product of the circuit's matrices, left-to-right: n - 1 products
-    for n ops, and the identity for none."""
-    mats = [CZ if isinstance(op, CzOp) else _local_matrix(op.a, op.b) for op in circuit.ops]
-    return reduce(GateMatrix.__mul__, mats) if mats else I4
+    """Exact product of the circuit's matrices, multiplied right to left, and
+    the identity for no ops. Each op suffix's product is memoised, so a new
+    circuit of n ops costs n - 1 products and one whose tail this process has
+    already evaluated costs one: every element's circuit is its local layer
+    followed by one of its orbit's 20 fixed tails."""
+    return _suffix_product(circuit.ops) if circuit.ops else I4
 
 
 class Synthesizer:

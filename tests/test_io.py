@@ -18,7 +18,8 @@ from czorbits.io import (
     table_records,
     write_atomic,
 )
-from czorbits.matrices import CZ, H, I4
+from czorbits.matrices import CZ, H, I4, GateMatrix
+from czorbits.ring import CycloNum
 from czorbits.synth import CZ_OP, Circuit, LocalOp
 from czorbits.workspace import ensure_tables, write_tables
 
@@ -53,6 +54,8 @@ class TestMatrixFormat:
             "2\n1 0\n0 1\n1 0\n",
             "\u0662\n1,0,0,0/0 0,0,0,0/0\n0,0,0,0/0 1,0,0,0/0\n",
             "2\n1_0,0,0,0/0 0,0,0,0/0\n0,0,0,0/0 1,0,0,0/0\n",
+            "2\n1,0,0,0/17 0,0,0,0/0\n0,0,0,0/0 1,0,0,0/0\n",
+            "2\n1048576,0,0,0/0 0,0,0,0/0\n0,0,0,0/0 1,0,0,0/0\n",
         ],
         ids=[
             "empty",
@@ -64,11 +67,24 @@ class TestMatrixFormat:
             "extra-row",
             "non-ascii-dim",
             "underscore-entry",
+            "exponent-17",
+            "coefficient-2^20",
         ],
     )
     def test_malformed_rejected(self, text):
         with pytest.raises(InputFormatError):
             parse_matrix(text)
+
+
+    def test_entries_parse_as_the_ring_reduces_them(self):
+        # neither entry is in reduced form: 2/√2² = 1 and (1 + ω²)/√2 = ω
+        tokens = ["2,0,0,0/2", "1,0,1,0/1", "0,0,0,0/3", "-3,1,0,2/4"]
+        text = "2\n%s %s\n%s %s\n" % tuple(tokens)
+        expect = GateMatrix.from_entries(
+            [[CycloNum.parse(t) for t in tokens[:2]], [CycloNum.parse(t) for t in tokens[2:]]]
+        )
+        assert parse_matrix(text) == expect
+        assert expect.entry(0, 0) == CycloNum(1) and expect.entry(0, 1) == CycloNum(0, 1)
 
 
 class TestTableFormat:

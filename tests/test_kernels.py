@@ -27,6 +27,25 @@ def random_matrix(rng, dim, kmax=3, cmax=9):
     return GateMatrix.from_entries(rows)
 
 
+def sparse_matrix(rng, dim, cmax=9):
+    """One row and one column all zero, a quarter of the other entries zero
+    (about half of all entries for dim 4), and exponents from 0 to K_LIMIT
+    within one matrix: the zero-skipping and lifting paths of the kernels."""
+    zero_row, zero_col = rng.randrange(dim), rng.randrange(dim)
+    rows = [
+        [
+            CycloNum(
+                *(rng.randint(-cmax, cmax) for _ in range(4)), rng.randint(0, K_LIMIT)
+            )
+            if i != zero_row and j != zero_col and rng.random() >= 0.25
+            else CycloNum(0)
+            for j in range(dim)
+        ]
+        for i in range(dim)
+    ]
+    return GateMatrix.from_entries(rows)
+
+
 def scalar_mat_mul(x: GateMatrix, y: GateMatrix) -> GateMatrix:
     """Reference product computed entry by entry in ring arithmetic."""
     dim = x.dim
@@ -54,21 +73,29 @@ def scalar_products(xs, ys, dim):
     return b"".join(kernels.mat_mul(x, y, dim) for x in xs for y in ys)
 
 
+# 15 pairs of dense operands, then 15 of each mix with sparse ones
+DRAWS = [(random_matrix, random_matrix)] * 15 + [
+    (random_matrix, sparse_matrix),
+    (sparse_matrix, random_matrix),
+    (sparse_matrix, sparse_matrix),
+] * 15
+
+
 class TestScalarOracle:
     @pytest.mark.parametrize("dim", [2, 4])
     def test_mat_mul_matches_ring_arithmetic(self, dim):
         rng = random.Random(17 * dim)
-        for _ in range(15):
-            x = random_matrix(rng, dim)
-            y = random_matrix(rng, dim)
+        for draw_x, draw_y in DRAWS:
+            x = draw_x(rng, dim)
+            y = draw_y(rng, dim)
             expect = scalar_mat_mul(x, y)
             assert kernels.mat_mul(x.data, y.data, dim) == expect.data
 
     def test_mat_tensor_matches_ring_arithmetic(self):
         rng = random.Random(23)
-        for _ in range(15):
-            x = random_matrix(rng, 2)
-            y = random_matrix(rng, 2)
+        for draw_x, draw_y in DRAWS:
+            x = draw_x(rng, 2)
+            y = draw_y(rng, 2)
             rows = [
                 [
                     x.entry(i1, j1) * y.entry(i2, j2)

@@ -8,7 +8,16 @@ from czorbits import kernels
 from czorbits.errors import NotInGroupError, VerificationError
 from czorbits.groups import GroupTable
 from czorbits.matrices import CNOT_T1, CNOT_T2, CZ, H, I2, I4, P, SWAP, GateMatrix
-from czorbits.synth import CZ_OP, Circuit, CzOp, LocalOp, Synthesizer, evaluate, make_circuit
+from czorbits.synth import (
+    CZ_OP,
+    Circuit,
+    CzOp,
+    LocalOp,
+    Synthesizer,
+    _suffix_product,
+    evaluate,
+    make_circuit,
+)
 
 
 def bfs_distance_from_identity_orbit(graph, oid):
@@ -205,23 +214,50 @@ class TestEvaluate:
             evaluate(Circuit((LocalOp(("Q",), ()),)))
 
     def test_no_wasted_product(self, ws, monkeypatch):
-        """A circuit of n ops costs n - 1 products and builds no identity."""
+        """A new circuit of n ops costs n - 1 products, the same circuit again
+        none, and another circuit on an evaluated tail one product and one
+        tensor; no identity is built."""
         circuit = ws.synthesizer.synthesize(SWAP)
         assert circuit.cz_count == 3
-        evaluate(circuit)  # fill the local-layer caches first
-        products = []
-        real_mat_mul = kernels.mat_mul
+        orbit = ws.atlas.orbit_of[ws.c2.contains(SWAP)]
+        other_id = next(
+            e for e in ws.atlas.orbit_members(orbit)
+            if ws.synthesizer.synthesize_id(e).ops[1:] == circuit.ops[1:]
+            and ws.synthesizer.synthesize_id(e) != circuit
+        )
+        other = ws.synthesizer.synthesize_id(other_id)
+        assert isinstance(other.ops[0], LocalOp)
+        # fill the word caches, then forget every suffix product
+        evaluate(circuit)
+        evaluate(other)
+        _suffix_product.cache_clear()
+        products, tensors = [], []
+        real_mat_mul, real_mat_tensor = kernels.mat_mul, kernels.mat_tensor
 
         def counting_mat_mul(*args):
             products.append(args)
             return real_mat_mul(*args)
 
+        def counting_mat_tensor(*args):
+            tensors.append(args)
+            return real_mat_tensor(*args)
+
         def refuse(*args):
             raise AssertionError("evaluate built an identity matrix")
 
         monkeypatch.setattr(kernels, "mat_mul", counting_mat_mul)
+        monkeypatch.setattr(kernels, "mat_tensor", counting_mat_tensor)
         monkeypatch.setattr(GateMatrix, "identity", refuse)
         assert evaluate(circuit) == SWAP
         assert len(products) == len(circuit.ops) - 1
+        assert len(tensors) == sum(isinstance(op, LocalOp) for op in circuit.ops)
+        products.clear()
+        tensors.clear()
+        assert evaluate(circuit) == SWAP
+        assert (products, tensors) == ([], [])
+        assert evaluate(other) == ws.c2.element(other_id)
+        assert (len(products), len(tensors)) == (1, 1)
+        products.clear()
+        tensors.clear()
         assert evaluate(Circuit(())) is I4
-        assert len(products) == len(circuit.ops) - 1
+        assert (products, tensors) == ([], [])
