@@ -87,11 +87,15 @@ def measure() -> dict:
                 figures[figure] += time.perf_counter() - start
         return wrapper
 
+    originals = {name: getattr(workspace, name) for name in STAGES}
     for name, figure in STAGES.items():
-        setattr(workspace, name, timed(getattr(workspace, name), figure))
+        setattr(workspace, name, timed(originals[name], figure))
     t0 = time.perf_counter()
     ws = workspace.build_workspace()
     figures["build_workspace_s"] = time.perf_counter() - t0
+    # unwrapped again, so the rebuild inside run_verification adds to no stage
+    for name, fn in originals.items():
+        setattr(workspace, name, fn)
     figures["build_rss_peak_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     t0 = time.perf_counter()
     format_table(ws.c2)
