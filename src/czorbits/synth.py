@@ -100,7 +100,7 @@ def evaluate(circuit: Circuit) -> GateMatrix:
     the identity for no ops. Each op suffix's product is memoised, so a new
     circuit of n ops costs n - 1 products and one whose tail this process has
     already evaluated costs one: every element's circuit is its local layer
-    followed by one of its orbit's 20 fixed tails."""
+    followed by its orbit's fixed tail, one of 20."""
     return _suffix_product(circuit.ops) if circuit.ops else I4
 
 
