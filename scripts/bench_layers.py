@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_layers.py --baseline ../parent --runs 5 --out BENCH_15.json
+    python3 scripts/bench_layers.py --baseline ../parent --runs 5 --out BENCH_16.json
 
 Every run is a fresh interpreter (this script with --measure) that imports
 czorbits from one tree's src/. It times `import czorbits.cli`, then one cold
@@ -12,7 +12,9 @@ czorbits from one tree's src/. It times `import czorbits.cli`, then one cold
 own in BENCH_12.json and closed on its own before; the partition, the CZ
 graph and the synthesis plans), then `format_table(c2)`, which builds C2's file as one
 string, and `write_tables` into a temporary directory, which streams all
-three table files to disk as `generate` does, then the wall time of
+three table files to disk as `generate` does, and (since BENCH_16.json)
+`orbit_map_s`, the orbit map streamed to `orbit_map.txt` there as `orbits`
+writes it, then the wall time of
 `czorbits lookup --element 83679` in a fresh interpreter with those table
 files on disk (`python -m czorbits.cli`, which rebuilds the workspace as
 every command does), and the mean time
@@ -72,7 +74,7 @@ def measure() -> dict:
     t0 = time.perf_counter()
     import czorbits.cli  # noqa: F401
     import czorbits.workspace as workspace
-    from czorbits.io import format_table
+    from czorbits.io import format_table, orbit_map_records, write_atomic
     from czorbits.verify import run_verification
 
     figures = {"import_s": time.perf_counter() - t0, **dict.fromkeys(STAGES.values(), 0.0)}
@@ -104,6 +106,9 @@ def measure() -> dict:
         t0 = time.perf_counter()
         workspace.write_tables(ws, Path(out_dir))
         figures["write_tables_s"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        write_atomic(Path(out_dir) / "orbit_map.txt", orbit_map_records(ws.atlas))
+        figures["orbit_map_s"] = time.perf_counter() - t0
         lookup = [sys.executable, "-m", "czorbits.cli", "lookup", "--element", "83679",
                   "--out-dir", out_dir, "--no-regen"]
         t0 = time.perf_counter()
@@ -199,7 +204,7 @@ def main() -> int:
     p.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--baseline", type=Path, help="checkout to compare against (the parent)")
     p.add_argument("--runs", type=int, default=5, help="fresh interpreters per tree")
-    p.add_argument("--out", type=Path, default=ROOT / "BENCH_15.json")
+    p.add_argument("--out", type=Path, default=ROOT / "BENCH_16.json")
     args = p.parse_args()
     if args.measure:
         print(json.dumps(measure()))

@@ -24,7 +24,6 @@ from czorbits.io import format_circuit, format_orbit_summary, orbit_map_records
 from czorbits.io import parse_matrix, write_atomic
 from czorbits.matrices import GateMatrix
 from czorbits.synth import evaluate
-from czorbits.verify import run_verification
 from czorbits.workspace import Workspace, atlas_dir, build_workspace, ensure_tables, write_tables
 
 
@@ -193,6 +192,8 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "verify":
+            from czorbits.verify import run_verification  # only this command pays its import
+
             report = run_verification(ws)
             for line in report.lines():
                 out.write(line + "\n")

@@ -13,11 +13,15 @@ Closure multiplies no matrices. Since (m * g)[i, :] = m[i, :] * g, a
 generator acts on each row on its own: the row book is closed from the unit
 rows under r -> r * g, and right multiplication of an element is then one
 gather per row in a small (generators, rows) table. Closure finds the element
-set on keys one word length at a time, reads the integer Cayley table `right`
-off it by binary search, and walks `right` breadth-first for a tree that gives
-each element a shortest word: its parent id and the generator that leads from
-the parent to it, so words read left-to-right as matrix products. LC2 is read
-off C2's `right` by the same walk; a table fills its left actions in another.
+set on keys one word length at a time, in blocks: first the subgroup S that
+its local generators make, one key at a time, then the whole group one left
+coset S * u at a time, since (S * u) * g = S * (u * g) is again a whole coset.
+C2's search so meets its 20 cosets of LC2 as 20 blocks of 4608 keys, and the
+table keeps them as ids. It ranks the keys for the ids and the integer Cayley
+table `right`, and walks `right` breadth-first for a tree that gives each
+element a shortest word: its parent id and the generator that leads from the
+parent to it, so words read left-to-right as matrix products. LC2 is read off
+C2's `right` by the same walk; a table fills its left actions in another.
 """
 
 from __future__ import annotations
@@ -58,15 +62,17 @@ def bfs_fill(out: np.ndarray, moves: Sequence[tuple[np.ndarray, np.ndarray]]) ->
 
 
 def _unpack(keys: np.ndarray, dim: int) -> np.ndarray:
-    """The row ids of each key, one more axis of dim, the first id first."""
-    return (keys[..., None] >> np.array(_SHIFTS[dim])) & (MAX_ROWS - 1)
+    """The row ids of each key, one more axis of dim in front, the first id first."""
+    shifts = np.array(_SHIFTS[dim]).reshape(-1, *[1] * np.ndim(keys))
+    return (keys >> shifts) & (MAX_ROWS - 1)
 
 
 def _pack(rows: np.ndarray) -> np.ndarray:
-    """The int64 key of each row of row ids, the first id highest."""
-    keys = rows[:, 0].astype(np.int64)
-    for column in rows.T[1:]:
-        keys = keys << ROW_BITS | column
+    """The int64 key of each column of row ids (the first axis), the first id highest."""
+    keys = rows[0].astype(np.int64)
+    for row in rows[1:]:
+        keys <<= ROW_BITS
+        keys |= row
     return keys
 
 
@@ -87,6 +93,7 @@ class GroupTable:
         parent: np.ndarray,
         label: np.ndarray,
         right: np.ndarray,
+        cosets: Optional[np.ndarray] = None,
     ) -> None:
         self.name = name
         self.alphabet = dict(alphabet)
@@ -104,6 +111,9 @@ class GroupTable:
         # right[e, g] (int32) is the id of element(e) times the g-th
         # generator of the alphabet
         self.right = right
+        # cosets[c] (int32): the ids of one left coset of the subgroup that the
+        # closure's local generators make, one row per coset; set by closure()
+        self.cosets = cosets
         # pairs: for the local group, the (wire-1 id, wire-2 id) factor
         # pair of each element over the single-qubit table, set by build_lc2
         self.pairs: Optional[list[tuple[int, int]]] = None
@@ -135,8 +145,8 @@ class GroupTable:
         return GateMatrix(self.dim, b"".join(rows))
 
     def row_ids(self, ids: int | slice | np.ndarray) -> np.ndarray:
-        """The row ids of the elements `ids`, one more axis of dim."""
-        return _unpack(self.keys[ids], self.dim)
+        """The row ids of the elements `ids`, one more axis of dim at the end."""
+        return np.moveaxis(_unpack(self.keys[ids], self.dim), 0, -1)
 
     def encodings(self, ids: int | np.ndarray) -> bytes:
         """The encodings of the elements `ids`, concatenated in that order."""
@@ -178,14 +188,19 @@ class GroupTable:
         return reduce(GateMatrix.__mul__, gens) if gens else (I2 if self.dim == 2 else I4)
 
 
-def closure(generators: Mapping[str, GateMatrix], name: str) -> GroupTable:
+def closure(
+    generators: Mapping[str, GateMatrix], name: str, local: tuple[str, ...] = ()
+) -> GroupTable:
     """Breadth-first closure of the group generated by `generators`.
 
-    Ids follow canonical encoding order. Every product m * g is kept, in
-    ids, as the table's `right`. A breadth-first walk over `right` from the
-    identity meets elements in word-length order (ties broken by frontier
-    position, then generator order), and the product that first meets each
-    element is its `parent` and `label`, so its word is a shortest one.
+    The search meets the group one left coset S * u at a time, where S is the
+    subgroup that the generators labeled in `local` make (the trivial group
+    when there are none), and the table keeps those cosets as ids. Ids follow
+    canonical encoding order. Every product m * g is kept, in ids, as the
+    table's `right`. A breadth-first walk over `right` from the identity
+    meets elements in word-length order (ties broken by frontier position,
+    then generator order), and the product that first meets each element is
+    its `parent` and `label`, so its word is a shortest one.
     """
     gens = list(generators.items())
     if not gens:
@@ -196,8 +211,9 @@ def closure(generators: Mapping[str, GateMatrix], name: str) -> GroupTable:
             raise ValueError("generators must share one dimension")
         if not g.is_unitary():
             raise ValueError(f"generator {label!r} is not unitary")
+    local_cols = [list(generators).index(label) for label in local]
     # the table fills its left actions, so it is made once the level arrays are freed
-    return GroupTable(name, dict(gens), *_level_search(gens, dim, name))
+    return GroupTable(name, dict(gens), *_level_search(gens, dim, name, local_cols))
 
 
 def _row_book(gens: list[tuple[str, GateMatrix]], dim: int, name: str) -> tuple:
@@ -235,27 +251,57 @@ def _row_book(gens: list[tuple[str, GateMatrix]], dim: int, name: str) -> tuple:
     return [book[r] for r in order], rank[np.array(images)[order].T], rank[:dim]
 
 
-def _level_search(gens: list[tuple[str, GateMatrix]], dim: int, name: str) -> tuple:
+def _level_search(gens: list[tuple[str, GateMatrix]], dim: int, name: str,
+                  local_cols: list[int]) -> tuple:
     """closure's search on keys of row ids; returns the table's keys, row book,
-    parent, label and right. The keys met one word length at a time, each
-    product a gather per row in the row book's action table, ascend as the ids.
-    More than CLOSURE_CAP elements stop the search."""
+    parent, label, right and cosets. The subgroup the `local_cols` generators make
+    is met from the identity in blocks of one key; the group is then met from
+    that subgroup in blocks of its width, each block a left coset. The keys,
+    sorted, are the ids; each coset's row of ids is in the order its block met them."""
     book, act, identity = _row_book(gens, dim, name)
-    # identity: now its key; known: the keys met so far, ascending; frontier: the last level's
-    known = frontier = identity = _pack(identity[None])
+    start = _pack(identity[:, None, None])
+    subgroup = _blocks(act[local_cols], start, dim, name)
+    blocks = _blocks(act, subgroup.reshape(1, -1), dim, name)
+    order, ranks = _ranks(blocks.ravel())
+    keys, cosets = blocks.ravel()[order], ranks.reshape(blocks.shape)
+    del blocks, order  # freed before the rows below, the search's peak of memory
+    rows, right = _unpack(keys, dim), np.empty((len(keys), len(gens)), dtype=np.int32)
+    for g, a in enumerate(act):  # x * g runs over the group once as x does
+        right[:, g] = _ranks(_pack(a[rows]))[1]
+    return keys, book, *_bfs_tree(right, int(np.searchsorted(keys, start[0, 0]))), right, cosets
+
+
+def _ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The order that sorts distinct `keys`, and each key's rank (int32) in it."""
+    order, ranks = np.argsort(keys), np.empty(len(keys), dtype=np.int32)
+    ranks[order] = np.arange(len(keys), dtype=np.int32)
+    return order, ranks
+
+
+def _blocks(act: np.ndarray, start: np.ndarray, dim: int, name: str) -> np.ndarray:
+    """The blocks of keys met from `start`, a (1, width) block, one word length at a
+    time: each level multiplies every block the last level met by every generator,
+    a gather per row in `act`, and keeps the products whose least key, the block's
+    name, no block met so far has; one binary search against the sorted names finds
+    them. Returns the blocks, (blocks, width), in the order met. More than
+    CLOSURE_CAP keys in all stop the search."""
+    width = start.shape[1]
+    met, names, frontier = [start], start.min(axis=1), start
     while len(frontier):
-        rows = _unpack(frontier, dim)
-        cand = np.sort(np.concatenate([_pack(a[rows]) for a in act]))
-        pos = np.minimum(np.searchsorted(known, cand), len(known) - 1)
-        cand = cand[(known[pos] != cand) & (np.diff(cand, prepend=-1) != 0)]
-        if len(known) + len(cand) > CLOSURE_CAP:
+        # each product's row ids, (dim, generators, blocks, width), then its keys
+        images = np.take(act, _unpack(frontier, dim), axis=1).swapaxes(0, 1)
+        cand = _pack(images).reshape(-1, width)
+        least = cand.min(axis=1)
+        order = np.argsort(least)
+        least = least[order]
+        pos = np.minimum(np.searchsorted(names, least), len(names) - 1)
+        fresh = (names[pos] != least) & (np.diff(least, prepend=-1) != 0)
+        if (len(names) + np.count_nonzero(fresh)) * width > CLOSURE_CAP:
             raise VerificationError(f"closure of {name} exceeded {CLOSURE_CAP} elements; "
                                     "the representation is not closing")
-        known, frontier = np.sort(np.concatenate([known, cand])), cand
-    rows, right = _unpack(known, dim), np.empty((len(known), len(gens)), dtype=np.int32)
-    for g, a in enumerate(act):  # right by binary search, one generator at a time
-        right[:, g] = np.searchsorted(known, _pack(a[rows]))
-    return known, book, *_bfs_tree(right, int(np.searchsorted(known, identity[0]))), right
+        names, frontier = np.sort(np.concatenate([names, least[fresh]])), cand[order[fresh]]
+        met.append(frontier)
+    return np.concatenate(met)
 
 
 def _bfs_tree(right: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
@@ -301,7 +347,7 @@ def build_lc2(c1: GroupTable, c2: GroupTable) -> GroupTable:
     ids = np.flatnonzero(parent > -2)
     rank = np.full(len(c2) + 1, -1, dtype=np.int32)  # rank[-1], the identity's parent, is -1
     rank[ids] = np.arange(len(ids))
-    rows, used = c2.row_ids(ids), np.zeros(len(c2.book), dtype=bool)
+    rows, used = _unpack(c2.keys[ids], c2.dim), np.zeros(len(c2.book), dtype=bool)
     used[rows] = True
     table = GroupTable("lc2", alphabet, _pack((np.cumsum(used) - 1)[rows]),
                        [c2.book[r] for r in np.flatnonzero(used)], rank[parent[ids]],
@@ -317,10 +363,11 @@ def build_lc2(c1: GroupTable, c2: GroupTable) -> GroupTable:
     wl = np.array([len(c1.word_of(e)) for e in range(n)])
     # candidates sorted by (total letters, ia, ib); keep each element's first
     order = np.lexsort((np.arange(n * n), (wl[:, None] + wl).ravel()))
-    _, first = np.unique(at[order], return_index=True)
+    first = np.full(len(table), n * n)
+    np.minimum.at(first, at[order], np.arange(n * n))
     table.pairs = [divmod(int(p), n) for p in order[first]]
     return table
 
 
 def build_c2() -> GroupTable:
-    return closure(C2_GENERATORS, "c2")
+    return closure(C2_GENERATORS, "c2", local=("H1", "P1", "H2", "P2"))

@@ -78,18 +78,19 @@ def table_records(table: GroupTable) -> Iterator[bytes]:
     """The table file as chunks of at most CHUNK_BYTES: the header, then one
     record of dim rows per element. Each row of the table's row book is
     printed once, and once more after the "<dim>" line that opens a record; a
-    chunk joins the pieces its elements' row ids pick, so no whole file is held."""
+    chunk joins the pieces its elements' row ids pick from an object array, so
+    no whole file is held."""
     yield f"{TABLE_MAGIC} {TABLE_VERSION} {table.name} {len(table)}\n".encode()
     dim = table.dim
     rest = [(" ".join(_ENTRY % e for e in unpack_entries(row)) + "\n").encode()
             for row in table.book]
     first = [b"%d\n" % dim + piece for piece in rest]
-    pieces, shift = first + rest, np.repeat([0, len(rest)], [1, dim - 1])
+    pieces, shift = np.array(first + rest, dtype=object), np.repeat([0, len(rest)], [1, dim - 1])
     longest = max(map(len, first)) + (dim - 1) * max(map(len, rest))
     step = max(1, CHUNK_BYTES // longest)
     for at in range(0, len(table), step):
         picks = table.row_ids(slice(at, at + step)) + shift
-        yield b"".join(map(pieces.__getitem__, picks.ravel().tolist()))
+        yield b"".join(pieces[picks.ravel()].tolist())
 
 
 def format_table(table: GroupTable) -> str:
@@ -116,11 +117,16 @@ def write_atomic(path: Path, data: bytes | Iterable[bytes]) -> None:
 
 def orbit_map_records(atlas: OrbitAtlas) -> Iterator[bytes]:
     """The orbit map's "element_id orbit_id" lines in chunks, so the map is never
-    held whole: CHUNK_BYTES bounds a chunk's lines as str objects, before the join."""
+    held whole: a chunk has as many lines as CHUNK_BYTES holds of its longest
+    line as a str object, and is one % format over its ids and orbit ids,
+    interleaved."""
     of = atlas.orbit_of
     step = max(1, CHUNK_BYTES // sys.getsizeof(f"{len(of) - 1} {max(of)}\n"))
     for at in range(0, len(of), step):
-        yield "".join(map("{} {}\n".format, range(at, at + step), of[at : at + step])).encode()
+        ids = range(at, min(at + step, len(of)))
+        values = [0] * (2 * len(ids))
+        values[::2], values[1::2] = ids, of[at : at + step]
+        yield ("%d %d\n" * len(ids) % tuple(values)).encode()
 
 
 def format_orbit_map(atlas: OrbitAtlas) -> str:

@@ -22,6 +22,7 @@ import struct
 import numpy as np
 
 from .encoding import BIAS, COEF_LIMIT, ENTRY_BYTES, K_LIMIT
+from .ring import reduce_entry
 
 BACKEND = "pure-python"
 
@@ -52,18 +53,6 @@ def _pack(vals: list[int]) -> bytes:
         return _flip(_STRUCTS[len(vals)].pack(*vals))
     except (struct.error, KeyError):
         raise AssertionError("coefficient exceeds the 32-bit range") from None
-
-
-def _reduced(a: int, b: int, c: int, d: int, k: int) -> tuple[int, int, int, int, int]:
-    """The reduced form of (a + bω + cω² + dω³)/√2^k."""
-    if not (a or b or c or d):
-        return 0, 0, 0, 0, 0
-    # √2 divides the numerator iff a ≡ c and b ≡ d (mod 2); the quotient is
-    # the inverse of the ×√2 map (a,b,c,d) -> (b−d, a+c, b+d, c−a)
-    while k and (a ^ c) & 1 == 0 and (b ^ d) & 1 == 0:
-        a, b, c, d = (b - d) >> 1, (a + c) >> 1, (b + d) >> 1, (c - a) >> 1
-        k -= 1
-    return a, b, c, d, k
 
 
 def _scaled(a: int, b: int, c: int, d: int, gap: int) -> tuple[int, int, int, int]:
@@ -110,7 +99,7 @@ def mat_mul(x: bytes, y: bytes, dim: int) -> bytes:
                 sb += a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2
                 sc += a1 * c2 + b1 * b2 + c1 * a2 - d1 * d2
                 sd += a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2
-            out += _reduced(sa, sb, sc, sd, k)
+            out += reduce_entry(sa, sb, sc, sd, k)
     return _pack(out)
 
 
@@ -132,7 +121,7 @@ def mat_tensor(x: bytes, y: bytes) -> bytes:
     for p, q in _TENSOR_CELLS:
         a1, b1, c1, d1, k1 = xs[p : p + 5]
         a2, b2, c2, d2, k2 = ys[q : q + 5]
-        out += _reduced(
+        out += reduce_entry(
             a1 * a2 - b1 * d2 - c1 * c2 - d1 * b2,
             a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
             a1 * c2 + b1 * b2 + c1 * a2 - d1 * d2,

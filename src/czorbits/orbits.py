@@ -1,10 +1,10 @@
 """Left-coset partition of the two-qubit group under local Cliffords.
 
 Two elements are equivalent when they differ by left multiplication with
-an element of LC2; the classes are the left cosets LC2*U, found as the
-orbits of the integer left actions of LC2's generators on element ids.
-The atlas maps every element id to its orbit id, keeps sorted member
-lists, and (after labeling) each orbit's CZ layer. Orbit ids are 1-based.
+an element of LC2; the classes are the left cosets LC2*U, which C2's
+closure meets one at a time and keeps as rows of element ids. The atlas
+maps every element id to its orbit id, keeps sorted member lists, and
+(after labeling) each orbit's CZ layer. Orbit ids are 1-based.
 """
 
 from __future__ import annotations
@@ -58,32 +58,24 @@ class OrbitAtlas:
 
 
 def partition(c2: GroupTable, lc2: GroupTable) -> OrbitAtlas:
-    """Split c2 into left cosets of lc2, labeled in discovery order.
+    """Split c2 into the left cosets of lc2 that its closure met.
 
-    Every id takes the minimum of its neighbours' labels under the left
-    actions on c2 of lc2's generators until nothing changes, leaving each
-    coset labeled by its minimal id; orbit ids follow those minima in
-    increasing order.
+    c2's closure searches whole left cosets of the subgroup its local
+    generators make, LC2 for build_c2, and keeps them as rows of ids. Each
+    coset is sorted, so its least id leads, and orbit ids follow those least
+    ids in increasing order.
     """
-    actions = [c2.left(label) for label in lc2.alphabet]
-    low = np.arange(len(c2), dtype=np.int32)
-    while True:
-        nxt = low.copy()
-        for act in actions:
-            np.minimum(nxt, low[act], out=nxt)
-        if np.array_equal(nxt, low):
-            break
-        low = nxt
-    reps, orbit_index = np.unique(low, return_inverse=True)
-    orbit_of = (orbit_index + 1).tolist()
-    members = [array("i", np.flatnonzero(orbit_index == k).tolist()) for k in range(len(reps))]
-    sizes = {len(m) for m in members}
-    if len(members) != len(c2) // len(lc2) or sizes != {len(lc2)}:
+    cosets = np.sort(c2.cosets, axis=1)
+    cosets = cosets[np.argsort(cosets[:, 0])]
+    if cosets.shape != (len(c2) // len(lc2), len(lc2)):
         raise VerificationError(
             f"expected {len(c2) // len(lc2)} cosets of size {len(lc2)}, "
-            f"got {len(members)} with sizes {sorted(sizes)}"
+            f"got {len(cosets)} of size {cosets.shape[1]}"
         )
-    return OrbitAtlas(orbit_of, members, c2.identity_id)
+    orbit_of = np.empty(len(c2), dtype=np.int32)
+    orbit_of[cosets] = np.arange(1, len(cosets) + 1, dtype=np.int32)[:, None]
+    members = [array("i", coset.tobytes()) for coset in cosets]
+    return OrbitAtlas(orbit_of.tolist(), members, c2.identity_id)
 
 
 def assign_layers_and_labels(atlas: OrbitAtlas, graph) -> tuple:

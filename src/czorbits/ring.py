@@ -28,13 +28,14 @@ def parse_integer(text: str) -> int:
     return int(text)
 
 
-def _reduce(a: int, b: int, c: int, d: int, k: int) -> tuple[int, int, int, int, int]:
-    if a == 0 and b == 0 and c == 0 and d == 0:
+def reduce_entry(a: int, b: int, c: int, d: int, k: int) -> tuple[int, int, int, int, int]:
+    """The reduced form of (a + bω + cω² + dω³)/√2^k, for k >= 0."""
+    if not (a or b or c or d):
         return 0, 0, 0, 0, 0
     # √2 divides the numerator iff a ≡ c and b ≡ d (mod 2); the quotient is
-    # the inverse of the push-down map (a,b,c,d) -> (b−d, a+c, b+d, c−a).
-    while k > 0 and (a ^ c) & 1 == 0 and (b ^ d) & 1 == 0:
-        a, b, c, d = (b - d) // 2, (a + c) // 2, (b + d) // 2, (c - a) // 2
+    # the inverse of the ×√2 map (a,b,c,d) -> (b−d, a+c, b+d, c−a)
+    while k and (a ^ c) & 1 == 0 and (b ^ d) & 1 == 0:
+        a, b, c, d = (b - d) >> 1, (a + c) >> 1, (b + d) >> 1, (c - a) >> 1
         k -= 1
     return a, b, c, d, k
 
@@ -50,7 +51,7 @@ def parse_entry(text: str) -> tuple[int, int, int, int, int]:
         raise ValueError(f"denominator exponent out of range in {text!r}")
     if max(abs(a), abs(b), abs(c), abs(d)) >= COEF_LIMIT:
         raise ValueError(f"coefficient out of range in {text!r}")
-    return _reduce(a, b, c, d, k)
+    return reduce_entry(a, b, c, d, k)
 
 
 class CycloNum:
@@ -59,7 +60,7 @@ class CycloNum:
     def __init__(self, a: int, b: int = 0, c: int = 0, d: int = 0, k: int = 0) -> None:
         if k < 0:
             raise AssertionError(f"negative denominator exponent {k}")
-        a, b, c, d, k = _reduce(a, b, c, d, k)
+        a, b, c, d, k = reduce_entry(a, b, c, d, k)
         self._a = check_coeff(a)
         self._b = check_coeff(b)
         self._c = check_coeff(c)

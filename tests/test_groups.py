@@ -260,6 +260,42 @@ class TestClosureAgainstReference:
         assert table.right.tolist() == right
 
 
+class TestCosetSearch:
+    """A closure that meets whole left cosets of its local generators' subgroup
+    makes the table a closure without them makes, and keeps the cosets."""
+
+    @pytest.mark.parametrize("name, generators, local, shape", [
+        ("hh-cz", {"HH": H.tensor(H), "CZ": CZ}, ("HH",), (6, 2)),
+        ("c2", C2_GENERATORS, ("H1", "P1", "H2", "P2"), (20, 4608)),
+    ])
+    def test_cosets_change_no_field(self, name, generators, local, shape):
+        plain, by_cosets = closure(generators, name), closure(generators, name, local)
+        assert by_cosets.book == plain.book
+        for field in ("keys", "parent", "label", "right"):
+            got, want = getattr(by_cosets, field), getattr(plain, field)
+            assert got.dtype == want.dtype and np.array_equal(got, want), field
+        assert plain.cosets.shape == (len(plain), 1)
+        assert by_cosets.cosets.shape == shape and by_cosets.cosets.dtype == np.int32
+        assert sorted(by_cosets.cosets.ravel().tolist()) == list(range(len(plain)))
+
+    def test_c2_cosets_are_closed_under_lc2_left_actions(self, ws):
+        cosets = ws.c2.cosets
+        coset_of = np.empty(len(ws.c2), dtype=np.int64)
+        coset_of[cosets] = np.arange(len(cosets))[:, None]
+        for label in ws.lc2.alphabet:
+            moved = coset_of[ws.c2.left(label)[cosets]]
+            assert (moved == np.arange(len(cosets))[:, None]).all(), label
+
+    def test_identity_coset_is_lc2(self, ws):
+        lc2_ids = sorted(ws.c2.contains(ws.lc2.element(e)) for e in range(len(ws.lc2)))
+        (row,) = [c for c in ws.c2.cosets if ws.c2.identity_id in c]
+        assert sorted(row.tolist()) == lc2_ids
+
+    def test_unknown_local_label_rejected(self):
+        with pytest.raises(ValueError):
+            closure(C1_GENERATORS, "c1", local=("X",))
+
+
 class TestLc2FromC2:
     def test_derived_lc2_equals_its_own_closure(self, ws):
         """LC2 read off C2's tables is the table closing H1, P1, H2, P2 makes."""
@@ -286,6 +322,12 @@ class TestClosureValidation:
         with pytest.raises(VerificationError):
             closure(C1_GENERATORS, "capped")
         assert CLOSURE_CAP == 10**6
+
+    def test_cap_counts_the_keys_of_whole_cosets(self, monkeypatch):
+        # the subgroup {I, HH} closes in 2 keys; the six cosets hold 12
+        monkeypatch.setattr(groups, "CLOSURE_CAP", 11)
+        with pytest.raises(VerificationError, match="exceeded 11 elements"):
+            closure({"HH": H.tensor(H), "CZ": CZ}, "capped", local=("HH",))
 
     def test_rejects_non_unitary_generator(self):
         shear = GateMatrix.from_entries([[ONE, ONE], [ZERO, ONE]])

@@ -2,10 +2,41 @@
 
 import random
 
+import numpy as np
+
+import pytest
+
+from czorbits.errors import VerificationError
+from czorbits.groups import closure
 from czorbits.matrices import CNOT_T1, CNOT_T2, CZ, H, I4, P, SWAP
+from czorbits.orbits import partition
+
+
+def _fixpoint_orbit_of(c2, lc2):
+    """Orbit ids found without the closure's cosets: every id takes the least
+    label among its neighbours under the left actions on c2 of lc2's
+    generators until nothing changes; orbit ids follow the minima in
+    increasing order."""
+    actions = [c2.left(label) for label in lc2.alphabet]
+    low = np.arange(len(c2))
+    while True:
+        nxt = low.copy()
+        for act in actions:
+            np.minimum(nxt, low[act], out=nxt)
+        if np.array_equal(nxt, low):
+            return (np.unique(low, return_inverse=True)[1] + 1).tolist()
+        low = nxt
 
 
 class TestPartition:
+    def test_cosets_label_as_the_fixpoint_does(self, ws):
+        assert partition(ws.c2, ws.lc2).orbit_of == _fixpoint_orbit_of(ws.c2, ws.lc2)
+
+    def test_cosets_of_another_size_rejected(self, ws):
+        hh_cz = closure({"HH": H.tensor(H), "CZ": CZ}, "hh-cz", local=("HH",))
+        with pytest.raises(VerificationError, match="expected 0 cosets of size 4608"):
+            partition(hh_cz, ws.lc2)
+
     def test_twenty_orbits_of_4608(self, ws):
         assert ws.atlas.n_orbits == 20
         for oid in range(1, 21):
