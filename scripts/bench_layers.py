@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_layers.py --baseline ../parent --runs 5 --out BENCH_16.json
+    python3 scripts/bench_layers.py --baseline ../parent --runs 5 --out BENCH_17.json
 
 Every run is a fresh interpreter (this script with --measure) that imports
 czorbits from one tree's src/. It times `import czorbits.cli`, then one cold
@@ -10,11 +10,15 @@ czorbits from one tree's src/. It times `import czorbits.cli`, then one cold
 `czorbits.workspace` calls (the C1 and C2 closures; LC2, read off C2's
 `right` by the closures' own tree walk since BENCH_13.json, by a walk of its
 own in BENCH_12.json and closed on its own before; the partition, the CZ
-graph and the synthesis plans), then `format_table(c2)`, which builds C2's file as one
-string, and `write_tables` into a temporary directory, which streams all
-three table files to disk as `generate` does, and (since BENCH_16.json)
-`orbit_map_s`, the orbit map streamed to `orbit_map.txt` there as `orbits`
-writes it, then the wall time of
+graph and the synthesis plans). Since BENCH_17.json `partition_s` includes
+the CZ layer walk and the orbit labelling; earlier trees ran those after the
+graph, unattributed inside `build_workspace_s`, so compare a tree from
+before BENCH_17.json with one after it on `build_workspace_s`. Then
+`format_table(c2)`, which builds C2's file as one string, and
+`write_tables` into a temporary directory, which streams all three table
+files to disk as `generate` does, and (since BENCH_16.json) `orbit_map_s`,
+the orbit map streamed to `orbit_map.txt` there as `orbits` writes it, then
+the wall time of
 `czorbits lookup --element 83679` in a fresh interpreter with those table
 files on disk (`python -m czorbits.cli`, which rebuilds the workspace as
 every command does), and the mean time
@@ -204,7 +208,7 @@ def main() -> int:
     p.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--baseline", type=Path, help="checkout to compare against (the parent)")
     p.add_argument("--runs", type=int, default=5, help="fresh interpreters per tree")
-    p.add_argument("--out", type=Path, default=ROOT / "BENCH_16.json")
+    p.add_argument("--out", type=Path, default=ROOT / "BENCH_17.json")
     args = p.parse_args()
     if args.measure:
         print(json.dumps(measure()))

@@ -73,14 +73,6 @@ class CzGraph:
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset((a, b) for a, b, _ in self.edges())
 
-    def relabeled(self, order: list[int]) -> CzGraph:
-        """The same graph with orbit order[k] renamed k + 1; witnesses are
-        element ids, which renaming orbits leaves as they are."""
-        new_of_old = {old: new + 1 for new, old in enumerate(order)}
-        weight = [[self.weight[a - 1][b - 1] for b in order] for a in order]
-        witnesses = {(new_of_old[a], new_of_old[b]): e for (a, b), e in self.witnesses.items()}
-        return CzGraph(weight, witnesses)
-
 
 def build_graph(atlas: OrbitAtlas, action: np.ndarray) -> CzGraph:
     """Weight matrix of the pushforward through a left action.
@@ -194,7 +186,7 @@ def cnot_graph_equivalence(atlas: OrbitAtlas, c2: GroupTable, graph: CzGraph) ->
 
 def to_dot(graph: CzGraph, atlas: OrbitAtlas) -> str:
     lines = ["graph cz_orbits {"]
-    for lv in sorted(set(atlas.layers or [])):
+    for lv in sorted(set(atlas.layers)):
         nodes = [f"O{o}" for o in range(1, graph.n + 1) if atlas.layer(o) == lv]
         lines.append(f"  {{ rank=same; {'; '.join(nodes)}; }}")
     for oid in range(1, graph.n + 1):

@@ -4,13 +4,12 @@ Two elements are equivalent when they differ by left multiplication with
 an element of LC2; the classes are the left cosets LC2*U, which C2's
 closure meets one at a time and keeps as rows of element ids. The atlas
 maps every element id to its orbit id, keeps sorted member lists, and
-(after labeling) each orbit's CZ layer. Orbit ids are 1-based.
+each orbit's CZ layer. Orbit ids are 1-based.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Optional
 
 import numpy as np
 
@@ -19,21 +18,17 @@ from czorbits.groups import GroupTable
 
 
 class OrbitAtlas:
-    """Immutable orbit partition with optional layer assignment."""
+    """Immutable orbit partition with each orbit's CZ layer."""
 
     def __init__(
-        self,
-        orbit_of: list[int],
-        members: list[array],
-        ident_eid: int,
-        layers: Optional[list[int]] = None,
+        self, orbit_of: list[int], members: list[array], ident_eid: int, layers: list[int]
     ) -> None:
         self.orbit_of = orbit_of
         # members[oid - 1]: the orbit's element ids, ascending, as int32
         self.members = members
-        # element id of the identity matrix in the underlying table; BFS
-        # layering is anchored at its orbit
+        # element id of the identity matrix in the underlying table
         self.ident_eid = ident_eid
+        # layers[oid - 1]: the orbit's CZ layer, 0 for the identity's orbit
         self.layers = layers
 
     @property
@@ -52,62 +47,44 @@ class OrbitAtlas:
         return self.members[oid - 1][0]
 
     def layer(self, oid: int) -> int:
-        if self.layers is None:
-            raise ValueError("layers not assigned yet")
         return self.layers[oid - 1]
 
 
-def partition(c2: GroupTable, lc2: GroupTable) -> OrbitAtlas:
-    """Split c2 into the left cosets of lc2 that its closure met.
+def partition(c2: GroupTable, lc2: GroupTable, cz: np.ndarray) -> OrbitAtlas:
+    """Split c2 into the left cosets of lc2 that its closure met, labelled.
 
     c2's closure searches whole left cosets of the subgroup its local
-    generators make, LC2 for build_c2, and keeps them as rows of ids. Each
-    coset is sorted, so its least id leads, and orbit ids follow those least
-    ids in increasing order.
+    generators make, LC2 for build_c2, and keeps them as rows of ids; cz is
+    CZ's left action on those ids, as GroupTable.left gives it.
     """
-    cosets = np.sort(c2.cosets, axis=1)
-    cosets = cosets[np.argsort(cosets[:, 0])]
-    if cosets.shape != (len(c2) // len(lc2), len(lc2)):
+    if c2.cosets.shape != (len(c2) // len(lc2), len(lc2)):
         raise VerificationError(
             f"expected {len(c2) // len(lc2)} cosets of size {len(lc2)}, "
-            f"got {len(cosets)} of size {cosets.shape[1]}"
+            f"got {len(c2.cosets)} of size {c2.cosets.shape[1]}"
         )
+    cosets, layers = assign_layers_and_labels(np.sort(c2.cosets, axis=1), cz, c2.identity_id)
     orbit_of = np.empty(len(c2), dtype=np.int32)
     orbit_of[cosets] = np.arange(1, len(cosets) + 1, dtype=np.int32)[:, None]
     members = [array("i", coset.tobytes()) for coset in cosets]
-    return OrbitAtlas(orbit_of.tolist(), members, c2.identity_id)
+    return OrbitAtlas(orbit_of.tolist(), members, c2.identity_id, layers.tolist())
 
 
-def assign_layers_and_labels(atlas: OrbitAtlas, graph) -> tuple:
-    """Relabel orbits deterministically and attach CZ layers; returns the
-    relabeled atlas and the CzGraph `graph` under the same relabeling.
+def assign_layers_and_labels(cosets: np.ndarray, cz: np.ndarray, ident_eid: int) -> tuple:
+    """The cosets in orbit order, (layer, least id), and their CZ layers.
 
-    Layers come from BFS over the quotient graph starting at the orbit of
-    the identity (layer 0). Final ids sort by (layer, representative), so
-    labeling is reproducible; in particular the identity orbit becomes
-    orbit 1 and the unique deepest orbit takes the last id.
+    A breadth-first walk from the identity's coset, layer 0, steps from a
+    coset to every coset that CZ times one of its members lies in.
     """
-    n = atlas.n_orbits
-    start = atlas.orbit_of[atlas.ident_eid]
-
-    layer_of = {start: 0}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for oid in frontier:
-            for other in range(1, n + 1):
-                if graph.weight[oid - 1][other - 1] and other not in layer_of:
-                    layer_of[other] = layer_of[oid] + 1
-                    nxt.append(other)
-        frontier = nxt
-    if len(layer_of) != n:
+    n = len(cosets)
+    coset_of = np.empty(len(cz), dtype=np.int32)
+    coset_of[cosets] = np.arange(n)[:, None]
+    layer = np.full(n, n)
+    layer[coset_of[ident_eid]] = 0
+    for depth in range(n - 1):
+        hit = np.zeros(n, dtype=bool)
+        hit[coset_of[cz[cosets[layer == depth]]]] = True
+        layer[hit & (layer == n)] = depth + 1
+    if (layer == n).any():
         raise VerificationError("quotient graph is disconnected")
-
-    old_order = sorted(
-        range(1, n + 1), key=lambda o: (layer_of[o], atlas.representative(o))
-    )
-    new_of_old = {old: new + 1 for new, old in enumerate(old_order)}
-    orbit_of = [new_of_old[o] for o in atlas.orbit_of]
-    members = [atlas.members[old - 1] for old in old_order]
-    layers = [layer_of[old] for old in old_order]
-    return OrbitAtlas(orbit_of, members, atlas.ident_eid, layers), graph.relabeled(old_order)
+    order = np.lexsort((cosets[:, 0], layer))
+    return cosets[order], layer[order]

@@ -1,11 +1,11 @@
 """One-stop construction of the full group/orbit/graph workspace.
 
-Building everything from scratch takes 0.25-0.5 s on a shared 2-vCPU
-machine, most of it the C2 closure, off which LC2 is read; commands simply
-rebuild in memory on every invocation, and the table files on disk act as
-the deterministic persistence layer. When files are present they can be
-validated by byte comparison against the regenerated content, which catches
-truncation or editing without trusting any cached state.
+Building everything from scratch takes 0.1-0.2 s on a shared 2-vCPU
+machine (BENCH_17.json), most of it the C2 closure, off which LC2 is read;
+commands simply rebuild in memory on every invocation, and the table files
+on disk act as the deterministic persistence layer. When files are present
+they can be validated by byte comparison against the regenerated content,
+which catches truncation or editing without trusting any cached state.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from czorbits.errors import InputFormatError
 from czorbits.graph import CzGraph, build_graph, check_isomorphic, check_weight_law
 from czorbits.groups import GroupTable, build_c1, build_c2, build_lc2
 from czorbits.io import table_records, write_atomic
-from czorbits.orbits import OrbitAtlas, assign_layers_and_labels, partition
+from czorbits.orbits import OrbitAtlas, partition
 from czorbits.synth import Synthesizer
 
 TABLE_NAMES = ("c1", "lc2", "c2")
@@ -56,10 +56,10 @@ def build_workspace(fresh: bool = False) -> Workspace:
     c1 = build_c1()
     c2 = build_c2()
     lc2 = build_lc2(c1, c2)
-    pre = partition(c2, lc2)
-    graph = build_graph(pre, c2.left("CZ"))
+    cz = c2.left("CZ")
+    atlas = partition(c2, lc2, cz)
+    graph = build_graph(atlas, cz)
     check_weight_law(graph)
-    atlas, graph = assign_layers_and_labels(pre, graph)
     bijection = check_isomorphic(graph.edge_set())
     synthesizer = Synthesizer(c1, lc2, c2, atlas, graph)
     ws = Workspace(c1, lc2, c2, atlas, graph, bijection, synthesizer)

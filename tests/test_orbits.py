@@ -30,12 +30,33 @@ def _fixpoint_orbit_of(c2, lc2):
 
 class TestPartition:
     def test_cosets_label_as_the_fixpoint_does(self, ws):
-        assert partition(ws.c2, ws.lc2).orbit_of == _fixpoint_orbit_of(ws.c2, ws.lc2)
+        orbit_of = partition(ws.c2, ws.lc2, ws.c2.left("CZ")).orbit_of
+        fixpoint = _fixpoint_orbit_of(ws.c2, ws.lc2)
+        assert sorted(set(orbit_of)) == sorted(set(fixpoint)) == list(range(1, 21))
+        # one fixpoint class per orbit and one orbit per fixpoint class
+        assert len(set(zip(orbit_of, fixpoint))) == 20
+        assert orbit_of == ws.atlas.orbit_of
 
     def test_cosets_of_another_size_rejected(self, ws):
         hh_cz = closure({"HH": H.tensor(H), "CZ": CZ}, "hh-cz", local=("HH",))
         with pytest.raises(VerificationError, match="expected 0 cosets of size 4608"):
-            partition(hh_cz, ws.lc2)
+            partition(hh_cz, ws.lc2, hh_cz.left("CZ"))
+
+    def test_disconnected_quotient_rejected(self, ws):
+        # under the identity action every coset reaches only itself
+        with pytest.raises(VerificationError, match="quotient graph is disconnected"):
+            partition(ws.c2, ws.lc2, np.arange(len(ws.c2)))
+
+    def test_build_calls_no_np_unique(self, monkeypatch):
+        # np.unique's first call in a process costs 11-21 ms (numpy 2.4.6,
+        # 2 vCPU), about as much as the partition and the graph together
+        from czorbits.workspace import build_workspace
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.unique called during the build")
+
+        monkeypatch.setattr(np, "unique", refuse)
+        build_workspace(fresh=True)
 
     def test_twenty_orbits_of_4608(self, ws):
         assert ws.atlas.n_orbits == 20
