@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_layers.py --baseline ../parent --runs 5 --out BENCH_17.json
+    python3 scripts/bench_layers.py --baseline ../parent --runs 5 --out BENCH_18.json
 
 Every run is a fresh interpreter (this script with --measure) that imports
 czorbits from one tree's src/. It times `import czorbits.cli`, then one cold
@@ -39,9 +39,10 @@ them, `kernels.mat_tensor` of 192 pairs of C1 elements, and
 `synth.evaluate` of their circuits after one warm pass over the same
 circuits; and last one `run_verification(ws)` call, the whole verification
 suite. Runs alternate between the two trees; the output holds every
-sample and the median of each figure per tree, with the machine, each
-tree's git revision and its non-generated line count (the lines of
-src/czorbits/*.py).
+sample and, per tree, the median of each figure and (since BENCH_18.json)
+its first and third quartiles (`statistics.quantiles`), so that the spread
+of a figure shows next to it, with the machine, each tree's git revision
+and its non-generated line count (the lines of src/czorbits/*.py).
 """
 
 from __future__ import annotations
@@ -207,12 +208,14 @@ def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--baseline", type=Path, help="checkout to compare against (the parent)")
-    p.add_argument("--runs", type=int, default=5, help="fresh interpreters per tree")
-    p.add_argument("--out", type=Path, default=ROOT / "BENCH_17.json")
+    p.add_argument("--runs", type=int, default=5, help="fresh interpreters per tree, at least 2")
+    p.add_argument("--out", type=Path, default=ROOT / "BENCH_18.json")
     args = p.parse_args()
     if args.measure:
         print(json.dumps(measure()))
         return 0
+    if args.runs < 2:
+        p.error("--runs must be at least 2 for the quartiles")
 
     trees = {"change": ROOT}
     if args.baseline is not None:
@@ -234,7 +237,10 @@ def main() -> int:
     }
     for side, runs in samples.items():
         median = {k: statistics.median(r[k] for r in runs) for k in runs[0]}
-        result[side] = {**revision(trees[side]), "median": median, "samples": runs}
+        # the first and third quartiles of each figure
+        quartiles = {k: statistics.quantiles([r[k] for r in runs], n=4)[::2] for k in runs[0]}
+        result[side] = {**revision(trees[side]), "median": median, "quartiles": quartiles,
+                        "samples": runs}
         print(side, json.dumps({k: round(v, 3) for k, v in median.items()}))
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0

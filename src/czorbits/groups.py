@@ -112,7 +112,7 @@ class GroupTable:
         # generator of the alphabet
         self.right = right
         # cosets[c] (int32): the ids of one left coset of the subgroup that the
-        # closure's local generators make, one row per coset; set by closure()
+        # closure's local generators make, ascending, one row per coset; set by closure()
         self.cosets = cosets
         # pairs: for the local group, the (wire-1 id, wire-2 id) factor
         # pair of each element over the single-qubit table, set by build_lc2
@@ -257,13 +257,15 @@ def _level_search(gens: list[tuple[str, GateMatrix]], dim: int, name: str,
     parent, label, right and cosets. The subgroup the `local_cols` generators make
     is met from the identity in blocks of one key; the group is then met from
     that subgroup in blocks of its width, each block a left coset. The keys,
-    sorted, are the ids; each coset's row of ids is in the order its block met them."""
+    sorted, are the ids; each coset's row holds its ids ascending, the rows in
+    the order the search met their blocks."""
     book, act, identity = _row_book(gens, dim, name)
     start = _pack(identity[:, None, None])
     subgroup = _blocks(act[local_cols], start, dim, name)
     blocks = _blocks(act, subgroup.reshape(1, -1), dim, name)
     order, ranks = _ranks(blocks.ravel())
     keys, cosets = blocks.ravel()[order], ranks.reshape(blocks.shape)
+    cosets.sort(axis=1)  # in place: a sorted copy would raise the search's peak
     del blocks, order  # freed before the rows below, the search's peak of memory
     rows, right = _unpack(keys, dim), np.empty((len(keys), len(gens)), dtype=np.int32)
     for g, a in enumerate(act):  # x * g runs over the group once as x does

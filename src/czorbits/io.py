@@ -13,14 +13,13 @@ file "orbit_id layer size representative_encoding" with the encoding in hex.
 from __future__ import annotations
 
 import os
-import struct
 import sys
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from czorbits.encoding import BIAS, unpack_entries
+from czorbits.encoding import pack_values, unpack_values
 from czorbits.errors import InputFormatError
 from czorbits.groups import GroupTable
 from czorbits.matrices import GateMatrix
@@ -33,20 +32,19 @@ _ENTRY = "%d,%d,%d,%d/%d"
 CHUNK_BYTES = 1 << 20
 
 
-def _template(dim: int) -> str:
-    """The text of one dim x dim matrix, with a %s slot per entry."""
-    row = " ".join(["%s"] * dim)
-    return "\n".join([str(dim), *[row] * dim]) + "\n"
+def _row(dim: int) -> str:
+    """The text of one row of dim entries, with five %d slots per entry."""
+    return " ".join([_ENTRY] * dim) + "\n"
 
 
 def format_matrix(m: GateMatrix) -> str:
     # stored entries are reduced, so their five integers print as they are
-    return _template(m.dim) % tuple(_ENTRY % e for e in unpack_entries(m.data))
+    return (f"{m.dim}\n" + _row(m.dim) * m.dim) % tuple(unpack_values(m.data))
 
 
 def parse_matrix(text: str) -> GateMatrix:
     """The matrix of the text format; each entry is parsed and reduced by
-    `ring.parse_entry` and packed into the encoding with one struct call."""
+    `ring.parse_entry` and the matrix packed with one `pack_values` call."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise InputFormatError("empty matrix text")
@@ -60,18 +58,17 @@ def parse_matrix(text: str) -> GateMatrix:
         raise InputFormatError(
             f"expected {dim} rows after the dimension, got {len(lines) - 1}"
         )
-    words: list[int] = []
+    values: list[int] = []
     for ln in lines[1:]:
         tokens = ln.split()
         if len(tokens) != dim:
             raise InputFormatError(f"expected {dim} entries per row, got {ln!r}")
         try:
             for tok in tokens:
-                a, b, c, d, k = parse_entry(tok)
-                words += (a + BIAS, b + BIAS, c + BIAS, d + BIAS, k)
+                values += parse_entry(tok)
         except ValueError as exc:
             raise InputFormatError(str(exc)) from None
-    return GateMatrix(dim, struct.pack(f">{len(words)}I", *words))
+    return GateMatrix(dim, pack_values(values))
 
 
 def table_records(table: GroupTable) -> Iterator[bytes]:
@@ -82,8 +79,7 @@ def table_records(table: GroupTable) -> Iterator[bytes]:
     no whole file is held."""
     yield f"{TABLE_MAGIC} {TABLE_VERSION} {table.name} {len(table)}\n".encode()
     dim = table.dim
-    rest = [(" ".join(_ENTRY % e for e in unpack_entries(row)) + "\n").encode()
-            for row in table.book]
+    rest = [(_row(dim) % tuple(unpack_values(row))).encode() for row in table.book]
     first = [b"%d\n" % dim + piece for piece in rest]
     pieces, shift = np.array(first + rest, dtype=object), np.repeat([0, len(rest)], [1, dim - 1])
     longest = max(map(len, first)) + (dim - 1) * max(map(len, rest))

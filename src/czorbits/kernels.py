@@ -1,9 +1,9 @@
 """Exact matrix kernels over packed encodings.
 
 Matrices are the packed byte encodings described in `encoding`, entries
-(a,b,c,d,k) meaning (a + bω + cω² + dω³)/√2^k with ω⁴ = −1. Every output is
-reduced, and reduced forms are unique, so a product's bytes depend only on
-its value.
+(a,b,c,d,k) meaning (a + bω + cω² + dω³)/√2^k with ω⁴ = −1, read and written
+with its codec. Every output is reduced, and reduced forms are unique, so a
+product's bytes depend only on its value.
 
 `mat_mul`, `mat_tensor` and `mat_dagger` act on one matrix in Python
 integers. `mat_mul` lifts each operand once to its largest exponent, skips
@@ -17,43 +17,12 @@ independent oracle that `verify` holds every closure's Cayley table to.
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
-from .encoding import BIAS, COEF_LIMIT, ENTRY_BYTES, K_LIMIT
+from .encoding import BIAS, COEF_LIMIT, ENTRY_BYTES, K_LIMIT, pack_values, unpack_values
 from .ring import reduce_entry
 
 BACKEND = "pure-python"
-
-# per entry four signed coefficients and the unsigned exponent
-_STRUCTS = {size: struct.Struct(">" + "4iI" * (size // 5)) for size in (20, 80)}
-# Adding the bias 2^31 to a 32-bit word is, mod 2^32, flipping its top bit:
-# XOR with this mask turns the biased coefficient words into signed ones and
-# back, and leaves the exponent words alone.
-_SIGN_BITS = {
-    size * 4: int.from_bytes((b"\x80\0\0\0" * 4 + bytes(4)) * (size // 5), "big")
-    for size in _STRUCTS
-}
-
-
-def _flip(data: bytes) -> bytes:
-    return (int.from_bytes(data, "big") ^ _SIGN_BITS[len(data)]).to_bytes(len(data), "big")
-
-
-def _unpack(data: bytes) -> list[int]:
-    st = _STRUCTS.get(len(data) // 4)
-    if st is None or st.size != len(data):
-        raise ValueError(f"bad matrix encoding length {len(data)}")
-    return list(st.unpack(_flip(data)))
-
-
-def _pack(vals: list[int]) -> bytes:
-    try:
-        return _flip(_STRUCTS[len(vals)].pack(*vals))
-    except (struct.error, KeyError):
-        raise AssertionError("coefficient exceeds the 32-bit range") from None
-
 
 def _scaled(a: int, b: int, c: int, d: int, gap: int) -> tuple[int, int, int, int]:
     """The numerator times √2^gap: an odd gap's ×√2 step (√2 = ω − ω³), then a shift."""
@@ -66,7 +35,7 @@ def _scaled(a: int, b: int, c: int, d: int, gap: int) -> tuple[int, int, int, in
 def _lifted(data: bytes) -> tuple[list, int]:
     """The numerators of one matrix's entries in row-major order, all on the
     matrix's largest exponent k (m = num / √2^k), None for a zero entry, and k."""
-    vals = _unpack(data)
+    vals = unpack_values(data)
     top = max(vals[4::5])
     return [
         None if not (a or b or c or d)
@@ -100,7 +69,7 @@ def mat_mul(x: bytes, y: bytes, dim: int) -> bytes:
                 sc += a1 * c2 + b1 * b2 + c1 * a2 - d1 * d2
                 sd += a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2
             out += reduce_entry(sa, sb, sc, sd, k)
-    return _pack(out)
+    return pack_values(out)
 
 
 # (entry of x, entry of y) behind each entry of x (x) y, row-major; basis
@@ -116,7 +85,7 @@ def mat_tensor(x: bytes, y: bytes) -> bytes:
     of an entry of x and an entry of y, reduced."""
     if len(x) != 80 or len(y) != 80:
         raise ValueError("tensor expects two 2x2 encodings")
-    xs, ys = _unpack(x), _unpack(y)
+    xs, ys = unpack_values(x), unpack_values(y)
     out: list[int] = []
     for p, q in _TENSOR_CELLS:
         a1, b1, c1, d1, k1 = xs[p : p + 5]
@@ -128,19 +97,19 @@ def mat_tensor(x: bytes, y: bytes) -> bytes:
             a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2,
             k1 + k2,
         )
-    return _pack(out)
+    return pack_values(out)
 
 
 def mat_dagger(x: bytes, dim: int) -> bytes:
     if len(x) != dim * dim * 20:
         raise ValueError("matrix encoding does not match dimension")
-    entries = list(zip(*[iter(_unpack(x))] * 5))
+    entries = list(zip(*[iter(unpack_values(x))] * 5))
     out: list[int] = []
     for i in range(dim):
         # row i is column i conjugated, (a,b,c,d) -> (a,−d,−c,−b): still reduced
         for a, b, c, d, k in entries[i::dim]:
             out += (a, -d, -c, -b, k)
-    return _pack(out)
+    return pack_values(out)
 
 
 # _OMEGA_MUL[c, s, t]: coefficient of ω^t in ω^c · ω^s, with ω⁴ = −1

@@ -13,7 +13,7 @@ from functools import total_ordering
 from typing import Iterable, Sequence
 
 from czorbits import kernels
-from czorbits.encoding import ENTRY_BYTES, unpack_entries
+from czorbits.encoding import ENTRY_BYTES, pack_values, unpack_values
 from czorbits.ring import IMAG_UNIT, INV_SQRT2, MINUS_ONE, ONE, ZERO, CycloNum
 
 
@@ -44,13 +44,9 @@ class GateMatrix:
     @classmethod
     def from_entries(cls, rows: Sequence[Sequence[CycloNum]]) -> GateMatrix:
         dim = len(rows)
-        chunks = []
-        for row in rows:
-            if len(row) != dim:
-                raise ValueError("matrix must be square")
-            for v in row:
-                chunks.append(v.pack())
-        return cls(dim, b"".join(chunks))
+        if any(len(row) != dim for row in rows):
+            raise ValueError("matrix must be square")
+        return cls(dim, pack_values([x for row in rows for v in row for x in v.coeffs()]))
 
     @classmethod
     def identity(cls, dim: int) -> GateMatrix:
@@ -98,20 +94,10 @@ class GateMatrix:
         # Galois conjugates of a unitary are unitary and an entry's four
         # conjugates have |.|² summing to 4(a²+b²+c²+d²)/2^k, so a unitary
         # entry has a²+b²+c²+d² <= 2^k; this also keeps M*M† in 32 bits.
-        for a, b, c, d, k in unpack_entries(self.data):
+        for a, b, c, d, k in zip(*[iter(unpack_values(self.data))] * 5):
             if a * a + b * b + c * c + d * d > 1 << k:
                 return False
         return self * self.dagger() == (I2 if self.dim == 2 else I4)
-
-    def to_numpy(self):
-        import numpy as np
-
-        n = self.dim
-        out = np.empty((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = self.entry(i, j).to_complex()
-        return out
 
 
 def _perm_rows(dim: int, perm: Iterable[int]) -> list[list[CycloNum]]:

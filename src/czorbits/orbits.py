@@ -2,14 +2,12 @@
 
 Two elements are equivalent when they differ by left multiplication with
 an element of LC2; the classes are the left cosets LC2*U, which C2's
-closure meets one at a time and keeps as rows of element ids. The atlas
-maps every element id to its orbit id, keeps sorted member lists, and
-each orbit's CZ layer. Orbit ids are 1-based.
+closure meets one at a time and keeps as rows of ascending element ids.
+The atlas shares those rows, maps every element id to its orbit id, and
+keeps each orbit's row and CZ layer. Orbit ids are 1-based.
 """
 
 from __future__ import annotations
-
-from array import array
 
 import numpy as np
 
@@ -20,12 +18,13 @@ from czorbits.groups import GroupTable
 class OrbitAtlas:
     """Immutable orbit partition with each orbit's CZ layer."""
 
-    def __init__(
-        self, orbit_of: list[int], members: list[array], ident_eid: int, layers: list[int]
-    ) -> None:
+    def __init__(self, orbit_of: list[int], cosets: np.ndarray, rows: list[int],
+                 ident_eid: int, layers: list[int]) -> None:
         self.orbit_of = orbit_of
-        # members[oid - 1]: the orbit's element ids, ascending, as int32
-        self.members = members
+        # cosets[rows[oid - 1]]: the orbit's element ids, ascending, as int32;
+        # cosets is the table's own array, not a copy
+        self.cosets = cosets
+        self.rows = rows
         # element id of the identity matrix in the underlying table
         self.ident_eid = ident_eid
         # layers[oid - 1]: the orbit's CZ layer, 0 for the identity's orbit
@@ -33,10 +32,10 @@ class OrbitAtlas:
 
     @property
     def n_orbits(self) -> int:
-        return len(self.members)
+        return len(self.rows)
 
-    def orbit_members(self, oid: int) -> array:
-        return self.members[oid - 1]
+    def orbit_members(self, oid: int) -> np.ndarray:
+        return self.cosets[self.rows[oid - 1]]
 
     def representative(self, oid: int) -> int:
         """Element id of the orbit's canonical (minimal) member.
@@ -44,7 +43,7 @@ class OrbitAtlas:
         Element ids rank the canonical encodings, so the minimal id is the
         lexicographically minimal encoding.
         """
-        return self.members[oid - 1][0]
+        return int(self.orbit_members(oid)[0])
 
     def layer(self, oid: int) -> int:
         return self.layers[oid - 1]
@@ -54,23 +53,24 @@ def partition(c2: GroupTable, lc2: GroupTable, cz: np.ndarray) -> OrbitAtlas:
     """Split c2 into the left cosets of lc2 that its closure met, labelled.
 
     c2's closure searches whole left cosets of the subgroup its local
-    generators make, LC2 for build_c2, and keeps them as rows of ids; cz is
-    CZ's left action on those ids, as GroupTable.left gives it.
+    generators make, LC2 for build_c2, and keeps them as rows of ascending
+    ids; cz is CZ's left action on those ids, as GroupTable.left gives it.
     """
-    if c2.cosets.shape != (len(c2) // len(lc2), len(lc2)):
+    cosets = c2.cosets
+    if cosets.shape != (len(c2) // len(lc2), len(lc2)):
         raise VerificationError(
             f"expected {len(c2) // len(lc2)} cosets of size {len(lc2)}, "
-            f"got {len(c2.cosets)} of size {c2.cosets.shape[1]}"
+            f"got {len(cosets)} of size {cosets.shape[1]}"
         )
-    cosets, layers = assign_layers_and_labels(np.sort(c2.cosets, axis=1), cz, c2.identity_id)
+    rows, layers = assign_layers_and_labels(cosets, cz, c2.identity_id)
     orbit_of = np.empty(len(c2), dtype=np.int32)
-    orbit_of[cosets] = np.arange(1, len(cosets) + 1, dtype=np.int32)[:, None]
-    members = [array("i", coset.tobytes()) for coset in cosets]
-    return OrbitAtlas(orbit_of.tolist(), members, c2.identity_id, layers.tolist())
+    orbit_of[cosets[rows]] = np.arange(1, len(rows) + 1, dtype=np.int32)[:, None]
+    return OrbitAtlas(orbit_of.tolist(), cosets, rows.tolist(), c2.identity_id, layers.tolist())
 
 
 def assign_layers_and_labels(cosets: np.ndarray, cz: np.ndarray, ident_eid: int) -> tuple:
-    """The cosets in orbit order, (layer, least id), and their CZ layers.
+    """The rows of `cosets`, each row's ids ascending, in orbit order, (layer,
+    least id), and their CZ layers.
 
     A breadth-first walk from the identity's coset, layer 0, steps from a
     coset to every coset that CZ times one of its members lies in.
@@ -87,4 +87,4 @@ def assign_layers_and_labels(cosets: np.ndarray, cz: np.ndarray, ident_eid: int)
     if (layer == n).any():
         raise VerificationError("quotient graph is disconnected")
     order = np.lexsort((cosets[:, 0], layer))
-    return cosets[order], layer[order]
+    return order, layer[order]

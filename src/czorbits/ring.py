@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import re
 
-from .encoding import COEF_LIMIT, K_LIMIT, check_coeff, pack_entry, unpack_entry
+from .encoding import COEF_LIMIT, K_LIMIT, check_coeff, pack_values, unpack_values
 
 _OMEGA_COMPLEX = cmath.exp(1j * cmath.pi / 4)
 _SQRT2 = 2.0**0.5
@@ -76,11 +76,6 @@ class CycloNum:
     def __str__(self) -> str:
         return f"{self._a},{self._b},{self._c},{self._d}/{self._k}"
 
-    @classmethod
-    def parse(cls, text: str) -> CycloNum:
-        """Parse the textual entry form "a,b,c,d/k"."""
-        return cls(*parse_entry(text))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CycloNum):
             return NotImplemented
@@ -109,11 +104,6 @@ class CycloNum:
             k2 += 1
         return CycloNum(a1 + a2, b1 + b2, c1 + c2, d1 + d2, k1)
 
-    def __sub__(self, other: CycloNum) -> CycloNum:
-        if not isinstance(other, CycloNum):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other: CycloNum) -> CycloNum:
         if not isinstance(other, CycloNum):
             return NotImplemented
@@ -128,21 +118,6 @@ class CycloNum:
             k1 + k2,
         )
 
-    def __pow__(self, n: int) -> CycloNum:
-        if n < 0:
-            raise ValueError("negative powers are not defined in this ring")
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def conjugate(self) -> CycloNum:
-        return CycloNum(self._a, -self._d, -self._c, -self._b, self._k)
-
     def to_complex(self) -> complex:
         num = (
             self._a
@@ -153,17 +128,15 @@ class CycloNum:
         return num / _SQRT2**self._k
 
     def pack(self) -> bytes:
-        return pack_entry(self._a, self._b, self._c, self._d, self._k)
+        return pack_values(self.coeffs())
 
     @classmethod
     def unpack(cls, data: bytes) -> CycloNum:
-        return cls(*unpack_entry(data))
+        return cls(*unpack_values(data))
 
 
 ZERO = CycloNum(0)
 ONE = CycloNum(1)
 MINUS_ONE = CycloNum(-1)
-OMEGA = CycloNum(0, 1, 0, 0)
 IMAG_UNIT = CycloNum(0, 0, 1, 0)
-SQRT2 = CycloNum(0, 1, 0, -1)
 INV_SQRT2 = CycloNum(1, 0, 0, 0, 1)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from czorbits import kernels
-from czorbits.encoding import ENTRY_BYTES, unpack_entries
+from czorbits.encoding import ENTRY_BYTES, unpack_values
 from czorbits.graph import cnot_graph_equivalence
 from czorbits.groups import GroupTable
 from czorbits.io import format_orbit_map, format_table
@@ -65,7 +65,8 @@ class VerificationReport:
 
 def _table_to_numpy(table: GroupTable) -> np.ndarray:
     """All elements as one (n, dim, dim) complex array, vectorized."""
-    book = [[CycloNum(*e).to_complex() for e in unpack_entries(row)] for row in table.book]
+    book = [[CycloNum(*e).to_complex() for e in zip(*[iter(unpack_values(row))] * 5)]
+            for row in table.book]
     return np.array(book)[table.row_ids(slice(None))]
 
 

@@ -12,7 +12,8 @@ from czorbits import kernels
 from czorbits.cli import main
 from czorbits.io import format_matrix
 from czorbits.matrices import CNOT_T1, CZ, GateMatrix, I4
-from czorbits.ring import OMEGA, ONE, ZERO
+from czorbits.ring import ONE, ZERO
+from ringref import OMEGA
 
 
 @pytest.fixture(scope="module")

@@ -19,8 +19,9 @@ from czorbits.matrices import (
     I4,
     P,
 )
-from czorbits.ring import IMAG_UNIT, OMEGA, ONE, ZERO
+from czorbits.ring import IMAG_UNIT, ONE, ZERO
 from czorbits.verify import _right_mismatches
+from ringref import OMEGA
 
 T = GateMatrix.from_entries([[ONE, ZERO], [ZERO, OMEGA]])
 

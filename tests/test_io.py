@@ -22,6 +22,7 @@ from czorbits.matrices import CZ, H, I4, GateMatrix
 from czorbits.ring import CycloNum
 from czorbits.synth import CZ_OP, Circuit, LocalOp
 from czorbits.workspace import ensure_tables, write_tables
+from ringref import parse
 
 
 class TestMatrixFormat:
@@ -81,7 +82,7 @@ class TestMatrixFormat:
         tokens = ["2,0,0,0/2", "1,0,1,0/1", "0,0,0,0/3", "-3,1,0,2/4"]
         text = "2\n%s %s\n%s %s\n" % tuple(tokens)
         expect = GateMatrix.from_entries(
-            [[CycloNum.parse(t) for t in tokens[:2]], [CycloNum.parse(t) for t in tokens[2:]]]
+            [[parse(t) for t in tokens[:2]], [parse(t) for t in tokens[2:]]]
         )
         assert parse_matrix(text) == expect
         assert expect.entry(0, 0) == CycloNum(1) and expect.entry(0, 1) == CycloNum(0, 1)

@@ -76,7 +76,7 @@ class TestPartition:
     def test_orbit_of_consistent_with_members(self, ws):
         rng = random.Random(61)
         for oid in rng.sample(range(1, 21), 5):
-            for eid in rng.sample(ws.atlas.orbit_members(oid), 50):
+            for eid in rng.sample(ws.atlas.orbit_members(oid).tolist(), 50):
                 assert ws.atlas.orbit_of[eid] == oid
 
     def test_identity_orbit_is_lc2(self, ws):
