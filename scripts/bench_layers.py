@@ -2,15 +2,18 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_layers.py --baseline ../parent --runs 5 --out BENCH_18.json
+    python3 scripts/bench_layers.py --baseline ../parent --runs 5 --out BENCH_19.json
 
 Every run is a fresh interpreter (this script with --measure) that imports
 czorbits from one tree's src/. It times `import czorbits.cli`, then one cold
 `build_workspace()` with each stage timed by wrapping the names that
 `czorbits.workspace` calls (the C1 and C2 closures; LC2, read off C2's
-`right` by the closures' own tree walk since BENCH_13.json, by a walk of its
-own in BENCH_12.json and closed on its own before; the partition, the CZ
-graph and the synthesis plans). Since BENCH_17.json `partition_s` includes
+first coset since BENCH_19.json, off C2's `right` by the closures' own tree
+walk from BENCH_13.json, by a walk of its own in BENCH_12.json and closed on
+its own before; the partition, the CZ graph and the synthesis plans), and
+(since BENCH_19.json) `row_book_s`, the time in `czorbits.groups._row_book`
+over both closures, which each close their row book inside their figure.
+Since BENCH_17.json `partition_s` includes
 the CZ layer walk and the orbit labelling; earlier trees ran those after the
 graph, unattributed inside `build_workspace_s`, so compare a tree from
 before BENCH_17.json with one after it on `build_workspace_s`. Then
@@ -33,7 +36,9 @@ start would load, and the pickle perfbench's query-mix loads) with the time
 to load it, and the host's one-minute load average (`os.getloadavg()`)
 when the sample starts, since load on a shared host moves the build times
 by about 2x. Since BENCH_15.json it then times the exact work behind one
-query, each figure a mean per call over the same elements: `parse_matrix`
+query, each figure a mean per call over the same elements (since
+BENCH_19.json the least of five passes in the run's interpreter, one pass
+before): `parse_matrix`
 of their `format_matrix` text, `kernels.mat_mul` of consecutive pairs of
 them, `kernels.mat_tensor` of 192 pairs of C1 elements, and
 `synth.evaluate` of their circuits after one warm pass over the same
@@ -79,11 +84,13 @@ def measure() -> dict:
     t0 = time.perf_counter()
     import czorbits.cli  # noqa: F401
     import czorbits.workspace as workspace
+    from czorbits import groups
     from czorbits.io import format_table, orbit_map_records, write_atomic
     from czorbits.verify import run_verification
 
     figures = {"import_s": time.perf_counter() - t0, **dict.fromkeys(STAGES.values(), 0.0)}
     figures["loadavg_1m"] = load
+    figures["row_book_s"] = 0.0
 
     def timed(fn, figure):
         def wrapper(*args, **kwargs):
@@ -97,12 +104,15 @@ def measure() -> dict:
     originals = {name: getattr(workspace, name) for name in STAGES}
     for name, figure in STAGES.items():
         setattr(workspace, name, timed(originals[name], figure))
+    row_book = groups._row_book
+    groups._row_book = timed(row_book, "row_book_s")
     t0 = time.perf_counter()
     ws = workspace.build_workspace()
     figures["build_workspace_s"] = time.perf_counter() - t0
     # unwrapped again, so the rebuild inside run_verification adds to no stage
     for name, fn in originals.items():
         setattr(workspace, name, fn)
+    groups._row_book = row_book
     figures["build_rss_peak_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     t0 = time.perf_counter()
     format_table(ws.c2)
@@ -140,16 +150,20 @@ def measure() -> dict:
 
 
 def query_figures(ws, ids, matrices) -> dict:
-    """Mean microseconds per call of the exact steps behind one query."""
+    """Mean microseconds per call of the exact steps behind one query, the
+    least of five passes over the same arguments."""
     from czorbits import kernels
     from czorbits.io import format_matrix, parse_matrix
     from czorbits.synth import evaluate
 
     def per_call_us(fn, args):
-        t0 = time.perf_counter()
-        for a in args:
-            fn(*a)
-        return (time.perf_counter() - t0) / len(args) * 1e6
+        passes = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            for a in args:
+                fn(*a)
+            passes.append((time.perf_counter() - t0) / len(args) * 1e6)
+        return min(passes)
 
     c1 = [ws.c1.element(e).data for e in range(len(ws.c1))]
     circuits = [ws.synthesizer.synthesize_id(e) for e in ids]
@@ -209,7 +223,7 @@ def main() -> int:
     p.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--baseline", type=Path, help="checkout to compare against (the parent)")
     p.add_argument("--runs", type=int, default=5, help="fresh interpreters per tree, at least 2")
-    p.add_argument("--out", type=Path, default=ROOT / "BENCH_18.json")
+    p.add_argument("--out", type=Path, default=ROOT / "BENCH_19.json")
     args = p.parse_args()
     if args.measure:
         print(json.dumps(measure()))

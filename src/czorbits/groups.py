@@ -9,32 +9,33 @@ packed into one int64 key, ROW_BITS bits each and the first row highest.
 Rows of one width sort like their ids, so keys sort like encodings and
 membership is a binary search over them.
 
-Closure multiplies no matrices. Since (m * g)[i, :] = m[i, :] * g, a
+Closure multiplies rows, not elements. Since (m * g)[i, :] = m[i, :] * g, a
 generator acts on each row on its own: the row book is closed from the unit
-rows under r -> r * g, and right multiplication of an element is then one
-gather per row in a small (generators, rows) table. Closure finds the element
-set on keys one word length at a time, in blocks: first the subgroup S that
-its local generators make, one key at a time, then the whole group one left
-coset S * u at a time, since (S * u) * g = S * (u * g) is again a whole coset.
-C2's search so meets its 20 cosets of LC2 as 20 blocks of 4608 keys, and the
-table keeps them as ids. It ranks the keys for the ids and the integer Cayley
-table `right`, and walks `right` breadth-first for a tree that gives each
-element a shortest word: its parent id and the generator that leads from the
-parent to it, so words read left-to-right as matrix products. LC2 is read off
-C2's `right` by the same walk; a table fills its left actions in another.
+rows under r -> r * g, dim rows to one kernels.mat_mul product, and right
+multiplication of an element is then one gather per row in a small
+(generators, rows) table. Closure finds the element set on keys one word
+length at a time, in blocks: first the subgroup S that its local generators
+make, one key at a time, then the whole group one left coset S * u at a time,
+since (S * u) * g = S * (u * g) is again a whole coset. C2's search so meets
+its 20 cosets of LC2 as 20 blocks of 4608 keys, LC2 itself first, and keeps
+them as ids; LC2 is read off the first. The search ranks the keys for the
+ids and the integer Cayley table `right`. From `right` a table grows a
+breadth-first tree that gives each element a shortest word (its parent id
+and the generator that leads from the parent to it, so words read
+left-to-right as matrix products), and fills its left actions in another walk.
 """
 
 from __future__ import annotations
 
-from functools import cache, reduce
+from functools import reduce
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from czorbits.encoding import ENTRY_BYTES
+from czorbits import kernels
+from czorbits.encoding import ENTRY_BYTES, pack_values
 from czorbits.errors import VerificationError
 from czorbits.matrices import C1_GENERATORS, C2_GENERATORS, I2, I4, GateMatrix
-from czorbits.ring import ONE, ZERO, CycloNum
 
 CLOSURE_CAP = 10**6
 # a key holds dim row ids of ROW_BITS bits each, so a book holds MAX_ROWS rows
@@ -90,8 +91,6 @@ class GroupTable:
         alphabet: Mapping[str, GateMatrix],
         keys: np.ndarray,
         book: list[bytes],
-        parent: np.ndarray,
-        label: np.ndarray,
         right: np.ndarray,
         cosets: Optional[np.ndarray] = None,
     ) -> None:
@@ -104,13 +103,12 @@ class GroupTable:
         self.book = book
         self._book = np.frombuffer(b"".join(book), dtype=np.uint8).reshape(len(book), -1)
         self._row_of = {data: r for r, data in enumerate(book)}
-        # the breadth-first tree: element e is element(parent[e]) (int32)
-        # times generator label[e] (int8); both are -1 at the identity
-        self.parent = parent
-        self.label = label
         # right[e, g] (int32) is the id of element(e) times the g-th
         # generator of the alphabet
         self.right = right
+        # the breadth-first tree: element e is element(parent[e]) (int32)
+        # times generator label[e] (int8); both are -1 at the identity
+        self.parent, self.label = _bfs_tree(right, self.identity_id)
         # cosets[c] (int32): the ids of one left coset of the subgroup that the
         # closure's local generators make, ascending, one row per coset; set by closure()
         self.cosets = cosets
@@ -179,13 +177,19 @@ class GroupTable:
         return self._left[list(self.alphabet).index(label)]
 
     def evaluate(self, word: Iterable[str]) -> GateMatrix:
-        """Exact left-to-right product of the word's generators: n - 1
-        products for n letters, and the identity for none."""
-        try:
-            gens = [self.alphabet[label] for label in word]
-        except KeyError as exc:
-            raise ValueError(f"unknown generator label {exc.args[0]!r}") from None
-        return reduce(GateMatrix.__mul__, gens) if gens else (I2 if self.dim == 2 else I4)
+        return word_product(self.alphabet, word)
+
+
+def word_product(alphabet: Mapping[str, GateMatrix], word: Iterable[str]) -> GateMatrix:
+    """Exact left-to-right product of the word's generators: n - 1 products
+    for n letters, and the identity for none."""
+    try:
+        gens = [alphabet[label] for label in word]
+    except KeyError as exc:
+        raise ValueError(f"unknown generator label {exc.args[0]!r}") from None
+    if gens:
+        return reduce(GateMatrix.__mul__, gens)
+    return I2 if next(iter(alphabet.values())).dim == 2 else I4
 
 
 def closure(
@@ -197,10 +201,7 @@ def closure(
     subgroup that the generators labeled in `local` make (the trivial group
     when there are none), and the table keeps those cosets as ids. Ids follow
     canonical encoding order. Every product m * g is kept, in ids, as the
-    table's `right`. A breadth-first walk over `right` from the identity
-    meets elements in word-length order (ties broken by frontier position,
-    then generator order), and the product that first meets each element is
-    its `parent` and `label`, so its word is a shortest one.
+    table's `right`, from which the table grows its tree (see `_bfs_tree`).
     """
     gens = list(generators.items())
     if not gens:
@@ -220,41 +221,31 @@ def _row_book(gens: list[tuple[str, GateMatrix]], dim: int, name: str) -> tuple:
     """The closure of the dim unit rows under r -> r * g for each generator,
     in exact arithmetic: the row encodings in ascending order, act[g, r]
     (uint16), the id of row r times the g-th generator, and the identity's
-    row ids. More than MAX_ROWS rows stop the search. Entry j of r * g sums
-    r[t] * g[t, j] over the nonzeros (t, g[t, j]) in columns[g][j], memoised on
-    those entries of r, which take few values: rows are stabilizer states up to a phase."""
-    columns = [[[(t, m[t][j]) for t in range(dim) if m[t][j]] for j in range(dim)]
-               for m in (g.entries() for _, g in gens)]
-
-    @cache
-    def entry(g: int, j: int, *entries: bytes) -> bytes:
-        terms = zip(entries, columns[g][j])
-        return sum((CycloNum.unpack(e) * v for e, (_, v) in terms), ZERO).pack()
-
-    rows = [tuple((ONE if i == j else ZERO).pack() for j in range(dim)) for i in range(dim)]
-    found = {row: r for r, row in enumerate(rows)}
-    images = []
-    for row in rows:  # rows grows while it is read: each new row is met once
-        if len(rows) > MAX_ROWS:
+    row ids. Rows are multiplied dim at a time, as the rows of one
+    kernels.mat_mul operand, zero rows padding the last. More than MAX_ROWS
+    rows stop the search."""
+    size, unit = dim * ENTRY_BYTES, (I2 if dim == 2 else I4).data
+    # found[row]: the row's id, in the order met
+    found = {unit[at : at + size]: r for r, at in enumerate(range(0, len(unit), size))}
+    images: list[list[int]] = []
+    while len(images) < len(found):  # found grows while it is read: each new row is met once
+        if len(found) > MAX_ROWS:
             raise VerificationError(f"closure of {name} met more than {MAX_ROWS} distinct rows")
-        images.append([])
-        for g, column in enumerate(columns):
-            image = tuple(entry(g, j, *[row[t] for t, _ in terms])
-                          for j, terms in enumerate(column))
-            if image not in found:
-                found[image] = len(rows)
-                rows.append(image)
-            images[-1].append(found[image])
-    book = [b"".join(row) for row in rows]
-    order = sorted(range(len(rows)), key=book.__getitem__)
+        block = list(found)[len(images) : len(images) + dim]
+        operand = b"".join(block) + pack_values([0] * 5 * dim) * (dim - len(block))
+        products = [kernels.mat_mul(operand, g.data, dim) for _, g in gens]
+        for at in range(0, len(block) * size, size):
+            images.append([found.setdefault(p[at : at + size], len(found)) for p in products])
+    rows = list(found)
+    order = sorted(range(len(rows)), key=rows.__getitem__)
     rank = np.argsort(order).astype(np.uint16)
-    return [book[r] for r in order], rank[np.array(images)[order].T], rank[:dim]
+    return [rows[r] for r in order], rank[np.array(images)[order].T], rank[:dim]
 
 
 def _level_search(gens: list[tuple[str, GateMatrix]], dim: int, name: str,
                   local_cols: list[int]) -> tuple:
     """closure's search on keys of row ids; returns the table's keys, row book,
-    parent, label, right and cosets. The subgroup the `local_cols` generators make
+    right and cosets. The subgroup the `local_cols` generators make
     is met from the identity in blocks of one key; the group is then met from
     that subgroup in blocks of its width, each block a left coset. The keys,
     sorted, are the ids; each coset's row holds its ids ascending, the rows in
@@ -270,7 +261,7 @@ def _level_search(gens: list[tuple[str, GateMatrix]], dim: int, name: str,
     rows, right = _unpack(keys, dim), np.empty((len(keys), len(gens)), dtype=np.int32)
     for g, a in enumerate(act):  # x * g runs over the group once as x does
         right[:, g] = _ranks(_pack(a[rows]))[1]
-    return keys, book, *_bfs_tree(right, int(np.searchsorted(keys, start[0, 0]))), right, cosets
+    return keys, book, right, cosets
 
 
 def _ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -309,7 +300,9 @@ def _blocks(act: np.ndarray, start: np.ndarray, dim: int, name: str) -> np.ndarr
 def _bfs_tree(right: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
     """The breadth-first tree from `start` over the columns of `right`, as one product
     at a time finds it: parent[e] (int32) and label[e] (int8) are the id and column that
-    first reached e, -1 at start; parent is -2 at ids not reached."""
+    first reached e, -1 at start; parent is -2 at ids not reached. The walk meets
+    elements in word-length order (ties broken by frontier position, then column
+    order), so the word the tree spells for each element is a shortest one."""
     n, k = right.shape
     parent, label = np.full(n, -2, dtype=np.int32), np.full(n, -1, dtype=np.int8)
     parent[start] = -1
@@ -332,9 +325,10 @@ def build_c1() -> GroupTable:
 def build_lc2(c1: GroupTable, c2: GroupTable) -> GroupTable:
     """The local group H1, P1, H2 and P2 generate, read off c2 and factored over c1.
 
-    Its tree is closure()'s walk, _bfs_tree, from c2's identity over c2's
-    `right` columns of those generators. c2's ids ascend in encoding order, so
-    the ids reached, ascending, are LC2's; its row book is the c2 rows they use.
+    c2's closure meets that group first, so c2's first coset row holds LC2's
+    ids, ascending; LC2's `right` is c2's local columns on them, its row book
+    the c2 rows they use. A row those columns lead out of (c2 closed without
+    `local`) raises VerificationError.
 
     (A * g) (x) B = (A (x) B)(g (x) I), and the same holds on wire 2, so the
     id of each A (x) B fills breadth-first from the identity pair along c1's
@@ -345,15 +339,16 @@ def build_lc2(c1: GroupTable, c2: GroupTable) -> GroupTable:
     """
     alphabet = {k: v for k, v in c2.alphabet.items() if k != "CZ"}
     cols = [list(c2.alphabet).index(label) for label in alphabet]
-    parent, label = _bfs_tree(c2.right[:, cols], c2.identity_id)
-    ids = np.flatnonzero(parent > -2)
-    rank = np.full(len(c2) + 1, -1, dtype=np.int32)  # rank[-1], the identity's parent, is -1
+    ids = c2.cosets[0]
+    rank = np.full(len(c2), -1, dtype=np.int32)
     rank[ids] = np.arange(len(ids))
+    right = rank[c2.right[ids[:, None], cols]]
+    if (right < 0).any():
+        raise VerificationError(f"the first coset of {c2.name} is not closed under {list(alphabet)}")
     rows, used = _unpack(c2.keys[ids], c2.dim), np.zeros(len(c2.book), dtype=bool)
     used[rows] = True
     table = GroupTable("lc2", alphabet, _pack((np.cumsum(used) - 1)[rows]),
-                       [c2.book[r] for r in np.flatnonzero(used)], rank[parent[ids]],
-                       label[ids], rank[c2.right[ids[:, None], cols]])
+                       [c2.book[r] for r in np.flatnonzero(used)], right)
     n, k = len(c1), len(c1.alphabet)
     ia, ib = np.divmod(np.arange(n * n), n)
     # at[ia * n + ib]: id of c1's ia (x) c1's ib; wire w's generators are

@@ -20,16 +20,9 @@ from __future__ import annotations
 import numpy as np
 
 from .encoding import BIAS, COEF_LIMIT, ENTRY_BYTES, K_LIMIT, pack_values, unpack_values
-from .ring import reduce_entry
+from .ring import reduce_entry, scale_entry
 
 BACKEND = "pure-python"
-
-def _scaled(a: int, b: int, c: int, d: int, gap: int) -> tuple[int, int, int, int]:
-    """The numerator times √2^gap: an odd gap's ×√2 step (√2 = ω − ω³), then a shift."""
-    if gap & 1:
-        a, b, c, d = b - d, a + c, b + d, c - a
-    s = gap >> 1
-    return a << s, b << s, c << s, d << s
 
 
 def _lifted(data: bytes) -> tuple[list, int]:
@@ -39,7 +32,7 @@ def _lifted(data: bytes) -> tuple[list, int]:
     top = max(vals[4::5])
     return [
         None if not (a or b or c or d)
-        else (a, b, c, d) if k == top else _scaled(a, b, c, d, top - k)
+        else (a, b, c, d) if k == top else scale_entry(a, b, c, d, top - k)
         for a, b, c, d, k in zip(*[iter(vals)] * 5)
     ], top
 

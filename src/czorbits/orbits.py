@@ -19,14 +19,12 @@ class OrbitAtlas:
     """Immutable orbit partition with each orbit's CZ layer."""
 
     def __init__(self, orbit_of: list[int], cosets: np.ndarray, rows: list[int],
-                 ident_eid: int, layers: list[int]) -> None:
+                 layers: list[int]) -> None:
         self.orbit_of = orbit_of
         # cosets[rows[oid - 1]]: the orbit's element ids, ascending, as int32;
         # cosets is the table's own array, not a copy
         self.cosets = cosets
         self.rows = rows
-        # element id of the identity matrix in the underlying table
-        self.ident_eid = ident_eid
         # layers[oid - 1]: the orbit's CZ layer, 0 for the identity's orbit
         self.layers = layers
 
@@ -65,7 +63,7 @@ def partition(c2: GroupTable, lc2: GroupTable, cz: np.ndarray) -> OrbitAtlas:
     rows, layers = assign_layers_and_labels(cosets, cz, c2.identity_id)
     orbit_of = np.empty(len(c2), dtype=np.int32)
     orbit_of[cosets[rows]] = np.arange(1, len(rows) + 1, dtype=np.int32)[:, None]
-    return OrbitAtlas(orbit_of.tolist(), cosets, rows.tolist(), c2.identity_id, layers.tolist())
+    return OrbitAtlas(orbit_of.tolist(), cosets, rows.tolist(), layers.tolist())
 
 
 def assign_layers_and_labels(cosets: np.ndarray, cz: np.ndarray, ident_eid: int) -> tuple:

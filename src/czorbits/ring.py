@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import re
 
-from .encoding import COEF_LIMIT, K_LIMIT, check_coeff, pack_values, unpack_values
+from .encoding import COEF_LIMIT, K_LIMIT, check_coeff, unpack_values
 
 _OMEGA_COMPLEX = cmath.exp(1j * cmath.pi / 4)
 _SQRT2 = 2.0**0.5
@@ -26,6 +26,14 @@ def parse_integer(text: str) -> int:
     if not _INTEGER.fullmatch(text):
         raise ValueError(f"malformed integer {text!r}")
     return int(text)
+
+
+def scale_entry(a: int, b: int, c: int, d: int, gap: int) -> tuple[int, int, int, int]:
+    """The numerator times √2^gap: an odd gap's ×√2 step (√2 = ω − ω³), then a shift."""
+    if gap & 1:
+        a, b, c, d = b - d, a + c, b + d, c - a
+    s = gap >> 1
+    return a << s, b << s, c << s, d << s
 
 
 def reduce_entry(a: int, b: int, c: int, d: int, k: int) -> tuple[int, int, int, int, int]:
@@ -93,16 +101,11 @@ class CycloNum:
     def __add__(self, other: CycloNum) -> CycloNum:
         if not isinstance(other, CycloNum):
             return NotImplemented
-        a1, b1, c1, d1, k1 = self.coeffs()
-        a2, b2, c2, d2, k2 = other.coeffs()
-        # Rescale the smaller-k numerator with the push-down map, √2 = ω − ω³.
-        while k1 < k2:
-            a1, b1, c1, d1 = b1 - d1, a1 + c1, b1 + d1, c1 - a1
-            k1 += 1
-        while k2 < k1:
-            a2, b2, c2, d2 = b2 - d2, a2 + c2, b2 + d2, c2 - a2
-            k2 += 1
-        return CycloNum(a1 + a2, b1 + b2, c1 + c2, d1 + d2, k1)
+        *x, k1 = self.coeffs()
+        *y, k2 = other.coeffs()
+        k = max(k1, k2)  # both numerators lifted to the larger exponent
+        x, y = scale_entry(*x, k - k1), scale_entry(*y, k - k2)
+        return CycloNum(*(p + q for p, q in zip(x, y)), k)
 
     def __mul__(self, other: CycloNum) -> CycloNum:
         if not isinstance(other, CycloNum):
@@ -126,9 +129,6 @@ class CycloNum:
             + self._d * _OMEGA_COMPLEX**3
         )
         return num / _SQRT2**self._k
-
-    def pack(self) -> bytes:
-        return pack_values(self.coeffs())
 
     @classmethod
     def unpack(cls, data: bytes) -> CycloNum:

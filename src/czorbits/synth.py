@@ -26,8 +26,8 @@ import numpy as np
 
 from czorbits.errors import NotInGroupError, VerificationError
 from czorbits.graph import CzGraph
-from czorbits.groups import GroupTable, bfs_fill
-from czorbits.matrices import CZ, H, I2, I4, P, GateMatrix
+from czorbits.groups import GroupTable, bfs_fill, word_product
+from czorbits.matrices import C1_GENERATORS, CZ, I4, GateMatrix
 from czorbits.orbits import OrbitAtlas
 
 
@@ -77,15 +77,7 @@ def make_circuit(items: list[Op]) -> Circuit:
 
 @lru_cache(maxsize=512)
 def _word_matrix(word: tuple[str, ...]) -> GateMatrix:
-    m = I2
-    for label in word:
-        if label == "H":
-            m = m * H
-        elif label == "P":
-            m = m * P
-        else:
-            raise ValueError(f"unknown local gate label {label!r}")
-    return m
+    return word_product(C1_GENERATORS, word)
 
 
 @lru_cache(maxsize=256)
@@ -143,7 +135,7 @@ class Synthesizer:
             anchors[oid] = graph.witnesses[(oid, min(below))]
 
         factor = np.full(len(self.c2), -1, dtype=np.int32)
-        factor[[atlas.ident_eid, *anchors.values()]] = self.lc2.identity_id
+        factor[[self.c2.identity_id, *anchors.values()]] = self.lc2.identity_id
         bfs_fill(factor, [(self.c2.left(g), self.lc2.left(g)) for g in self.lc2.alphabet])
 
         cz = self.c2.left("CZ")

@@ -6,7 +6,8 @@ labels or the graph changes a digest, even when two builds of the new code
 agree with each other.
 
 The closure's discovery order is pinned too: the shortest word kept for each
-C2 element, and the right-action table, are not covered by the six outputs.
+C2 element and for each LC2 element, and the right-action table, are not
+covered by the six outputs.
 Nor are the circuits `synth` prints, nor LC2's factor pairs and the words
 over C1's words on each wire that those circuits are spelled in; they are
 pinned here as well.
@@ -41,6 +42,8 @@ LC2_PAIRS_SHA256 = "4a8cc635fef63f36a8250a6202f044aa0e5385c7f636cc483f41886fd7c1
 # each lc2 pair (ia, ib) spelled c1.word_of(ia) on wire 1, then c1.word_of(ib)
 # on wire 2 (labels suffixed 1 and 2), in the C2 words format
 LC2_WORDS_SHA256 = "2666e681b83f945304a1a5e00045e7e51025ff03b6905831003e9feb4e9bebf9"
+# lc2.word_of(e), LC2's own shortest words over H1, P1, H2 and P2, in the C2 words format
+LC2_TREE_WORDS_SHA256 = "5b8207df63696dc67323fb38ef704ce1063cbecfd4c74127842a5fb89473bc02"
 # format_circuit of every element's synthesis, ids 0..92159, concatenated
 CIRCUITS_SHA256 = "58d505794fbc3b99c3be81c932f494883ff6994e0a20b051ced7cbe9ed18adbe"
 
@@ -99,6 +102,11 @@ def test_lc2_pairs_match_pinned_digest(ws):
 def test_lc2_words_match_pinned_digest(ws):
     text = _words_text(_pair_words(ws.lc2, ws.c1))
     assert hashlib.sha256(text.encode()).hexdigest() == LC2_WORDS_SHA256
+
+
+def test_lc2_tree_words_match_pinned_digest(ws):
+    words = map(ws.lc2.word_of, range(len(ws.lc2)))
+    assert hashlib.sha256(_words_text(words).encode()).hexdigest() == LC2_TREE_WORDS_SHA256
 
 
 def test_circuits_match_pinned_digest(ws):

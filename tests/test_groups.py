@@ -21,7 +21,7 @@ from czorbits.matrices import (
 )
 from czorbits.ring import IMAG_UNIT, ONE, ZERO
 from czorbits.verify import _right_mismatches
-from ringref import OMEGA
+from ringref import OMEGA, row_book
 
 T = GateMatrix.from_entries([[ONE, ZERO], [ZERO, OMEGA]])
 
@@ -316,6 +316,13 @@ class TestLc2FromC2:
         ids = [ws.c2.contains(ws.lc2.element(e)) for e in range(len(ws.lc2))]
         assert None not in ids and ids == sorted(ids)
 
+    def test_c2_closed_without_local_generators_is_refused(self, ws):
+        # its first coset is the identity alone, which H1 leads out of
+        c2 = closure(C2_GENERATORS, "c2")
+        assert c2.cosets.shape == (92160, 1)
+        with pytest.raises(VerificationError, match="not closed"):
+            build_lc2(ws.c1, c2)
+
 
 class TestClosureValidation:
     def test_cap_triggers(self, monkeypatch):
@@ -384,6 +391,17 @@ class TestRowBook:
         assert c2.contains(hth) is None
         assert c2.contains(H) is None and c2.contains(I2) is None
 
+    @pytest.mark.parametrize("gens", [C1_GENERATORS, C2_GENERATORS, {"HH": H.tensor(H), "CZ": CZ}],
+                             ids=["c1", "c2", "hh-cz"])
+    def test_row_book_matches_the_cyclonum_reference(self, gens):
+        gens = list(gens.items())
+        dim = gens[0][1].dim
+        book, act, identity = groups._row_book(gens, dim, "t")
+        want_book, want_act, want_identity = row_book(gens, dim)
+        assert book == want_book
+        assert act.dtype == want_act.dtype and np.array_equal(act, want_act)
+        assert np.array_equal(identity, want_identity)
+
     def test_columns_with_more_than_two_nonzeros_fold(self):
         hh = H.tensor(H)  # four nonzero entries in every column
         table = closure({"HH": hh, "CZ": CZ}, "hh-cz")
@@ -403,9 +421,7 @@ class TestRightTableOracle:
         lc2 = ws.lc2
         right = lc2.right.copy()
         right[4500, 1] = right[4501, 1]
-        broken = GroupTable(
-            "lc2", lc2.alphabet, lc2.keys, lc2.book, lc2.parent, lc2.label, right
-        )
+        broken = GroupTable("lc2", lc2.alphabet, lc2.keys, lc2.book, right)
         assert _right_mismatches(broken) == 1
 
 
