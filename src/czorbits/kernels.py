@@ -10,9 +10,9 @@ integers. `mat_mul` lifts each operand once to its largest exponent, skips
 zero entries and reduces each output entry once; `mat_tensor` makes each of
 its 16 entries as one ring product of its factors' entries.
 `mat_mul_batch` multiplies many matrices by many at once in numpy int64,
-with the scalar `mat_mul` as its reference. Group closure uses neither:
-it works on row ids (see `groups`). The batched kernel is the
-independent oracle that `verify` holds every closure's Cayley table to.
+with the scalar `mat_mul` as its reference. Group closure multiplies
+only its row book's rows, with `mat_mul` (see `groups`); the batched kernel
+is the independent oracle that `verify` holds every closure's Cayley table to.
 """
 
 from __future__ import annotations
