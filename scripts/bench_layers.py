@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_layers.py --baseline ../parent --runs 5 --out BENCH_19.json
+    python3 scripts/bench_layers.py --baseline ../parent --runs 5 --out BENCH_20.json
 
 Every run is a fresh interpreter (this script with --measure) that imports
 czorbits from one tree's src/. It times `import czorbits.cli`, then one cold
@@ -12,7 +12,9 @@ first coset since BENCH_19.json, off C2's `right` by the closures' own tree
 walk from BENCH_13.json, by a walk of its own in BENCH_12.json and closed on
 its own before; the partition, the CZ graph and the synthesis plans), and
 (since BENCH_19.json) `row_book_s`, the time in `czorbits.groups._row_book`
-over both closures, which each close their row book inside their figure.
+over both closures, which each close their row book inside their figure, and
+(since BENCH_20.json) `tables_s`, the time in `czorbits.groups.GroupTable.__init__`
+over the three tables, which holds each table's tree walk and left fill.
 Since BENCH_17.json `partition_s` includes
 the CZ layer walk and the orbit labelling; earlier trees ran those after the
 graph, unattributed inside `build_workspace_s`, so compare a tree from
@@ -27,11 +29,12 @@ files on disk (`python -m czorbits.cli`, which rebuilds the workspace as
 every command does), and the mean time
 of one `c2.element` and one `c2.contains` call over every 31st element of
 C2 (2973 calls each; the matrices `element` made are the ones `contains`
-looks up). A group table fills its generators' left actions when its
-closure makes it, so `c2_closure_s` includes C2's five left fills (about
-20 ms), which `build_workspace` made after the closures in trees that kept
-them as `Workspace.lefts`. It also reports the peak RSS of the process right after
-the build, and the size of `pickle.dumps(workspace)` (the snapshot a fast
+looks up). A group table fills its generators' left actions when it is
+made, so `c2_closure_s` includes C2's five left actions, which
+`build_workspace` made after the closures in trees that kept them as
+`Workspace.lefts`; since BENCH_20.json C2's tree walk fills them in the same
+pass, where earlier trees walked `right` twice. It also reports the peak RSS
+of the process right after the build, and the size of `pickle.dumps(workspace)` (the snapshot a fast
 start would load, and the pickle perfbench's query-mix loads) with the time
 to load it, and the host's one-minute load average (`os.getloadavg()`)
 when the sample starts, since load on a shared host moves the build times
@@ -90,7 +93,7 @@ def measure() -> dict:
 
     figures = {"import_s": time.perf_counter() - t0, **dict.fromkeys(STAGES.values(), 0.0)}
     figures["loadavg_1m"] = load
-    figures["row_book_s"] = 0.0
+    figures["row_book_s"] = figures["tables_s"] = 0.0
 
     def timed(fn, figure):
         def wrapper(*args, **kwargs):
@@ -104,15 +107,16 @@ def measure() -> dict:
     originals = {name: getattr(workspace, name) for name in STAGES}
     for name, figure in STAGES.items():
         setattr(workspace, name, timed(originals[name], figure))
-    row_book = groups._row_book
+    row_book, table_init = groups._row_book, groups.GroupTable.__init__
     groups._row_book = timed(row_book, "row_book_s")
+    groups.GroupTable.__init__ = timed(table_init, "tables_s")
     t0 = time.perf_counter()
     ws = workspace.build_workspace()
     figures["build_workspace_s"] = time.perf_counter() - t0
     # unwrapped again, so the rebuild inside run_verification adds to no stage
     for name, fn in originals.items():
         setattr(workspace, name, fn)
-    groups._row_book = row_book
+    groups._row_book, groups.GroupTable.__init__ = row_book, table_init
     figures["build_rss_peak_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     t0 = time.perf_counter()
     format_table(ws.c2)
@@ -223,7 +227,7 @@ def main() -> int:
     p.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--baseline", type=Path, help="checkout to compare against (the parent)")
     p.add_argument("--runs", type=int, default=5, help="fresh interpreters per tree, at least 2")
-    p.add_argument("--out", type=Path, default=ROOT / "BENCH_19.json")
+    p.add_argument("--out", type=Path, default=ROOT / "BENCH_20.json")
     args = p.parse_args()
     if args.measure:
         print(json.dumps(measure()))

@@ -22,7 +22,7 @@ them as ids; LC2 is read off the first. The search ranks the keys for the
 ids and the integer Cayley table `right`. From `right` a table grows a
 breadth-first tree that gives each element a shortest word (its parent id
 and the generator that leads from the parent to it, so words read
-left-to-right as matrix products), and fills its left actions in another walk.
+left-to-right as matrix products), and fills its left actions in the same walk.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 from czorbits import kernels
 from czorbits.encoding import ENTRY_BYTES, pack_values
 from czorbits.errors import VerificationError
-from czorbits.matrices import C1_GENERATORS, C2_GENERATORS, I2, I4, GateMatrix
+from czorbits.matrices import C1_GENERATORS, C2_GENERATORS, IDENTITY, GateMatrix
 
 CLOSURE_CAP = 10**6
 # a key holds dim row ids of ROW_BITS bits each, so a book holds MAX_ROWS rows
@@ -46,17 +46,15 @@ _SHIFTS = {dim: range(ROW_BITS * (dim - 1), -1, -ROW_BITS) for dim in (2, 4)}
 
 
 def bfs_fill(out: np.ndarray, moves: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Set out[..., step[e]] = relabel[out[..., e]] for each (step, relabel),
-    breadth-first from the entries >= 0 until no more entries of -1 are
-    reached; returns out. The rows of a 2-D out share one walk, its first row's."""
-    first = out.reshape(-1, out.shape[-1])[0]
-    frontier = np.flatnonzero(first >= 0)
+    """Set out[step[e]] = relabel[out[e]] for each (step, relabel), breadth-first
+    from the entries >= 0 until no more entries of -1 are reached; returns out."""
+    frontier = np.flatnonzero(out >= 0)
     while frontier.size:
         reached = []
         for step, relabel in moves:
             dst = step[frontier]
-            fresh = first[dst] < 0
-            out[..., dst[fresh]] = relabel[out[..., frontier[fresh]]]
+            fresh = out[dst] < 0
+            out[dst[fresh]] = relabel[out[frontier[fresh]]]
             reached.append(dst[fresh])
         frontier = np.concatenate(reached)
     return out
@@ -79,7 +77,8 @@ def _pack(rows: np.ndarray) -> np.ndarray:
 
 class GroupTable:
     """Immutable table of group elements with a shortest word for each and
-    the right and left actions of its generators on element ids.
+    the right and left actions of its generators on element ids, the tree
+    and the left actions grown in one walk over `right`.
 
     Precondition: `keys` ascend, as `closure()` leaves them, so an id is its
     element's rank and `contains` is a binary search.
@@ -107,20 +106,16 @@ class GroupTable:
         # generator of the alphabet
         self.right = right
         # the breadth-first tree: element e is element(parent[e]) (int32)
-        # times generator label[e] (int8); both are -1 at the identity
-        self.parent, self.label = _bfs_tree(right, self.identity_id)
+        # times generator label[e] (int8); both are -1 at the identity.
+        # _left[g, e] (int32): the id of the g-th generator times element(e)
+        self.parent, self.label, self._left = _bfs_tree(right, self.identity_id)
+        self._left.flags.writeable = False
         # cosets[c] (int32): the ids of one left coset of the subgroup that the
         # closure's local generators make, ascending, one row per coset; set by closure()
         self.cosets = cosets
         # pairs: for the local group, the (wire-1 id, wire-2 id) factor
         # pair of each element over the single-qubit table, set by build_lc2
         self.pairs: Optional[list[tuple[int, int]]] = None
-        # _left[g, e] (int32): the id of the g-th generator times element(e). As
-        # g * 1 = g and g * (e * h) = (g * e) * h, all rows fill in one walk over `right`
-        self._left = np.full((len(self.alphabet), len(keys)), -1, dtype=np.int32)
-        self._left[:, self.identity_id] = right[self.identity_id]
-        bfs_fill(self._left, [(column, column) for column in right.T])
-        self._left.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -130,7 +125,7 @@ class GroupTable:
 
     @property
     def identity_id(self) -> int:
-        return self.contains(I2 if self.dim == 2 else I4)
+        return self.contains(IDENTITY[self.dim])
 
     def _check_id(self, eid: int) -> int:
         if not 0 <= eid < len(self):
@@ -189,7 +184,7 @@ def word_product(alphabet: Mapping[str, GateMatrix], word: Iterable[str]) -> Gat
         raise ValueError(f"unknown generator label {exc.args[0]!r}") from None
     if gens:
         return reduce(GateMatrix.__mul__, gens)
-    return I2 if next(iter(alphabet.values())).dim == 2 else I4
+    return IDENTITY[next(iter(alphabet.values())).dim]
 
 
 def closure(
@@ -224,7 +219,7 @@ def _row_book(gens: list[tuple[str, GateMatrix]], dim: int, name: str) -> tuple:
     row ids. Rows are multiplied dim at a time, as the rows of one
     kernels.mat_mul operand, zero rows padding the last. More than MAX_ROWS
     rows stop the search."""
-    size, unit = dim * ENTRY_BYTES, (I2 if dim == 2 else I4).data
+    size, unit = dim * ENTRY_BYTES, IDENTITY[dim].data
     # found[row]: the row's id, in the order met
     found = {unit[at : at + size]: r for r, at in enumerate(range(0, len(unit), size))}
     images: list[list[int]] = []
@@ -297,15 +292,18 @@ def _blocks(act: np.ndarray, start: np.ndarray, dim: int, name: str) -> np.ndarr
     return np.concatenate(met)
 
 
-def _bfs_tree(right: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
-    """The breadth-first tree from `start` over the columns of `right`, as one product
-    at a time finds it: parent[e] (int32) and label[e] (int8) are the id and column that
-    first reached e, -1 at start; parent is -2 at ids not reached. The walk meets
-    elements in word-length order (ties broken by frontier position, then column
-    order), so the word the tree spells for each element is a shortest one."""
+def _bfs_tree(right: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The breadth-first tree from the identity `start` over the columns of `right`, as
+    one product at a time finds it, and the left actions: parent[e] (int32) and label[e]
+    (int8) are the id and column that first reached e, -1 at start; parent is -2 at ids
+    not reached. The walk meets elements in word-length order (ties broken by frontier
+    position, then column order), so the word the tree spells for each element is a
+    shortest one. left[g, e] (int32) is the id of the g-th column's generator times e:
+    g * start is right[start, g], and each e = p * h met gets g * e = (g * p) * h."""
     n, k = right.shape
     parent, label = np.full(n, -2, dtype=np.int32), np.full(n, -1, dtype=np.int8)
-    parent[start] = -1
+    left = np.full((k, n), -1, dtype=np.int32)
+    parent[start], left[:, start] = -1, right[start]
     frontier = np.array([start])
     while frontier.size:
         # first[e]: e's first position among the level's products
@@ -313,9 +311,9 @@ def _bfs_tree(right: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
         at = np.flatnonzero(parent[cand] == -2)
         np.minimum.at(first, cand[at], at)
         fresh = at[first[cand[at]] == at]
-        parent[cand[fresh]], label[cand[fresh]] = frontier[fresh // k], fresh % k
-        frontier = cand[fresh]
-    return parent, label
+        p, h, frontier = frontier[fresh // k], fresh % k, cand[fresh]
+        parent[frontier], label[frontier], left[:, frontier] = p, h, right[left[:, p], h]
+    return parent, label, left
 
 
 def build_c1() -> GroupTable:

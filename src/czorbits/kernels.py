@@ -8,7 +8,7 @@ product's bytes depend only on its value.
 `mat_mul`, `mat_tensor` and `mat_dagger` act on one matrix in Python
 integers. `mat_mul` lifts each operand once to its largest exponent, skips
 zero entries and reduces each output entry once; `mat_tensor` makes each of
-its 16 entries as one ring product of its factors' entries.
+its 16 entries as one `ring.mul_entry` product of its factors' entries.
 `mat_mul_batch` multiplies many matrices by many at once in numpy int64,
 with the scalar `mat_mul` as its reference. Group closure multiplies
 only its row book's rows, with `mat_mul` (see `groups`); the batched kernel
@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .encoding import BIAS, COEF_LIMIT, ENTRY_BYTES, K_LIMIT, pack_values, unpack_values
-from .ring import reduce_entry, scale_entry
+from .ring import mul_entry, reduce_entry, scale_entry
 
 BACKEND = "pure-python"
 
@@ -40,7 +40,7 @@ def _lifted(data: bytes) -> tuple[list, int]:
 def mat_mul(x: bytes, y: bytes, dim: int) -> bytes:
     """x * y for dim x dim encodings: each output entry sums the ring products
     over y's nonzero column entries at the fixed exponent kx + ky, reduced once."""
-    if len(x) != dim * dim * 20 or len(y) != dim * dim * 20:
+    if len(x) != dim * dim * ENTRY_BYTES or len(y) != dim * dim * ENTRY_BYTES:
         raise ValueError("matrix encoding does not match dimension")
     xs, kx = _lifted(x)
     ys, ky = _lifted(y)
@@ -76,25 +76,17 @@ _TENSOR_CELLS = [
 def mat_tensor(x: bytes, y: bytes) -> bytes:
     """x (x) y for 2x2 encodings: each of the 16 entries is one ring product
     of an entry of x and an entry of y, reduced."""
-    if len(x) != 80 or len(y) != 80:
+    if len(x) != 4 * ENTRY_BYTES or len(y) != 4 * ENTRY_BYTES:
         raise ValueError("tensor expects two 2x2 encodings")
     xs, ys = unpack_values(x), unpack_values(y)
     out: list[int] = []
     for p, q in _TENSOR_CELLS:
-        a1, b1, c1, d1, k1 = xs[p : p + 5]
-        a2, b2, c2, d2, k2 = ys[q : q + 5]
-        out += reduce_entry(
-            a1 * a2 - b1 * d2 - c1 * c2 - d1 * b2,
-            a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
-            a1 * c2 + b1 * b2 + c1 * a2 - d1 * d2,
-            a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2,
-            k1 + k2,
-        )
+        out += mul_entry(xs[p : p + 5], ys[q : q + 5])
     return pack_values(out)
 
 
 def mat_dagger(x: bytes, dim: int) -> bytes:
-    if len(x) != dim * dim * 20:
+    if len(x) != dim * dim * ENTRY_BYTES:
         raise ValueError("matrix encoding does not match dimension")
     entries = list(zip(*[iter(unpack_values(x))] * 5))
     out: list[int] = []

@@ -1,15 +1,15 @@
 """Exact unitary matrices over the cyclotomic ring.
 
 A GateMatrix is an immutable 2x2 or 4x4 matrix whose entries live in the
-ring of CycloNum values. The canonical packed byte string doubles as the
-equality key, the hash key, and the total-order key, so matrices can be
+ring of CycloNum values. Its fields (dim, canonical packed byte string) are
+the dataclass's equality, hash and total-order key, so matrices can be
 deduplicated in sets and sorted deterministically without ever touching
 floating point.
 """
 
 from __future__ import annotations
 
-from functools import total_ordering
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from czorbits import kernels
@@ -17,28 +17,21 @@ from czorbits.encoding import ENTRY_BYTES, pack_values, unpack_values
 from czorbits.ring import IMAG_UNIT, INV_SQRT2, MINUS_ONE, ONE, ZERO, CycloNum
 
 
-@total_ordering
+@dataclass(frozen=True, order=True, slots=True, repr=False)
 class GateMatrix:
     """Immutable exact matrix, canonically encoded."""
-
-    __slots__ = ("dim", "data", "_hash")
 
     dim: int
     data: bytes
 
-    def __init__(self, dim: int, data: bytes) -> None:
-        if dim not in (2, 4):
+    def __post_init__(self) -> None:
+        if self.dim not in (2, 4):
             raise ValueError("matrix dimension must be 2 or 4")
-        if len(data) != dim * dim * ENTRY_BYTES:
+        if len(self.data) != self.dim * self.dim * ENTRY_BYTES:
             raise ValueError("matrix encoding does not match dimension")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "_hash", hash((dim, data)))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("GateMatrix is immutable")
 
     def __reduce__(self) -> tuple:
+        # unpickling calls the constructor, however this Python restores frozen slots
         return GateMatrix, (self.dim, self.data)
 
     @classmethod
@@ -66,17 +59,6 @@ class GateMatrix:
     def __repr__(self) -> str:
         return f"GateMatrix(dim={self.dim}, data={self.data.hex()[:16]}...)"
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GateMatrix):
-            return NotImplemented
-        return self.dim == other.dim and self.data == other.data
-
-    def __lt__(self, other: GateMatrix) -> bool:
-        return (self.dim, self.data) < (other.dim, other.data)
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __mul__(self, other: GateMatrix) -> GateMatrix:
         if self.dim != other.dim:
             raise ValueError("dimension mismatch in matrix product")
@@ -97,7 +79,7 @@ class GateMatrix:
         for a, b, c, d, k in zip(*[iter(unpack_values(self.data))] * 5):
             if a * a + b * b + c * c + d * d > 1 << k:
                 return False
-        return self * self.dagger() == (I2 if self.dim == 2 else I4)
+        return self * self.dagger() == IDENTITY[self.dim]
 
 
 def _perm_rows(dim: int, perm: Iterable[int]) -> list[list[CycloNum]]:
@@ -109,6 +91,7 @@ def _perm_rows(dim: int, perm: Iterable[int]) -> list[list[CycloNum]]:
 
 I2 = GateMatrix.identity(2)
 I4 = GateMatrix.identity(4)
+IDENTITY = {2: I2, 4: I4}
 
 H = GateMatrix.from_entries(
     [[INV_SQRT2, INV_SQRT2], [INV_SQRT2, -INV_SQRT2]]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import re
+from typing import Sequence
 
 from .encoding import COEF_LIMIT, K_LIMIT, check_coeff, unpack_values
 
@@ -46,6 +47,20 @@ def reduce_entry(a: int, b: int, c: int, d: int, k: int) -> tuple[int, int, int,
         a, b, c, d = (b - d) >> 1, (a + c) >> 1, (b + d) >> 1, (c - a) >> 1
         k -= 1
     return a, b, c, d, k
+
+
+def mul_entry(x: Sequence[int], y: Sequence[int]) -> tuple[int, int, int, int, int]:
+    """The reduced product of two (a, b, c, d, k) entries: the ω-power
+    convolution of the numerators, with the wrap ω⁴ = −1, over √2^(k1 + k2)."""
+    a1, b1, c1, d1, k1 = x
+    a2, b2, c2, d2, k2 = y
+    return reduce_entry(
+        a1 * a2 - b1 * d2 - c1 * c2 - d1 * b2,
+        a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
+        a1 * c2 + b1 * b2 + c1 * a2 - d1 * d2,
+        a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2,
+        k1 + k2,
+    )
 
 
 def parse_entry(text: str) -> tuple[int, int, int, int, int]:
@@ -110,16 +125,7 @@ class CycloNum:
     def __mul__(self, other: CycloNum) -> CycloNum:
         if not isinstance(other, CycloNum):
             return NotImplemented
-        a1, b1, c1, d1, k1 = self.coeffs()
-        a2, b2, c2, d2, k2 = other.coeffs()
-        # ω-power convolution with the wrap ω⁴ = −1.
-        return CycloNum(
-            a1 * a2 - b1 * d2 - c1 * c2 - d1 * b2,
-            a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
-            a1 * c2 + b1 * b2 + c1 * a2 - d1 * d2,
-            a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2,
-            k1 + k2,
-        )
+        return CycloNum(*mul_entry(self.coeffs(), other.coeffs()))
 
     def to_complex(self) -> complex:
         num = (

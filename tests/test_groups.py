@@ -199,6 +199,19 @@ class TestActionTables:
             for eid in rng.sample(range(len(table)), 200):
                 assert action[eid] == table.contains(gen * table.element(eid))
 
+    @pytest.mark.parametrize("name", ["c1", "lc2", "c2"])
+    def test_left_actions_agree_with_right_on_every_id(self, ws, name):
+        # g * (e * h) = (g * e) * h and g * 1 = 1 * g fix every left action
+        # from `right`, by integer gathers alone
+        table = getattr(ws, name)
+        one, k = table.identity_id, len(table.alphabet)
+        for g, label in enumerate(table.alphabet):
+            action = table.left(label)
+            assert (np.bincount(action, minlength=len(table)) == 1).all(), label
+            assert action[one] == table.right[one, g], label
+            for h in range(k):
+                assert np.array_equal(action[table.right[:, h]], table.right[action, h]), (label, h)
+
     def test_left_actions_are_kept_not_recomputed(self, ws, monkeypatch):
         def refuse(*args):
             raise AssertionError("left() ran a breadth-first fill")
