@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_layers.py --baseline ../parent --runs 5 --out BENCH_20.json
+    python3 scripts/bench_layers.py --baseline ../parent --runs 7 --out BENCH_22.json
 
 Every run is a fresh interpreter (this script with --measure) that imports
 czorbits from one tree's src/. It times `import czorbits.cli`, then one cold
@@ -50,7 +50,9 @@ suite. Runs alternate between the two trees; the output holds every
 sample and, per tree, the median of each figure and (since BENCH_18.json)
 its first and third quartiles (`statistics.quantiles`), so that the spread
 of a figure shows next to it, with the machine, each tree's git revision
-and its non-generated line count (the lines of src/czorbits/*.py).
+and its non-generated line count (the lines of src/czorbits/*.py), and
+(since BENCH_22.json) `tests_loc`, the lines of tests/*.py, so that code
+moved from the library into the tests shows.
 """
 
 from __future__ import annotations
@@ -187,7 +189,7 @@ def query_figures(ws, ids, matrices) -> dict:
 
 def revision(tree: Path) -> dict:
     """The tree's git revision, whether src/ differs from it, a digest of src/
-    and the line count of src/czorbits/*.py."""
+    and the line counts of src/czorbits/*.py and tests/*.py."""
     def git(*args):
         out = subprocess.run(["git", "-C", str(tree), *args], capture_output=True, text=True)
         return out.stdout.strip() if out.returncode == 0 else None
@@ -195,12 +197,16 @@ def revision(tree: Path) -> dict:
     digest = hashlib.sha256()
     for path in sorted((tree / "src").rglob("*.py")):
         digest.update(path.relative_to(tree).as_posix().encode() + b"\0" + path.read_bytes())
+    def lines(files):
+        return sum(p.read_bytes().count(b"\n") for p in files)
+
     status = git("status", "--porcelain", "--", "src")
     return {
         "git_revision": git("rev-parse", "HEAD"),
         "src_differs_from_revision": None if status is None else bool(status),
         "src_sha256": digest.hexdigest(),
-        "loc": sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "czorbits").glob("*.py")),
+        "loc": lines((tree / "src" / "czorbits").glob("*.py")),
+        "tests_loc": lines((tree / "tests").glob("*.py")),
     }
 
 
@@ -227,7 +233,7 @@ def main() -> int:
     p.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--baseline", type=Path, help="checkout to compare against (the parent)")
     p.add_argument("--runs", type=int, default=5, help="fresh interpreters per tree, at least 2")
-    p.add_argument("--out", type=Path, default=ROOT / "BENCH_20.json")
+    p.add_argument("--out", type=Path, default=ROOT / "BENCH_22.json")
     args = p.parse_args()
     if args.measure:
         print(json.dumps(measure()))

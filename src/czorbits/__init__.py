@@ -21,13 +21,11 @@ from czorbits.matrices import (
     C2_GENERATORS,
     GateMatrix,
 )
-from czorbits.ring import CycloNum
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND",
-    "CycloNum",
     "GateMatrix",
     "I2",
     "I4",

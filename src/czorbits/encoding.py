@@ -35,12 +35,6 @@ _SIGN_BITS = {
 }
 
 
-def check_coeff(v: int) -> int:
-    if not -BIAS <= v < BIAS:
-        raise AssertionError(f"coefficient {v} exceeds the 32-bit range")
-    return v
-
-
 def _flip(data: bytes) -> bytes:
     return (int.from_bytes(data, "big") ^ _SIGN_BITS[len(data)]).to_bytes(len(data), "big")
 

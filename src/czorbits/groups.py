@@ -171,9 +171,6 @@ class GroupTable:
         the generator times element(e)."""
         return self._left[list(self.alphabet).index(label)]
 
-    def evaluate(self, word: Iterable[str]) -> GateMatrix:
-        return word_product(self.alphabet, word)
-
 
 def word_product(alphabet: Mapping[str, GateMatrix], word: Iterable[str]) -> GateMatrix:
     """Exact left-to-right product of the word's generators: n - 1 products

@@ -1,9 +1,9 @@
 """Exact matrix kernels over packed encodings.
 
-Matrices are the packed byte encodings described in `encoding`, entries
-(a,b,c,d,k) meaning (a + bω + cω² + dω³)/√2^k with ω⁴ = −1, read and written
-with its codec. Every output is reduced, and reduced forms are unique, so a
-product's bytes depend only on its value.
+Matrices are the packed byte encodings described in `encoding` of `ring`'s
+entry tuples (a, b, c, d, k), (a + bω + cω² + dω³)/√2^k with ω⁴ = −1, read and
+written with its codec. Every output is reduced, and reduced forms are unique,
+so a product's bytes depend only on its value.
 
 `mat_mul`, `mat_tensor` and `mat_dagger` act on one matrix in Python
 integers. `mat_mul` lifts each operand once to its largest exponent, skips

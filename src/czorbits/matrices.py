@@ -1,10 +1,10 @@
 """Exact unitary matrices over the cyclotomic ring.
 
-A GateMatrix is an immutable 2x2 or 4x4 matrix whose entries live in the
-ring of CycloNum values. Its fields (dim, canonical packed byte string) are
-the dataclass's equality, hash and total-order key, so matrices can be
-deduplicated in sets and sorted deterministically without ever touching
-floating point.
+A GateMatrix is an immutable 2x2 or 4x4 matrix whose entries live in
+Z[ω, 1/√2], each an (a, b, c, d, k) tuple in `ring`'s reduced form. Its
+fields (dim, canonical packed byte string) are the dataclass's equality,
+hash and total-order key, so matrices can be deduplicated in sets and
+sorted deterministically without ever touching floating point.
 """
 
 from __future__ import annotations
@@ -14,7 +14,16 @@ from typing import Iterable, Sequence
 
 from czorbits import kernels
 from czorbits.encoding import ENTRY_BYTES, pack_values, unpack_values
-from czorbits.ring import IMAG_UNIT, INV_SQRT2, MINUS_ONE, ONE, ZERO, CycloNum
+from czorbits.ring import reduce_entry
+
+Entry = Sequence[int]  # (a, b, c, d, k): (a + bω + cω² + dω³) / √2^k
+
+ZERO = (0, 0, 0, 0, 0)
+ONE = (1, 0, 0, 0, 0)
+MINUS_ONE = (-1, 0, 0, 0, 0)
+IMAG_UNIT = (0, 0, 1, 0, 0)  # ω²
+INV_SQRT2 = (1, 0, 0, 0, 1)
+MINUS_INV_SQRT2 = (-1, 0, 0, 0, 1)
 
 
 @dataclass(frozen=True, order=True, slots=True, repr=False)
@@ -35,26 +44,21 @@ class GateMatrix:
         return GateMatrix, (self.dim, self.data)
 
     @classmethod
-    def from_entries(cls, rows: Sequence[Sequence[CycloNum]]) -> GateMatrix:
+    def from_entries(cls, rows: Sequence[Sequence[Entry]]) -> GateMatrix:
+        """The matrix of rows of (a, b, c, d, k) entries, each one reduced."""
         dim = len(rows)
         if any(len(row) != dim for row in rows):
             raise ValueError("matrix must be square")
-        return cls(dim, pack_values([x for row in rows for v in row for x in v.coeffs()]))
+        return cls(dim, pack_values([x for row in rows for v in row for x in reduce_entry(*v)]))
 
     @classmethod
     def identity(cls, dim: int) -> GateMatrix:
-        rows = [[ONE if i == j else ZERO for j in range(dim)] for i in range(dim)]
-        return cls.from_entries(rows)
+        return cls.from_entries(_perm_rows(dim, range(dim)))
 
-    def entry(self, i: int, j: int) -> CycloNum:
-        off = (i * self.dim + j) * ENTRY_BYTES
-        return CycloNum.unpack(self.data[off : off + ENTRY_BYTES])
-
-    def entries(self) -> tuple[tuple[CycloNum, ...], ...]:
-        n = self.dim
-        return tuple(
-            tuple(self.entry(i, j) for j in range(n)) for i in range(n)
-        )
+    def entries(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The rows of (a, b, c, d, k) entries, unpacked in one pass."""
+        cells = zip(*[iter(unpack_values(self.data))] * 5)
+        return tuple(zip(*[cells] * self.dim))
 
     def __repr__(self) -> str:
         return f"GateMatrix(dim={self.dim}, data={self.data.hex()[:16]}...)"
@@ -82,7 +86,7 @@ class GateMatrix:
         return self * self.dagger() == IDENTITY[self.dim]
 
 
-def _perm_rows(dim: int, perm: Iterable[int]) -> list[list[CycloNum]]:
+def _perm_rows(dim: int, perm: Iterable[int]) -> list[list[Entry]]:
     rows = [[ZERO] * dim for _ in range(dim)]
     for src, dst in enumerate(perm):
         rows[dst][src] = ONE
@@ -93,18 +97,12 @@ I2 = GateMatrix.identity(2)
 I4 = GateMatrix.identity(4)
 IDENTITY = {2: I2, 4: I4}
 
-H = GateMatrix.from_entries(
-    [[INV_SQRT2, INV_SQRT2], [INV_SQRT2, -INV_SQRT2]]
-)
+H = GateMatrix.from_entries([[INV_SQRT2, INV_SQRT2], [INV_SQRT2, MINUS_INV_SQRT2]])
 P = GateMatrix.from_entries([[ONE, ZERO], [ZERO, IMAG_UNIT]])
 
 CZ = GateMatrix.from_entries(
-    [
-        [ONE, ZERO, ZERO, ZERO],
-        [ZERO, ONE, ZERO, ZERO],
-        [ZERO, ZERO, ONE, ZERO],
-        [ZERO, ZERO, ZERO, MINUS_ONE],
-    ]
+    [[ONE, ZERO, ZERO, ZERO], [ZERO, ONE, ZERO, ZERO],
+     [ZERO, ZERO, ONE, ZERO], [ZERO, ZERO, ZERO, MINUS_ONE]]
 )
 
 # Basis order |q1 q2> with index 2*q1 + q2. CNOT_T2 targets qubit 2

@@ -1,22 +1,21 @@
 """Exact arithmetic in Z[ω, 1/√2] with ω = exp(iπ/4).
 
-A value is (a + bω + cω² + dω³) / √2^k with integer coefficients, under the
-sign-wrap convention ω⁴ = −1. Every instance is kept in reduced form: either
-k = 0, or the numerator is not divisible by √2 (equivalently a ≢ c or
-b ≢ d mod 2), and zero is always (0, 0, 0, 0, k=0). Reduced forms are unique,
-so field-wise equality decides numeric equality.
+A value is an entry, the integer tuple (a, b, c, d, k) meaning
+(a + bω + cω² + dω³) / √2^k, under the sign-wrap convention ω⁴ = −1. The
+library computes on these tuples only, through `reduce_entry`, `scale_entry`
+and `mul_entry`, and every entry it stores is in reduced form: either k = 0,
+or the numerator is not divisible by √2 (equivalently a ≢ c or b ≢ d mod 2),
+and zero is always (0, 0, 0, 0, 0). Reduced forms are unique, so field-wise
+equality decides numeric equality.
 """
 
 from __future__ import annotations
 
-import cmath
 import re
 from typing import Sequence
 
-from .encoding import COEF_LIMIT, K_LIMIT, check_coeff, unpack_values
+from .encoding import COEF_LIMIT, K_LIMIT
 
-_OMEGA_COMPLEX = cmath.exp(1j * cmath.pi / 4)
-_SQRT2 = 2.0**0.5
 # an optional sign then ASCII digits; int() alone also takes "1_0" and "١"
 _INT = r"[+-]?[0-9]+"
 _INTEGER = re.compile(_INT)
@@ -76,73 +75,3 @@ def parse_entry(text: str) -> tuple[int, int, int, int, int]:
         raise ValueError(f"coefficient out of range in {text!r}")
     return reduce_entry(a, b, c, d, k)
 
-
-class CycloNum:
-    __slots__ = ("_a", "_b", "_c", "_d", "_k")
-
-    def __init__(self, a: int, b: int = 0, c: int = 0, d: int = 0, k: int = 0) -> None:
-        if k < 0:
-            raise AssertionError(f"negative denominator exponent {k}")
-        a, b, c, d, k = reduce_entry(a, b, c, d, k)
-        self._a = check_coeff(a)
-        self._b = check_coeff(b)
-        self._c = check_coeff(c)
-        self._d = check_coeff(d)
-        self._k = k
-
-    def coeffs(self) -> tuple[int, int, int, int, int]:
-        return self._a, self._b, self._c, self._d, self._k
-
-    def __repr__(self) -> str:
-        return f"CycloNum({self._a}, {self._b}, {self._c}, {self._d}, k={self._k})"
-
-    def __str__(self) -> str:
-        return f"{self._a},{self._b},{self._c},{self._d}/{self._k}"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CycloNum):
-            return NotImplemented
-        return self.coeffs() == other.coeffs()
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs())
-
-    def __bool__(self) -> bool:
-        return self._a != 0 or self._b != 0 or self._c != 0 or self._d != 0
-
-    def __neg__(self) -> CycloNum:
-        return CycloNum(-self._a, -self._b, -self._c, -self._d, self._k)
-
-    def __add__(self, other: CycloNum) -> CycloNum:
-        if not isinstance(other, CycloNum):
-            return NotImplemented
-        *x, k1 = self.coeffs()
-        *y, k2 = other.coeffs()
-        k = max(k1, k2)  # both numerators lifted to the larger exponent
-        x, y = scale_entry(*x, k - k1), scale_entry(*y, k - k2)
-        return CycloNum(*(p + q for p, q in zip(x, y)), k)
-
-    def __mul__(self, other: CycloNum) -> CycloNum:
-        if not isinstance(other, CycloNum):
-            return NotImplemented
-        return CycloNum(*mul_entry(self.coeffs(), other.coeffs()))
-
-    def to_complex(self) -> complex:
-        num = (
-            self._a
-            + self._b * _OMEGA_COMPLEX
-            + self._c * 1j
-            + self._d * _OMEGA_COMPLEX**3
-        )
-        return num / _SQRT2**self._k
-
-    @classmethod
-    def unpack(cls, data: bytes) -> CycloNum:
-        return cls(*unpack_values(data))
-
-
-ZERO = CycloNum(0)
-ONE = CycloNum(1)
-MINUS_ONE = CycloNum(-1)
-IMAG_UNIT = CycloNum(0, 0, 1, 0)
-INV_SQRT2 = CycloNum(1, 0, 0, 0, 1)

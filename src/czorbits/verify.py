@@ -15,14 +15,15 @@ import numpy as np
 from czorbits import kernels
 from czorbits.encoding import ENTRY_BYTES, unpack_values
 from czorbits.graph import cnot_graph_equivalence
-from czorbits.groups import GroupTable
+from czorbits.groups import GroupTable, word_product
 from czorbits.io import format_orbit_map, format_table
-from czorbits.ring import CycloNum
 from czorbits.synth import evaluate
 from czorbits.workspace import Workspace, build_workspace
 
 SAMPLE_SEED = 20251117
 SAMPLE_SIZE = 1000
+# ω^0 .. ω^3, so a numerator (a, b, c, d) lifts as (a, b, c, d) @ _OMEGA_POWERS
+_OMEGA_POWERS = np.exp(1j * np.pi / 4 * np.arange(4))
 
 
 @dataclass
@@ -64,10 +65,11 @@ class VerificationReport:
 
 
 def _table_to_numpy(table: GroupTable) -> np.ndarray:
-    """All elements as one (n, dim, dim) complex array, vectorized."""
-    book = [[CycloNum(*e).to_complex() for e in zip(*[iter(unpack_values(row))] * 5)]
-            for row in table.book]
-    return np.array(book)[table.row_ids(slice(None))]
+    """All elements as one (n, dim, dim) complex array: the row book lifted
+    in one expression, then gathered by each element's row ids."""
+    vals = np.array([unpack_values(row) for row in table.book]).reshape(-1, table.dim, 5)
+    book = vals[..., :4] @ _OMEGA_POWERS / np.sqrt(2.0) ** vals[..., 4]
+    return book[table.row_ids(slice(None))]
 
 
 def _right_mismatches(table: GroupTable) -> int:
@@ -83,6 +85,21 @@ def _right_mismatches(table: GroupTable) -> int:
         want = table.encodings(table.right[ids].ravel())
         diff = np.frombuffer(got, np.uint8) != np.frombuffer(want, np.uint8)
         bad += int(diff.reshape(-1, size).any(axis=1).sum())
+    return bad
+
+
+def _left_mismatches(table: GroupTable) -> int:
+    """The ids x where a left action breaks g·1 = 1·g (x the identity) or
+    g·(x·h) = (g·x)·h, summed over all generators g and h. Every element is a
+    word in the generators, so with `right` exact a count of zero makes every
+    left action exact, by induction on the word."""
+    right, one = table.right, table.identity_id
+    bad = 0
+    for col, label in enumerate(table.alphabet):
+        left = table.left(label)
+        bad += int(left[one] != right[one, col])
+        for h in range(right.shape[1]):
+            bad += int((left[right[:, h]] != right[left, h]).sum())
     return bad
 
 
@@ -187,7 +204,7 @@ def run_verification(ws: Workspace) -> VerificationReport:
     ok = 0
     for _ in range(SAMPLE_SIZE):
         eid = rng.randrange(len(c2))
-        if c2.evaluate(c2.word_of(eid)) == c2.element(eid):
+        if word_product(c2.alphabet, c2.word_of(eid)) == c2.element(eid):
             ok += 1
     rep.add("word-roundtrip-sample", SAMPLE_SIZE, ok)
 
@@ -201,6 +218,7 @@ def run_verification(ws: Workspace) -> VerificationReport:
             ok += 1
     rep.add("action-table-sample", SAMPLE_SIZE, ok)
     rep.add("right-table-exact", [0, 0, 0], [_right_mismatches(t) for t in (c1, lc2, c2)])
+    rep.add("left-table-exact", [0, 0, 0], [_left_mismatches(t) for t in (c1, lc2, c2)])
 
     ws2 = build_workspace(fresh=True)
     same = (

@@ -14,10 +14,9 @@ import conftest
 from czorbits.graph import REFERENCE_EDGES, check_isomorphic, cnot_graph_equivalence
 from czorbits.io import format_orbit_map, format_orbit_summary, format_table
 from czorbits.matrices import CZ, I4
-from czorbits.ring import CycloNum
 from czorbits.synth import evaluate
 from czorbits.verify import _table_to_numpy
-from ringref import conj, pack, to_numpy
+from ringref import CycloNum, conj, pack, to_numpy
 from czorbits.workspace import build_workspace
 
 

@@ -12,8 +12,7 @@ from czorbits import kernels
 from czorbits.cli import main
 from czorbits.io import format_matrix
 from czorbits.matrices import CNOT_T1, CZ, GateMatrix, I4
-from czorbits.ring import ONE, ZERO
-from ringref import OMEGA
+from ringref import OMEGA, ONE, ZERO
 
 
 @pytest.fixture(scope="module")

@@ -20,8 +20,7 @@ from czorbits.matrices import (
     C2_GENERATORS,
     GateMatrix,
 )
-from czorbits.ring import ONE, ZERO, CycloNum
-from ringref import OMEGA, to_numpy
+from ringref import OMEGA, ONE, ZERO, CycloNum, entry, to_numpy
 
 
 def random_word_matrix(rng, gens, length):
@@ -89,8 +88,8 @@ class TestTensor:
         # top-left block is 1*H, bottom-right block is i*H
         for i in range(2):
             for j in range(2):
-                assert t.entry(i, j) == H.entry(i, j)
-                assert t.entry(2 + i, 2 + j) == H.entry(i, j) * P.entry(1, 1)
+                assert entry(t, i, j) == entry(H, i, j)
+                assert entry(t, 2 + i, 2 + j) == entry(H, i, j) * entry(P, 1, 1)
 
     def test_tensor_bilinear(self):
         rng = random.Random(5)
@@ -175,6 +174,13 @@ class TestEncoding:
     def test_from_entries_requires_square(self):
         with pytest.raises(ValueError):
             GateMatrix.from_entries([[ONE, ZERO]])
+
+    def test_from_entries_reduces_each_entry(self):
+        # (2 + 2ω²)/√2² is 1 + ω², so both spellings give one encoding
+        unreduced = GateMatrix.from_entries([[(2, 0, 2, 0, 2), ZERO], [ZERO, ONE]])
+        reduced = GateMatrix.from_entries([[(1, 0, 1, 0, 0), ZERO], [ZERO, ONE]])
+        assert unreduced.data == reduced.data
+        assert unreduced.entries()[0][0] == (1, 0, 1, 0, 0)
 
 
 class TestPredicates:

@@ -5,8 +5,9 @@ import cmath
 import pytest
 from hypothesis import given, strategies as st
 
-from czorbits.ring import IMAG_UNIT, INV_SQRT2, MINUS_ONE, ONE, ZERO, CycloNum
-from ringref import OMEGA, SQRT2, conj, pack, parse, power
+from ringref import (
+    IMAG_UNIT, INV_SQRT2, MINUS_ONE, OMEGA, ONE, SQRT2, ZERO, CycloNum, conj, pack, parse, power,
+)
 
 coeff = st.integers(min_value=-50, max_value=50)
 exponent = st.integers(min_value=0, max_value=6)

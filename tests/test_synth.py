@@ -18,6 +18,7 @@ from czorbits.synth import (
     evaluate,
     make_circuit,
 )
+from ringref import CycloNum
 
 
 def bfs_distance_from_identity_orbit(graph, oid):
@@ -157,7 +158,9 @@ class TestRoundTrip:
             assert evaluate(circuit) == m
 
     def test_non_member_rejected(self, ws):
-        double = GateMatrix.from_entries([[v + v for v in row] for row in I4.entries()])
+        double = GateMatrix.from_entries(
+            [[CycloNum(*v) + CycloNum(*v) for v in row] for row in I4.entries()]
+        )
         with pytest.raises(NotInGroupError):
             ws.synthesizer.synthesize(double)
 

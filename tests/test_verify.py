@@ -1,8 +1,11 @@
 """Report plumbing and the packed-table numeric bridge."""
 
-import numpy as np
+import copy
 
-from czorbits.verify import VerificationReport, _table_to_numpy
+import numpy as np
+import pytest
+
+from czorbits.verify import VerificationReport, _left_mismatches, _table_to_numpy
 from ringref import to_numpy
 
 
@@ -30,11 +33,27 @@ class TestReport:
 
 
 class TestTableBridge:
-    def test_matches_per_element_numpy(self, ws):
-        stacked = _table_to_numpy(ws.c1)
-        for eid in range(0, len(ws.c1), 7):
-            direct = to_numpy(ws.c1.element(eid))
+    @pytest.mark.parametrize("name, step", [("c1", 7), ("c2", 97)])
+    def test_matches_per_element_numpy(self, ws, name, step):
+        table = ws.table(name)
+        stacked = _table_to_numpy(table)
+        assert stacked.shape == (len(table), table.dim, table.dim)
+        for eid in range(0, len(table), step):
+            direct = to_numpy(table.element(eid))
             assert np.max(np.abs(stacked[eid] - direct)) < 1e-12
 
     def test_shape(self, ws):
         assert _table_to_numpy(ws.c1).shape == (192, 2, 2)
+
+
+class TestLeftTableExact:
+    def test_built_tables_have_no_mismatch(self, ws):
+        assert [_left_mismatches(t) for t in (ws.c1, ws.lc2, ws.c2)] == [0, 0, 0]
+
+    @pytest.mark.parametrize("label", ["H1", "P1", "H2", "P2", "CZ"])
+    def test_swapped_left_entries_are_caught(self, ws, label):
+        table = copy.copy(ws.c2)
+        row = list(table.alphabet).index(label)
+        table._left = table._left.copy()  # writable, and ws.c2 keeps its own
+        table._left[row, [5, 9]] = table._left[row, [9, 5]]
+        assert _left_mismatches(table) > 0
