@@ -33,7 +33,7 @@ class TestReport:
 
 
 class TestTableBridge:
-    @pytest.mark.parametrize("name, step", [("c1", 7), ("c2", 97)])
+    @pytest.mark.parametrize("name, step", [("c1", 7), ("c2", 97)], ids=["c1", "c2"])
     def test_matches_per_element_numpy(self, ws, name, step):
         table = ws.table(name)
         stacked = _table_to_numpy(table)
