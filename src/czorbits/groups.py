@@ -18,16 +18,23 @@ length at a time, in blocks: first the subgroup S that its local generators
 make, one key at a time, then the whole group one left coset S * u at a time,
 since (S * u) * g = S * (u * g) is again a whole coset. C2's search so meets
 its 20 cosets of LC2 as 20 blocks of 4608 keys, LC2 itself first, and keeps
-them as ids; LC2 is read off the first. The search ranks the keys for the
-ids and the integer Cayley table `right`. From `right` a table grows a
-breadth-first tree that gives each element a shortest word (its parent id
-and the generator that leads from the parent to it, so words read
-left-to-right as matrix products), and fills its left actions in the same walk.
+them as ids; LC2 is read off the first. The sorted keys are the ids.
+
+A table stores what the closure finds: its keys, its row book, the row action
+`act` of its generators and its cosets (and LC2 its factor pairs), which is
+all that a pickled table holds. It derives the rest the first time something
+reads it, and keeps it: the integer Cayley table `right`, one gather per row
+in `act` and a rank per generator; and from `right` the breadth-first tree
+that gives each element a shortest word (its parent id and the generator that
+leads from the parent to it, so words read left-to-right as matrix products),
+with the left actions filled in the same walk. Membership, elements and
+encodings read the keys and the book alone, so a loaded table answers them
+without deriving anything.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -43,6 +50,8 @@ ROW_BITS = 9
 MAX_ROWS = 1 << ROW_BITS
 # _SHIFTS[dim]: the shift of each row's id in a key, first row first
 _SHIFTS = {dim: range(ROW_BITS * (dim - 1), -1, -ROW_BITS) for dim in (2, 4)}
+# the attributes a GroupTable derives on first use and leaves out of its pickle
+DERIVED = ("right", "_tree", "parent", "label", "_left")
 
 
 def bfs_fill(out: np.ndarray, moves: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -76,9 +85,10 @@ def _pack(rows: np.ndarray) -> np.ndarray:
 
 
 class GroupTable:
-    """Immutable table of group elements with a shortest word for each and
-    the right and left actions of its generators on element ids, the tree
-    and the left actions grown in one walk over `right`.
+    """Immutable table of group elements: their keys and row book, the row
+    action of the generators and, derived from those on first use, the right
+    and left actions of the generators on element ids and a shortest word for
+    each element (see DERIVED, which pickling leaves out).
 
     Precondition: `keys` ascend, as `closure()` leaves them, so an id is its
     element's rank and `contains` is a binary search.
@@ -90,7 +100,7 @@ class GroupTable:
         alphabet: Mapping[str, GateMatrix],
         keys: np.ndarray,
         book: list[bytes],
-        right: np.ndarray,
+        act: np.ndarray,
         cosets: Optional[np.ndarray] = None,
     ) -> None:
         self.name = name
@@ -102,20 +112,46 @@ class GroupTable:
         self.book = book
         self._book = np.frombuffer(b"".join(book), dtype=np.uint8).reshape(len(book), -1)
         self._row_of = {data: r for r, data in enumerate(book)}
-        # right[e, g] (int32) is the id of element(e) times the g-th
-        # generator of the alphabet
-        self.right = right
-        # the breadth-first tree: element e is element(parent[e]) (int32)
-        # times generator label[e] (int8); both are -1 at the identity.
-        # _left[g, e] (int32): the id of the g-th generator times element(e)
-        self.parent, self.label, self._left = _bfs_tree(right, self.identity_id)
-        self._left.flags.writeable = False
+        # act[g, r] (uint16): the id of row r times the g-th generator
+        self.act = act
         # cosets[c] (int32): the ids of one left coset of the subgroup that the
         # closure's local generators make, ascending, one row per coset; set by closure()
         self.cosets = cosets
         # pairs: for the local group, the (wire-1 id, wire-2 id) factor
         # pair of each element over the single-qubit table, set by build_lc2
         self.pairs: Optional[list[tuple[int, int]]] = None
+
+    def __getstate__(self) -> dict:
+        """Every attribute but the DERIVED ones, which a loaded table makes again."""
+        return {k: v for k, v in self.__dict__.items() if k not in DERIVED}
+
+    @cached_property
+    def right(self) -> np.ndarray:
+        """right[e, g] (int32): the id of element(e) times the g-th generator
+        of the alphabet. A product outside the table raises VerificationError."""
+        # uint16 row ids, gathered one row at a time: int64 ids would be the peak
+        rows = _unpack(self.keys, self.dim).astype(np.uint16)
+        right = np.empty((len(self), len(self.act)), np.int32)
+        for g, a in enumerate(self.act):  # x * g runs over the group once as x does
+            products = _pack([a[r] for r in rows])
+            order, right[:, g] = _ranks(products)
+            if not np.array_equal(products[order], self.keys):
+                raise VerificationError(f"{self.name} is not closed under {list(self.alphabet)[g]}")
+        return right
+
+    @cached_property
+    def _tree(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """parent, label and _left, from one walk over `right` (see _bfs_tree)."""
+        parent, label, left = _bfs_tree(self.right, self.identity_id)
+        left.flags.writeable = False
+        return parent, label, left
+
+    # the breadth-first tree: element e is element(parent[e]) (int32) times
+    # generator label[e] (int8), both -1 at the identity; _left[g, e] (int32,
+    # read-only): the id of the g-th generator times element(e)
+    parent = cached_property(lambda self: self._tree[0])
+    label = cached_property(lambda self: self._tree[1])
+    _left = cached_property(lambda self: self._tree[2])
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -205,7 +241,6 @@ def closure(
         if not g.is_unitary():
             raise ValueError(f"generator {label!r} is not unitary")
     local_cols = [list(generators).index(label) for label in local]
-    # the table fills its left actions, so it is made once the level arrays are freed
     return GroupTable(name, dict(gens), *_level_search(gens, dim, name, local_cols))
 
 
@@ -214,9 +249,10 @@ def _row_book(gens: list[tuple[str, GateMatrix]], dim: int, name: str) -> tuple:
     in exact arithmetic: the row encodings in ascending order, act[g, r]
     (uint16), the id of row r times the g-th generator, and the identity's
     row ids. Rows are multiplied dim at a time, as the rows of one
-    kernels.mat_mul operand, zero rows padding the last. More than MAX_ROWS
-    rows stop the search."""
+    kernels.mat_mul_columns operand, zero rows padding the last, by each
+    generator lifted once. More than MAX_ROWS rows stop the search."""
     size, unit = dim * ENTRY_BYTES, IDENTITY[dim].data
+    lifted = [kernels.columns(g.data, dim) for _, g in gens]
     # found[row]: the row's id, in the order met
     found = {unit[at : at + size]: r for r, at in enumerate(range(0, len(unit), size))}
     images: list[list[int]] = []
@@ -225,7 +261,7 @@ def _row_book(gens: list[tuple[str, GateMatrix]], dim: int, name: str) -> tuple:
             raise VerificationError(f"closure of {name} met more than {MAX_ROWS} distinct rows")
         block = list(found)[len(images) : len(images) + dim]
         operand = b"".join(block) + pack_values([0] * 5 * dim) * (dim - len(block))
-        products = [kernels.mat_mul(operand, g.data, dim) for _, g in gens]
+        products = [kernels.mat_mul_columns(operand, g, dim) for g in lifted]
         for at in range(0, len(block) * size, size):
             images.append([found.setdefault(p[at : at + size], len(found)) for p in products])
     rows = list(found)
@@ -237,7 +273,7 @@ def _row_book(gens: list[tuple[str, GateMatrix]], dim: int, name: str) -> tuple:
 def _level_search(gens: list[tuple[str, GateMatrix]], dim: int, name: str,
                   local_cols: list[int]) -> tuple:
     """closure's search on keys of row ids; returns the table's keys, row book,
-    right and cosets. The subgroup the `local_cols` generators make
+    row action and cosets. The subgroup the `local_cols` generators make
     is met from the identity in blocks of one key; the group is then met from
     that subgroup in blocks of its width, each block a left coset. The keys,
     sorted, are the ids; each coset's row holds its ids ascending, the rows in
@@ -247,13 +283,9 @@ def _level_search(gens: list[tuple[str, GateMatrix]], dim: int, name: str,
     subgroup = _blocks(act[local_cols], start, dim, name)
     blocks = _blocks(act, subgroup.reshape(1, -1), dim, name)
     order, ranks = _ranks(blocks.ravel())
-    keys, cosets = blocks.ravel()[order], ranks.reshape(blocks.shape)
+    cosets = ranks.reshape(blocks.shape)
     cosets.sort(axis=1)  # in place: a sorted copy would raise the search's peak
-    del blocks, order  # freed before the rows below, the search's peak of memory
-    rows, right = _unpack(keys, dim), np.empty((len(keys), len(gens)), dtype=np.int32)
-    for g, a in enumerate(act):  # x * g runs over the group once as x does
-        right[:, g] = _ranks(_pack(a[rows]))[1]
-    return keys, book, right, cosets
+    return blocks.ravel()[order], book, act, cosets
 
 
 def _ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -321,9 +353,10 @@ def build_lc2(c1: GroupTable, c2: GroupTable) -> GroupTable:
     """The local group H1, P1, H2 and P2 generate, read off c2 and factored over c1.
 
     c2's closure meets that group first, so c2's first coset row holds LC2's
-    ids, ascending; LC2's `right` is c2's local columns on them, its row book
-    the c2 rows they use. A row those columns lead out of (c2 closed without
-    `local`) raises VerificationError.
+    ids, ascending; LC2's row book is the c2 rows they use, its row action
+    c2's local rows of `act` on those rows, renumbered. A row those generators
+    lead out of (c2 closed without `local`) raises VerificationError, and so
+    does a product outside the coset, when LC2's `right` is derived below.
 
     (A * g) (x) B = (A (x) B)(g (x) I), and the same holds on wire 2, so the
     id of each A (x) B fills breadth-first from the identity pair along c1's
@@ -334,16 +367,14 @@ def build_lc2(c1: GroupTable, c2: GroupTable) -> GroupTable:
     """
     alphabet = {k: v for k, v in c2.alphabet.items() if k != "CZ"}
     cols = [list(c2.alphabet).index(label) for label in alphabet]
-    ids = c2.cosets[0]
-    rank = np.full(len(c2), -1, dtype=np.int32)
-    rank[ids] = np.arange(len(ids))
-    right = rank[c2.right[ids[:, None], cols]]
-    if (right < 0).any():
-        raise VerificationError(f"the first coset of {c2.name} is not closed under {list(alphabet)}")
-    rows, used = _unpack(c2.keys[ids], c2.dim), np.zeros(len(c2.book), dtype=bool)
+    rows, used = _unpack(c2.keys[c2.cosets[0]], c2.dim), np.zeros(len(c2.book), dtype=bool)
     used[rows] = True
-    table = GroupTable("lc2", alphabet, _pack((np.cumsum(used) - 1)[rows]),
-                       [c2.book[r] for r in np.flatnonzero(used)], right)
+    act = c2.act[cols][:, used]
+    if not used[act].all():
+        raise VerificationError(f"the first coset of {c2.name} is not closed under {list(alphabet)}")
+    renumber = (np.cumsum(used) - 1).astype(np.uint16)
+    table = GroupTable("lc2", alphabet, _pack(renumber[rows]),
+                       [c2.book[r] for r in np.flatnonzero(used)], renumber[act])
     n, k = len(c1), len(c1.alphabet)
     ia, ib = np.divmod(np.arange(n * n), n)
     # at[ia * n + ib]: id of c1's ia (x) c1's ib; wire w's generators are

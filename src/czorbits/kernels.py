@@ -7,12 +7,14 @@ so a product's bytes depend only on its value.
 
 `mat_mul`, `mat_tensor` and `mat_dagger` act on one matrix in Python
 integers. `mat_mul` lifts each operand once to its largest exponent, skips
-zero entries and reduces each output entry once; `mat_tensor` makes each of
+zero entries and reduces each output entry once, and `mat_mul_columns` takes
+its right operand already lifted by `columns`; `mat_tensor` makes each of
 its 16 entries as one `ring.mul_entry` product of its factors' entries.
 `mat_mul_batch` multiplies many matrices by many at once in numpy int64,
-with the scalar `mat_mul` as its reference. Group closure multiplies
-only its row book's rows, with `mat_mul` (see `groups`); the batched kernel
-is the independent oracle that `verify` holds every closure's Cayley table to.
+with the scalar `mat_mul` as its reference. Group closure multiplies only its
+row book's rows, with `mat_mul_columns`, lifting each generator once (see
+`groups`); the batched kernel is the independent oracle that `verify` holds
+every closure's Cayley table to.
 """
 
 from __future__ import annotations
@@ -42,10 +44,22 @@ def mat_mul(x: bytes, y: bytes, dim: int) -> bytes:
     over y's nonzero column entries at the fixed exponent kx + ky, reduced once."""
     if len(x) != dim * dim * ENTRY_BYTES or len(y) != dim * dim * ENTRY_BYTES:
         raise ValueError("matrix encoding does not match dimension")
-    xs, kx = _lifted(x)
+    return mat_mul_columns(x, columns(y, dim), dim)
+
+
+def columns(y: bytes, dim: int) -> tuple[list, int]:
+    """The right operand of `mat_mul_columns`: y's nonzero entries column by
+    column, as (row, a, b, c, d) on y's largest exponent, and that exponent.
+    A caller that multiplies many matrices by one y lifts it once."""
     ys, ky = _lifted(y)
+    return [[(t, *ys[t * dim + j]) for t in range(dim) if ys[t * dim + j]] for j in range(dim)], ky
+
+
+def mat_mul_columns(x: bytes, y: tuple[list, int], dim: int) -> bytes:
+    """x * y for a dim x dim encoding x and y as `columns` lifts it."""
+    xs, kx = _lifted(x)
+    cols, ky = y
     k = kx + ky
-    cols = [[(t, *ys[t * dim + j]) for t in range(dim) if ys[t * dim + j]] for j in range(dim)]
     out: list[int] = []
     for i in range(0, dim * dim, dim):
         row = xs[i : i + dim]

@@ -2,13 +2,14 @@
 
 import argparse
 import json
+import pickle
 import shutil
 import subprocess
 import sys
 
 import pytest
 
-from czorbits import kernels
+from czorbits import groups, kernels, workspace
 from czorbits.cli import main
 from czorbits.io import format_matrix
 from czorbits.matrices import CNOT_T1, CZ, GateMatrix, I4
@@ -133,6 +134,32 @@ class TestOneLookup:
         monkeypatch.setattr(kernels, "mat_dagger", refuse)
         assert main([command, str(path), "--out-dir", str(atlas)]) == 0
         assert capsys.readouterr().out
+
+
+class TestLoadedWorkspace:
+    def test_queries_derive_no_action_or_tree(self, atlas, ws, tmp_path, monkeypatch, capsys):
+        # lookup and synth read keys, row books and plans; a loaded workspace
+        # answers them without making `right`, a tree or a left action
+        rows = [[ZERO] * 4 for _ in range(4)]
+        for i in range(3):
+            rows[i][i] = ONE
+        rows[3][3] = OMEGA
+        member, outside = tmp_path / "cnot.txt", tmp_path / "cs.txt"
+        member.write_text(format_matrix(CNOT_T1))
+        outside.write_text(format_matrix(GateMatrix.from_entries(rows)))
+        queries = [["lookup", str(member)], ["lookup", "--element", "83679"],
+                   ["synth", str(member), "--verify"], ["synth", "--element", "83679", "--verify"],
+                   ["lookup", str(outside)]]
+        loaded = pickle.loads(pickle.dumps(ws, protocol=pickle.HIGHEST_PROTOCOL))
+        for cache in (ws, loaded):
+            monkeypatch.setattr(workspace, "_CACHE", cache)
+            codes = [main([*argv, "--out-dir", str(atlas)]) for argv in queries]
+            assert codes == [0, 0, 0, 0, 4]
+            if cache is ws:
+                want = capsys.readouterr()
+        assert capsys.readouterr() == want
+        for table in (loaded.c1, loaded.lc2, loaded.c2):
+            assert not set(groups.DERIVED) & set(vars(table)), table.name
 
 
 class TestParserReuse:

@@ -1,5 +1,7 @@
 """Group tables: orders, closure behavior, words, membership."""
 
+import copy
+import pickle
 import random
 
 import numpy as np
@@ -431,11 +433,45 @@ class TestRightTableOracle:
 
     def test_a_wrong_entry_is_counted(self, ws):
         # lc2 has 4608 rows, so the wrong entry sits in the second slice
-        lc2 = ws.lc2
-        right = lc2.right.copy()
-        right[4500, 1] = right[4501, 1]
-        broken = GroupTable("lc2", lc2.alphabet, lc2.keys, lc2.book, right)
+        broken = copy.copy(ws.lc2)
+        broken.right = ws.lc2.right.copy()
+        broken.right[4500, 1] = broken.right[4501, 1]
         assert _right_mismatches(broken) == 1
+
+    def test_a_product_outside_the_table_is_refused(self, ws):
+        act = ws.c1.act.copy()
+        act[0, [0, 1]] = act[0, 0]  # H sends rows 0 and 1 to one row
+        broken = GroupTable("c1", ws.c1.alphabet, ws.c1.keys, ws.c1.book, act)
+        with pytest.raises(VerificationError, match="c1 is not closed under H"):
+            broken.right
+
+
+class TestPickle:
+    """A pickled table holds what the closure found; what derives from it is
+    made again, equal, the first time something reads it."""
+
+    @pytest.fixture(scope="class")
+    def loaded(self, ws):
+        return pickle.loads(pickle.dumps(ws, protocol=pickle.HIGHEST_PROTOCOL))
+
+    @pytest.mark.parametrize("name", ["c1", "lc2", "c2"])
+    def test_derived_entries_are_left_out_and_made_equal(self, ws, loaded, name):
+        built, table = ws.table(name), loaded.table(name)
+        for field in groups.DERIVED:
+            getattr(built, field)
+        assert set(groups.DERIVED) <= set(vars(built))
+        assert not set(groups.DERIVED) & set(built.__getstate__())
+        assert not set(groups.DERIVED) & set(vars(table))
+        for field in ("right", "parent", "label"):
+            got, want = getattr(table, field), getattr(built, field)
+            assert got.dtype == want.dtype and np.array_equal(got, want), field
+        for label in built.alphabet:
+            got, want = table.left(label), built.left(label)
+            assert got.dtype == want.dtype and np.array_equal(got, want), label
+            assert not got.flags.writeable
+
+    def test_workspace_pickle_is_compact(self, ws):
+        assert len(pickle.dumps(ws, protocol=pickle.HIGHEST_PROTOCOL)) <= 2.2e6
 
 
 class TestCanonicalOrder:
