@@ -2,10 +2,11 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_layers.py --baseline ../parent --runs 7 --out BENCH_23.json
+    python3 scripts/bench_layers.py --baseline ../parent --runs 7 --out BENCH_24.json
 
 Every run is a fresh interpreter (this script with --measure) that imports
-czorbits from one tree's src/. It times `import czorbits.cli`, then one cold
+czorbits from one tree's src/. It times `import czorbits.cli` (through
+BENCH_23.json with `czorbits.verify`, and so numpy, inside it), then one cold
 `build_workspace()` with each stage timed by wrapping the names that
 `czorbits.workspace` calls (the C1 and C2 closures; LC2, read off C2's
 first coset since BENCH_19.json, off C2's `right` by the closures' own tree
@@ -47,7 +48,12 @@ of the process right after the build, and the size of `pickle.dumps(workspace)` 
 start would load, and the pickle perfbench's query-mix loads) with the time
 to load it, and the host's one-minute load average (`os.getloadavg()`)
 when the sample starts, since load on a shared host moves the build times
-by about 2x. Since BENCH_15.json it then times the exact work behind one
+by about 2x. Since BENCH_24.json it also reports `query_start_s`, the wall
+time of a fresh interpreter that imports `czorbits.cli`, loads that pickle,
+installs it as the cached workspace and answers `lookup --element 83679` and
+`synth --element 83679 --verify` in-process with the table files on disk,
+and `query_start_numpy`, 1 if numpy was in `sys.modules` when it finished
+and 0 if not. Since BENCH_15.json it then times the exact work behind one
 query, each figure a mean per call over the same elements (since
 BENCH_19.json the least of five passes in the run's interpreter, one pass
 before): `parse_matrix`
@@ -92,6 +98,21 @@ STAGES = {
 }
 
 
+# a query process: import the CLI, load the pickled workspace from the table
+# directory argv[1], answer two queries, print whether numpy was imported
+QUERY_START = """
+import pickle, sys
+import czorbits.cli as cli
+import czorbits.workspace as workspace
+with open(sys.argv[1] + "/workspace.pickle", "rb") as f:
+    workspace._CACHE = pickle.load(f)
+for argv in (["lookup"], ["synth", "--verify"]):
+    args = [argv[0], "--element", "83679", *argv[1:], "--out-dir", sys.argv[1], "--no-regen"]
+    assert cli.main(args) == 0
+print("numpy" in sys.modules)
+"""
+
+
 def measure() -> dict:
     """The figures of one cold run in this interpreter."""
     load = os.getloadavg()[0]
@@ -100,9 +121,9 @@ def measure() -> dict:
     import czorbits.workspace as workspace
     from czorbits import groups
     from czorbits.io import format_table, orbit_map_records, write_atomic
-    from czorbits.verify import run_verification
 
     figures = {"import_s": time.perf_counter() - t0, **dict.fromkeys(STAGES.values(), 0.0)}
+    from czorbits.verify import run_verification  # which imports numpy, as cli does not
     figures["loadavg_1m"] = load
     figures["row_book_s"] = figures["tables_s"] = 0.0
 
@@ -172,6 +193,14 @@ def measure() -> dict:
     t0 = time.perf_counter()
     pickle.loads(blob)
     figures["pickle_load_s"] = time.perf_counter() - t0
+    with tempfile.TemporaryDirectory() as out_dir:
+        workspace.write_tables(ws, Path(out_dir))
+        (Path(out_dir) / "workspace.pickle").write_bytes(blob)
+        t0 = time.perf_counter()
+        out = subprocess.run([sys.executable, "-c", QUERY_START, out_dir],
+                             capture_output=True, text=True, check=True, timeout=600)
+        figures["query_start_s"] = time.perf_counter() - t0
+        figures["query_start_numpy"] = int(out.stdout.splitlines()[-1] == "True")
     figures.update(query_figures(ws, ids, matrices))
     t0 = time.perf_counter()
     run_verification(ws)
@@ -257,7 +286,7 @@ def main() -> int:
     p.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--baseline", type=Path, help="checkout to compare against (the parent)")
     p.add_argument("--runs", type=int, default=5, help="fresh interpreters per tree, at least 2")
-    p.add_argument("--out", type=Path, default=ROOT / "BENCH_23.json")
+    p.add_argument("--out", type=Path, default=ROOT / "BENCH_24.json")
     args = p.parse_args()
     if args.measure:
         print(json.dumps(measure()))

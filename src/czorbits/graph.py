@@ -8,14 +8,15 @@ weight 512; it must match the embedded reference diagram up to isomorphism.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
 from czorbits.errors import VerificationError
 from czorbits.groups import GroupTable
 from czorbits.matrices import CNOT_T1, CNOT_T2
 from czorbits.orbits import OrbitAtlas
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Reference 20-node diagram, one entry per unordered edge (90 total,
 # every node degree 9). Node 1 is the identity orbit, node 20 the
@@ -80,8 +81,9 @@ def build_graph(atlas: OrbitAtlas, action: np.ndarray) -> CzGraph:
     action[e] is the id of gate*element(e), as GroupTable.left gives it;
     weight[i][j] counts elements of O_{i+1} landing in O_{j+1}.
     """
+    import numpy as np
     n = atlas.n_orbits
-    orbit = np.asarray(atlas.orbit_of) - 1
+    orbit = np.asarray(atlas.orbit_of, dtype=np.intp) - 1
     pair = orbit * n + orbit[action]
     weight = np.bincount(pair, minlength=n * n).reshape(n, n).tolist()
     # each pair's witness is its minimal element id

@@ -27,22 +27,30 @@ reads it, and keeps it: the integer Cayley table `right`, one gather per row
 in `act` and a rank per generator; and from `right` the breadth-first tree
 that gives each element a shortest word (its parent id and the generator that
 leads from the parent to it, so words read left-to-right as matrix products),
-with the left actions filled in the same walk. Membership, elements and
-encodings read the keys and the book alone, so a loaded table answers them
-without deriving anything.
+with the left actions filled in the same walk. Membership and elements read
+the keys and the book alone, so a loaded table answers them without deriving
+anything.
+
+What a table stores it keeps in stdlib arrays (`stdlib_array`), so that a
+pickled table loads, and answers membership by `bisect` and elements by a
+plain index, without importing numpy. numpy is imported inside the functions
+that build, derive or gather, and only when one of them runs.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from functools import cached_property, reduce
-from typing import Iterable, Mapping, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from czorbits import kernels
 from czorbits.encoding import ENTRY_BYTES, pack_values
 from czorbits.errors import VerificationError
 from czorbits.matrices import C1_GENERATORS, C2_GENERATORS, IDENTITY, GateMatrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CLOSURE_CAP = 10**6
 # a key holds dim row ids of ROW_BITS bits each, so a book holds MAX_ROWS rows
@@ -51,12 +59,23 @@ MAX_ROWS = 1 << ROW_BITS
 # _SHIFTS[dim]: the shift of each row's id in a key, first row first
 _SHIFTS = {dim: range(ROW_BITS * (dim - 1), -1, -ROW_BITS) for dim in (2, 4)}
 # the attributes a GroupTable derives on first use and leaves out of its pickle
-DERIVED = ("right", "_tree", "parent", "label", "_left")
+DERIVED = ("right", "_tree", "parent", "label", "_left", "_book")
+
+
+def stdlib_array(a: np.ndarray, code: str) -> array:
+    """The items of `a`, flat, as a stdlib array of typecode `code`, which
+    names the same C type in numpy; OverflowError if an item does not fit."""
+    import numpy as np
+    out = a.astype(code)
+    if not np.array_equal(out, a):
+        raise OverflowError(f"an item does not fit typecode {code!r}")
+    return array(code, out.tobytes())
 
 
 def bfs_fill(out: np.ndarray, moves: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """Set out[step[e]] = relabel[out[e]] for each (step, relabel), breadth-first
     from the entries >= 0 until no more entries of -1 are reached; returns out."""
+    import numpy as np
     frontier = np.flatnonzero(out >= 0)
     while frontier.size:
         reached = []
@@ -71,12 +90,14 @@ def bfs_fill(out: np.ndarray, moves: Sequence[tuple[np.ndarray, np.ndarray]]) ->
 
 def _unpack(keys: np.ndarray, dim: int) -> np.ndarray:
     """The row ids of each key, one more axis of dim in front, the first id first."""
+    import numpy as np
     shifts = np.array(_SHIFTS[dim]).reshape(-1, *[1] * np.ndim(keys))
     return (keys >> shifts) & (MAX_ROWS - 1)
 
 
 def _pack(rows: np.ndarray) -> np.ndarray:
     """The int64 key of each column of row ids (the first axis), the first id highest."""
+    import numpy as np
     keys = rows[0].astype(np.int64)
     for row in rows[1:]:
         keys <<= ROW_BITS
@@ -98,24 +119,23 @@ class GroupTable:
         self,
         name: str,
         alphabet: Mapping[str, GateMatrix],
-        keys: np.ndarray,
+        keys: array,
         book: list[bytes],
-        act: np.ndarray,
-        cosets: Optional[np.ndarray] = None,
+        act: list[array],
+        cosets: Optional[list[array]] = None,
     ) -> None:
         self.name = name
         self.alphabet = dict(alphabet)
         self.dim = next(iter(self.alphabet.values())).dim
-        # keys[e] (int64): element e's row ids, packed; book[r]: the encoding
-        # of row r, the distinct rows in ascending order
+        # keys[e] (array "q", int64): element e's row ids, packed; book[r]: the
+        # encoding of row r, the distinct rows in ascending order
         self.keys = keys
         self.book = book
-        self._book = np.frombuffer(b"".join(book), dtype=np.uint8).reshape(len(book), -1)
         self._row_of = {data: r for r, data in enumerate(book)}
-        # act[g, r] (uint16): the id of row r times the g-th generator
+        # act[g][r] (array "H", uint16): the id of row r times the g-th generator
         self.act = act
-        # cosets[c] (int32): the ids of one left coset of the subgroup that the
-        # closure's local generators make, ascending, one row per coset; set by closure()
+        # cosets[c] (array "i", int32): the ids of one left coset of the subgroup
+        # that the closure's local generators make, ascending; set by closure()
         self.cosets = cosets
         # pairs: for the local group, the (wire-1 id, wire-2 id) factor
         # pair of each element over the single-qubit table, set by build_lc2
@@ -129,13 +149,15 @@ class GroupTable:
     def right(self) -> np.ndarray:
         """right[e, g] (int32): the id of element(e) times the g-th generator
         of the alphabet. A product outside the table raises VerificationError."""
+        import numpy as np
         # uint16 row ids, gathered one row at a time: int64 ids would be the peak
-        rows = _unpack(self.keys, self.dim).astype(np.uint16)
+        keys = np.asarray(self.keys)
+        rows = _unpack(keys, self.dim).astype(np.uint16)
         right = np.empty((len(self), len(self.act)), np.int32)
-        for g, a in enumerate(self.act):  # x * g runs over the group once as x does
+        for g, a in enumerate(np.array(self.act)):  # x * g runs over the group once as x does
             products = _pack([a[r] for r in rows])
             order, right[:, g] = _ranks(products)
-            if not np.array_equal(products[order], self.keys):
+            if not np.array_equal(products[order], keys):
                 raise VerificationError(f"{self.name} is not closed under {list(self.alphabet)[g]}")
         return right
 
@@ -153,6 +175,12 @@ class GroupTable:
     label = cached_property(lambda self: self._tree[1])
     _left = cached_property(lambda self: self._tree[2])
 
+    @cached_property
+    def _book(self) -> np.ndarray:
+        """The row book as one (rows, bytes per row) uint8 array, for `encodings`."""
+        import numpy as np
+        return np.frombuffer(b"".join(self.book), dtype=np.uint8).reshape(len(self.book), -1)
+
     def __len__(self) -> int:
         return len(self.keys)
 
@@ -169,13 +197,14 @@ class GroupTable:
         return eid
 
     def element(self, eid: int) -> GateMatrix:
-        key = int(self.keys[self._check_id(eid)])
+        key = self.keys[self._check_id(eid)]
         rows = [self.book[(key >> s) & (MAX_ROWS - 1)] for s in _SHIFTS[self.dim]]
         return GateMatrix(self.dim, b"".join(rows))
 
     def row_ids(self, ids: int | slice | np.ndarray) -> np.ndarray:
         """The row ids of the elements `ids`, one more axis of dim at the end."""
-        return np.moveaxis(_unpack(self.keys[ids], self.dim), 0, -1)
+        import numpy as np
+        return np.moveaxis(_unpack(np.asarray(self.keys)[ids], self.dim), 0, -1)
 
     def encodings(self, ids: int | np.ndarray) -> bytes:
         """The encodings of the elements `ids`, concatenated in that order."""
@@ -191,7 +220,7 @@ class GroupTable:
             if r is None:  # a row no element has
                 return None
             key = key << ROW_BITS | r
-        eid = int(self.keys.searchsorted(key))
+        eid = bisect_left(self.keys, key)
         return eid if eid < len(self) and self.keys[eid] == key else None
 
     def word_of(self, eid: int) -> tuple[str, ...]:
@@ -251,6 +280,7 @@ def _row_book(gens: list[tuple[str, GateMatrix]], dim: int, name: str) -> tuple:
     row ids. Rows are multiplied dim at a time, as the rows of one
     kernels.mat_mul_columns operand, zero rows padding the last, by each
     generator lifted once. More than MAX_ROWS rows stop the search."""
+    import numpy as np
     size, unit = dim * ENTRY_BYTES, IDENTITY[dim].data
     lifted = [kernels.columns(g.data, dim) for _, g in gens]
     # found[row]: the row's id, in the order met
@@ -273,11 +303,11 @@ def _row_book(gens: list[tuple[str, GateMatrix]], dim: int, name: str) -> tuple:
 def _level_search(gens: list[tuple[str, GateMatrix]], dim: int, name: str,
                   local_cols: list[int]) -> tuple:
     """closure's search on keys of row ids; returns the table's keys, row book,
-    row action and cosets. The subgroup the `local_cols` generators make
-    is met from the identity in blocks of one key; the group is then met from
-    that subgroup in blocks of its width, each block a left coset. The keys,
-    sorted, are the ids; each coset's row holds its ids ascending, the rows in
-    the order the search met their blocks."""
+    row action and cosets, as the table stores them. The subgroup the
+    `local_cols` generators make is met from the identity in blocks of one key;
+    the group is then met from that subgroup in blocks of its width, each block
+    a left coset. The keys, sorted, are the ids; each coset's row holds its ids
+    ascending, the rows in the order the search met their blocks."""
     book, act, identity = _row_book(gens, dim, name)
     start = _pack(identity[:, None, None])
     subgroup = _blocks(act[local_cols], start, dim, name)
@@ -285,11 +315,13 @@ def _level_search(gens: list[tuple[str, GateMatrix]], dim: int, name: str,
     order, ranks = _ranks(blocks.ravel())
     cosets = ranks.reshape(blocks.shape)
     cosets.sort(axis=1)  # in place: a sorted copy would raise the search's peak
-    return blocks.ravel()[order], book, act, cosets
+    return (stdlib_array(blocks.ravel()[order], "q"), book,
+            [stdlib_array(a, "H") for a in act], [stdlib_array(c, "i") for c in cosets])
 
 
 def _ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The order that sorts distinct `keys`, and each key's rank (int32) in it."""
+    import numpy as np
     order, ranks = np.argsort(keys), np.empty(len(keys), dtype=np.int32)
     ranks[order] = np.arange(len(keys), dtype=np.int32)
     return order, ranks
@@ -302,6 +334,7 @@ def _blocks(act: np.ndarray, start: np.ndarray, dim: int, name: str) -> np.ndarr
     name, no block met so far has; one binary search against the sorted names finds
     them. Returns the blocks, (blocks, width), in the order met. More than
     CLOSURE_CAP keys in all stop the search."""
+    import numpy as np
     width = start.shape[1]
     met, names, frontier = [start], start.min(axis=1), start
     while len(frontier):
@@ -329,6 +362,7 @@ def _bfs_tree(right: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray, np
     position, then column order), so the word the tree spells for each element is a
     shortest one. left[g, e] (int32) is the id of the g-th column's generator times e:
     g * start is right[start, g], and each e = p * h met gets g * e = (g * p) * h."""
+    import numpy as np
     n, k = right.shape
     parent, label = np.full(n, -2, dtype=np.int32), np.full(n, -1, dtype=np.int8)
     left = np.full((k, n), -1, dtype=np.int32)
@@ -365,16 +399,19 @@ def build_lc2(c1: GroupTable, c2: GroupTable) -> GroupTable:
     the pair with the fewest total letters of c1's words, ties broken by
     (ia, ib); the identity factors as the identity pair.
     """
+    import numpy as np
     alphabet = {k: v for k, v in c2.alphabet.items() if k != "CZ"}
     cols = [list(c2.alphabet).index(label) for label in alphabet]
-    rows, used = _unpack(c2.keys[c2.cosets[0]], c2.dim), np.zeros(len(c2.book), dtype=bool)
+    rows = _unpack(np.asarray(c2.keys)[c2.cosets[0]], c2.dim)
+    used = np.zeros(len(c2.book), dtype=bool)
     used[rows] = True
-    act = c2.act[cols][:, used]
+    act = np.array(c2.act)[cols][:, used]
     if not used[act].all():
         raise VerificationError(f"the first coset of {c2.name} is not closed under {list(alphabet)}")
     renumber = (np.cumsum(used) - 1).astype(np.uint16)
-    table = GroupTable("lc2", alphabet, _pack(renumber[rows]),
-                       [c2.book[r] for r in np.flatnonzero(used)], renumber[act])
+    table = GroupTable("lc2", alphabet, stdlib_array(_pack(renumber[rows]), "q"),
+                       [c2.book[r] for r in np.flatnonzero(used)],
+                       [stdlib_array(a, "H") for a in renumber[act]])
     n, k = len(c1), len(c1.alphabet)
     ia, ib = np.divmod(np.arange(n * n), n)
     # at[ia * n + ib]: id of c1's ia (x) c1's ib; wire w's generators are

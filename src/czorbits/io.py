@@ -17,8 +17,6 @@ import sys
 from pathlib import Path
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from czorbits.encoding import pack_values, unpack_values
 from czorbits.errors import InputFormatError
 from czorbits.groups import GroupTable
@@ -77,6 +75,7 @@ def table_records(table: GroupTable) -> Iterator[bytes]:
     printed once, and once more after the "<dim>" line that opens a record; a
     chunk joins the pieces its elements' row ids pick from an object array, so
     no whole file is held."""
+    import numpy as np
     yield f"{TABLE_MAGIC} {TABLE_VERSION} {table.name} {len(table)}\n".encode()
     dim = table.dim
     rest = [(_row(dim) % tuple(unpack_values(row))).encode() for row in table.book]

@@ -14,15 +14,20 @@ its 16 entries as one `ring.mul_entry` product of its factors' entries.
 with the scalar `mat_mul` as its reference. Group closure multiplies only its
 row book's rows, with `mat_mul_columns`, lifting each generator once (see
 `groups`); the batched kernel is the independent oracle that `verify` holds
-every closure's Cayley table to.
+every closure's Cayley table to. The scalar kernels are plain Python, so a
+query's products import no numpy: only the batched kernel imports it, when
+it runs.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .encoding import BIAS, COEF_LIMIT, ENTRY_BYTES, K_LIMIT, pack_values, unpack_values
 from .ring import mul_entry, reduce_entry, scale_entry
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BACKEND = "pure-python"
 
@@ -111,15 +116,9 @@ def mat_dagger(x: bytes, dim: int) -> bytes:
     return pack_values(out)
 
 
-# _OMEGA_MUL[c, s, t]: coefficient of ω^t in ω^c · ω^s, with ω⁴ = −1
-_OMEGA_MUL = np.zeros((4, 4, 4), dtype=np.int64)
-for _c in range(4):
-    for _s in range(4):
-        _OMEGA_MUL[_c, _s, (_c + _s) % 4] = 1 if _c + _s < 4 else -1
-
-
 def _times_sqrt2(v: np.ndarray) -> np.ndarray:
     """Numerators times √2 = ω − ω³, coefficients on the last axis."""
+    import numpy as np
     a, b, c, d = v[..., 0], v[..., 1], v[..., 2], v[..., 3]
     return np.stack([b - d, a + c, b + d, c - a], axis=-1)
 
@@ -131,6 +130,7 @@ def _lift(data: bytes, dim: int) -> tuple[np.ndarray, np.ndarray]:
     parser's limits, so the lift stays below 2^28 and every later sum of
     products below 2^60: nothing can wrap in int64.
     """
+    import numpy as np
     if len(data) % (dim * dim * ENTRY_BYTES):
         raise ValueError("matrix encoding does not match dimension")
     raw = np.frombuffer(data, dtype=">u4").astype(np.int64).reshape(-1, dim, dim, 5)
@@ -153,13 +153,18 @@ def mat_mul_batch(xs: bytes, ys: bytes, dim: int) -> bytes:
     Raises AssertionError for an input coefficient of magnitude COEF_LIMIT
     or more, an input exponent above K_LIMIT, or a result outside 32 bits.
     """
+    import numpy as np
     if dim not in (2, 4):
         raise ValueError("matrix dimension must be 2 or 4")
     x, kx = _lift(xs, dim)
     y, ky = _lift(ys, dim)
     n, m = len(x), len(y)
+    # omega[u, v, t]: coefficient of ω^t in ω^u · ω^v, with ω⁴ = −1
+    u, v = np.indices((4, 4))
+    omega = np.zeros((4, 4, 4), dtype=np.int64)
+    omega[u, v, (u + v) % 4] = np.where(u + v < 4, 1, -1)
     # y_j as an integer operator on the (t, ω-power) coefficients of a row
-    op = np.einsum("mtjs,csk->tcmjk", y, _OMEGA_MUL).reshape(dim * 4, m * dim * 4)
+    op = np.einsum("mtjs,csk->tcmjk", y, omega).reshape(dim * 4, m * dim * 4)
     num = (x.reshape(n * dim, dim * 4) @ op).reshape(n, dim, m, dim, 4)
     num = num.transpose(0, 2, 1, 3, 4)
     k = np.where(num.any(axis=-1), (kx[:, None] + ky)[:, :, None, None], 0)

@@ -4,25 +4,31 @@ Two elements are equivalent when they differ by left multiplication with
 an element of LC2; the classes are the left cosets LC2*U, which C2's
 closure meets one at a time and keeps as rows of ascending element ids.
 The atlas shares those rows, maps every element id to its orbit id, and
-keeps each orbit's row and CZ layer. Orbit ids are 1-based.
+keeps each orbit's row and CZ layer. Orbit ids are 1-based. Like a table, the
+atlas keeps stdlib arrays, so a loaded one answers without numpy.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from array import array
+from typing import TYPE_CHECKING
 
 from czorbits.errors import VerificationError
-from czorbits.groups import GroupTable
+from czorbits.groups import GroupTable, stdlib_array
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class OrbitAtlas:
     """Immutable orbit partition with each orbit's CZ layer."""
 
-    def __init__(self, orbit_of: list[int], cosets: np.ndarray, rows: list[int],
+    def __init__(self, orbit_of: array, cosets: list[array], rows: list[int],
                  layers: list[int]) -> None:
+        # orbit_of[e] (array "B", one byte): element e's orbit id
         self.orbit_of = orbit_of
-        # cosets[rows[oid - 1]]: the orbit's element ids, ascending, as int32;
-        # cosets is the table's own array, not a copy
+        # cosets[rows[oid - 1]]: the orbit's element ids, ascending, as an
+        # array "i"; cosets is the table's own list, not a copy
         self.cosets = cosets
         self.rows = rows
         # layers[oid - 1]: the orbit's CZ layer, 0 for the identity's orbit
@@ -32,7 +38,7 @@ class OrbitAtlas:
     def n_orbits(self) -> int:
         return len(self.rows)
 
-    def orbit_members(self, oid: int) -> np.ndarray:
+    def orbit_members(self, oid: int) -> array:
         return self.cosets[self.rows[oid - 1]]
 
     def representative(self, oid: int) -> int:
@@ -41,7 +47,7 @@ class OrbitAtlas:
         Element ids rank the canonical encodings, so the minimal id is the
         lexicographically minimal encoding.
         """
-        return int(self.orbit_members(oid)[0])
+        return self.orbit_members(oid)[0]
 
     def layer(self, oid: int) -> int:
         return self.layers[oid - 1]
@@ -54,7 +60,8 @@ def partition(c2: GroupTable, lc2: GroupTable, cz: np.ndarray) -> OrbitAtlas:
     generators make, LC2 for build_c2, and keeps them as rows of ascending
     ids; cz is CZ's left action on those ids, as GroupTable.left gives it.
     """
-    cosets = c2.cosets
+    import numpy as np
+    cosets = np.array(c2.cosets)
     if cosets.shape != (len(c2) // len(lc2), len(lc2)):
         raise VerificationError(
             f"expected {len(c2) // len(lc2)} cosets of size {len(lc2)}, "
@@ -63,7 +70,7 @@ def partition(c2: GroupTable, lc2: GroupTable, cz: np.ndarray) -> OrbitAtlas:
     rows, layers = assign_layers_and_labels(cosets, cz, c2.identity_id)
     orbit_of = np.empty(len(c2), dtype=np.int32)
     orbit_of[cosets[rows]] = np.arange(1, len(rows) + 1, dtype=np.int32)[:, None]
-    return OrbitAtlas(orbit_of.tolist(), cosets, rows.tolist(), layers.tolist())
+    return OrbitAtlas(stdlib_array(orbit_of, "B"), c2.cosets, rows.tolist(), layers.tolist())
 
 
 def assign_layers_and_labels(cosets: np.ndarray, cz: np.ndarray, ident_eid: int) -> tuple:
@@ -73,6 +80,7 @@ def assign_layers_and_labels(cosets: np.ndarray, cz: np.ndarray, ident_eid: int)
     A breadth-first walk from the identity's coset, layer 0, steps from a
     coset to every coset that CZ times one of its members lies in.
     """
+    import numpy as np
     n = len(cosets)
     coset_of = np.empty(len(cz), dtype=np.int32)
     coset_of[cosets] = np.arange(n)[:, None]

@@ -18,15 +18,14 @@ factor's local layer followed by its orbit's tail.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
-import numpy as np
-
 from czorbits.errors import NotInGroupError, VerificationError
 from czorbits.graph import CzGraph
-from czorbits.groups import GroupTable, bfs_fill, word_product
+from czorbits.groups import GroupTable, bfs_fill, stdlib_array, word_product
 from czorbits.matrices import C1_GENERATORS, CZ, I4, GateMatrix
 from czorbits.orbits import OrbitAtlas
 
@@ -119,9 +118,10 @@ class Synthesizer:
         ia, ib = self.lc2.pairs[lid]
         return LocalOp(self._c1_words[ia], self._c1_words[ib])
 
-    def _build_plans(self) -> tuple[np.ndarray, dict[int, tuple[Op, ...]]]:
-        """Each element's factor, as an lc2 id, and each orbit's tail, from
-        the left actions of the generators on c2 and on lc2."""
+    def _build_plans(self) -> tuple[array, dict[int, tuple[Op, ...]]]:
+        """Each element's factor, as an lc2 id (array "h", int16), and each
+        orbit's tail, from the left actions of the generators on c2 and on lc2."""
+        import numpy as np
         atlas, graph = self.atlas, self.graph
         # anchors below O1, shallow orbits first so each tail reuses the one below
         anchors: dict[int, int] = {}
@@ -143,7 +143,7 @@ class Synthesizer:
         for oid, anchor in anchors.items():
             pushed = cz[anchor]
             tails[oid] = (CZ_OP, self._local(factor[pushed]), *tails[atlas.orbit_of[pushed]])
-        return factor, tails
+        return stdlib_array(factor, "h"), tails
 
     def synthesize(self, m: GateMatrix) -> Circuit:
         eid = self.c2.contains(m)

@@ -6,6 +6,13 @@ which LC2 is read; commands simply rebuild in memory on every invocation,
 and the table files on disk act as the deterministic persistence layer. When files are present
 they can be validated by byte comparison against the regenerated content,
 which catches truncation or editing without trusting any cached state.
+
+A workspace holds numpy arrays only in what its tables derive on first use,
+which pickling leaves out (`groups.DERIVED`); everything else is plain
+Python and stdlib arrays. So a pickled workspace loads without numpy, and,
+installed as the cached one, answers `lookup` and `synth` (with `--verify`)
+without importing it: numpy is imported by the code that builds, derives,
+writes tables or verifies, when it runs.
 """
 
 from __future__ import annotations
@@ -90,8 +97,15 @@ def ensure_tables(
     no_regen: bool = False,
     validate: bool = False,
 ) -> None:
-    """Make the table files exist; optionally check them byte-for-byte."""
+    """Make the table files exist; optionally check them byte-for-byte.
+
+    Every query runs this, so a file found with nothing to check costs one
+    `os.path.exists` on a joined string; the messages name `Path`s.
+    """
+    base = os.fspath(out_dir)
     for name in TABLE_NAMES:
+        if not validate and os.path.exists(os.path.join(base, f"{name}.tbl")):
+            continue
         path = out_dir / f"{name}.tbl"
         if not path.exists():
             if no_regen:

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour, including exit codes."""
 
 import argparse
+import hashlib
 import json
 import pickle
 import shutil
@@ -14,6 +15,7 @@ from czorbits.cli import main
 from czorbits.io import format_matrix
 from czorbits.matrices import CNOT_T1, CZ, GateMatrix, I4
 from ringref import OMEGA, ONE, ZERO
+from test_golden import GOLDEN_SHA256
 
 
 @pytest.fixture(scope="module")
@@ -137,29 +139,71 @@ class TestOneLookup:
 
 
 class TestLoadedWorkspace:
-    def test_queries_derive_no_action_or_tree(self, atlas, ws, tmp_path, monkeypatch, capsys):
-        # lookup and synth read keys, row books and plans; a loaded workspace
-        # answers them without making `right`, a tree or a left action
+    @pytest.fixture
+    def queries(self, atlas, tmp_path):
+        """lookup and synth --verify on a member's file and on --element, then a
+        unitary non-member and a non-unitary matrix, which exit 0, 0, 0, 0, 4, 4."""
         rows = [[ZERO] * 4 for _ in range(4)]
         for i in range(3):
             rows[i][i] = ONE
         rows[3][3] = OMEGA
-        member, outside = tmp_path / "cnot.txt", tmp_path / "cs.txt"
+        member, outside, skew = tmp_path / "cnot.txt", tmp_path / "cs.txt", tmp_path / "half.txt"
         member.write_text(format_matrix(CNOT_T1))
         outside.write_text(format_matrix(GateMatrix.from_entries(rows)))
+        # every row has norm 1 and passes the entry bound; the exact product fails
+        skew.write_text("4\n" + "1,0,0,0/2 1,0,0,0/2 1,0,0,0/2 1,0,0,0/2\n" * 4)
         queries = [["lookup", str(member)], ["lookup", "--element", "83679"],
                    ["synth", str(member), "--verify"], ["synth", "--element", "83679", "--verify"],
-                   ["lookup", str(outside)]]
+                   ["lookup", str(outside)], ["synth", str(skew), "--verify"]]
+        return [[*argv, "--out-dir", str(atlas)] for argv in queries]
+
+    def test_queries_derive_no_action_or_tree(self, ws, queries, monkeypatch, capsys):
+        # lookup and synth read keys, row books and plans; a loaded workspace
+        # answers them without making `right`, a tree or a left action
         loaded = pickle.loads(pickle.dumps(ws, protocol=pickle.HIGHEST_PROTOCOL))
         for cache in (ws, loaded):
             monkeypatch.setattr(workspace, "_CACHE", cache)
-            codes = [main([*argv, "--out-dir", str(atlas)]) for argv in queries]
-            assert codes == [0, 0, 0, 0, 4]
+            codes = [main(argv) for argv in queries]
+            assert codes == [0, 0, 0, 0, 4, 4]
             if cache is ws:
                 want = capsys.readouterr()
         assert capsys.readouterr() == want
         for table in (loaded.c1, loaded.lc2, loaded.c2):
             assert not set(groups.DERIVED) & set(vars(table)), table.name
+
+    def test_a_loaded_workspace_answers_without_numpy(self, ws, queries, tmp_path, monkeypatch,
+                                                     capsys):
+        # a fresh interpreter imports the CLI, loads the pickled workspace and
+        # answers the queries as the built workspace does, with no numpy; then
+        # `generate` and `orbits` write the pinned files from it
+        monkeypatch.setattr(workspace, "_CACHE", ws)
+        codes = [main(argv) for argv in queries]
+        assert codes == [0, 0, 0, 0, 4, 4]
+        want = capsys.readouterr()
+        (tmp_path / "ws.pickle").write_bytes(pickle.dumps(ws, protocol=pickle.HIGHEST_PROTOCOL))
+        child = (
+            "import json, pickle, sys\n"
+            "import czorbits.cli as cli\n"
+            "from czorbits import workspace\n"
+            "with open(sys.argv[1], 'rb') as f:\n"
+            "    workspace._CACHE = pickle.load(f)\n"
+            "codes = [cli.main(argv) for argv in json.loads(sys.argv[2])]\n"
+            "print(codes, 'numpy' in sys.modules)\n"
+            "for command in ('generate', 'orbits'):\n"
+            "    assert cli.main([command, '--out-dir', sys.argv[3]]) == 0\n"
+        )
+        out_dir = tmp_path / "written"
+        proc = subprocess.run(
+            [sys.executable, "-c", child, str(tmp_path / "ws.pickle"), json.dumps(queries),
+             str(out_dir)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == want.err
+        assert proc.stdout.startswith(want.out + f"{codes} False\n")
+        for name, digest in GOLDEN_SHA256.items():
+            if name != "graph.json":
+                assert hashlib.sha256((out_dir / name).read_bytes()).hexdigest() == digest, name
 
 
 class TestParserReuse:
