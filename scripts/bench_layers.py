@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_layers.py --baseline ../parent --runs 7 --out BENCH_24.json
+    python3 scripts/bench_layers.py --baseline ../parent --runs 7 --out BENCH_25.json
 
 Every run is a fresh interpreter (this script with --measure) that imports
 czorbits from one tree's src/. It times `import czorbits.cli` (through
@@ -53,7 +53,12 @@ time of a fresh interpreter that imports `czorbits.cli`, loads that pickle,
 installs it as the cached workspace and answers `lookup --element 83679` and
 `synth --element 83679 --verify` in-process with the table files on disk,
 and `query_start_numpy`, 1 if numpy was in `sys.modules` when it finished
-and 0 if not. Since BENCH_15.json it then times the exact work behind one
+and 0 if not. Since BENCH_25.json it reports `dispatch_lookup_element_us`,
+`dispatch_lookup_file_us` and `dispatch_synth_file_us`, the mean of one
+in-process `cli.main` call, the least of five passes, on that pickle loaded
+as the cached workspace with the table files on disk: `lookup --element`,
+and `lookup` and `synth --verify` of a matrix file, over every 310th
+element of C2, the whole query from argv to printed output. Since BENCH_15.json it then times the exact work behind one
 query, each figure a mean per call over the same elements (since
 BENCH_19.json the least of five passes in the run's interpreter, one pass
 before): `parse_matrix`
@@ -67,13 +72,17 @@ its first and third quartiles (`statistics.quantiles`), so that the spread
 of a figure shows next to it, with the machine, each tree's git revision
 and its non-generated line count (the lines of src/czorbits/*.py), and
 (since BENCH_22.json) `tests_loc`, the lines of tests/*.py, so that code
-moved from the library into the tests shows.
+moved from the library into the tests shows. Since BENCH_25.json it then
+runs each tree's Tier-1 suite once, after the samples, and records its wall
+time, exit status and pytest's summary line as `tier1`.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import pickle
@@ -201,10 +210,51 @@ def measure() -> dict:
                              capture_output=True, text=True, check=True, timeout=600)
         figures["query_start_s"] = time.perf_counter() - t0
         figures["query_start_numpy"] = int(out.stdout.splitlines()[-1] == "True")
+    with tempfile.TemporaryDirectory() as out_dir:
+        workspace.write_tables(ws, Path(out_dir))
+        figures.update(dispatch_figures(pickle.loads(blob), ids[::10], Path(out_dir)))
     figures.update(query_figures(ws, ids, matrices))
     t0 = time.perf_counter()
     run_verification(ws)
     figures["run_verification_s"] = time.perf_counter() - t0
+    return figures
+
+
+def dispatch_figures(loaded, ids, out_dir: Path) -> dict:
+    """Mean microseconds per in-process `cli.main` call, the least of five
+    passes, on the loaded workspace `loaded` with the tables in out_dir:
+    `lookup --element`, and `lookup` and `synth --verify` of a matrix file,
+    over the elements `ids`, as perfbench's query-mix asks them."""
+    import czorbits.cli as cli
+    import czorbits.workspace as workspace
+    from czorbits.io import format_matrix
+
+    files = []
+    for e in ids:
+        path = out_dir / f"q{e}.txt"
+        path.write_text(format_matrix(loaded.c2.element(e)))
+        files.append(str(path))
+    queries = {
+        "dispatch_lookup_element_us": [["lookup", "--element", str(e)] for e in ids],
+        "dispatch_lookup_file_us": [["lookup", f] for f in files],
+        "dispatch_synth_file_us": [["synth", f, "--verify"] for f in files],
+    }
+    cached, workspace._CACHE = workspace._CACHE, loaded
+    figures = {}
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            for figure, argvs in queries.items():
+                argvs = [[*argv, "--out-dir", str(out_dir)] for argv in argvs]
+                passes = []
+                for _ in range(5):
+                    t0 = time.perf_counter()
+                    for argv in argvs:
+                        if cli.main(argv) != 0:
+                            raise RuntimeError(f"{argv} failed")
+                    passes.append((time.perf_counter() - t0) / len(argvs) * 1e6)
+                figures[figure] = min(passes)
+    finally:
+        workspace._CACHE = cached
     return figures
 
 
@@ -272,6 +322,20 @@ def cpu_model() -> str | None:
         return None
 
 
+def tier1(tree: Path) -> dict:
+    """The tree's Tier-1 suite, run once: its wall time and pytest's summary line."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    t0 = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+         "-p", "no:cacheprovider"],
+        env=env, cwd=tree, capture_output=True, text=True, timeout=1800,
+    )
+    lines = out.stdout.strip().splitlines()
+    return {"wall_s": time.perf_counter() - t0, "returncode": out.returncode,
+            "summary": lines[-1] if lines else ""}
+
+
 def run_once(tree: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     out = subprocess.run(
@@ -286,7 +350,7 @@ def main() -> int:
     p.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--baseline", type=Path, help="checkout to compare against (the parent)")
     p.add_argument("--runs", type=int, default=5, help="fresh interpreters per tree, at least 2")
-    p.add_argument("--out", type=Path, default=ROOT / "BENCH_24.json")
+    p.add_argument("--out", type=Path, default=ROOT / "BENCH_25.json")
     args = p.parse_args()
     if args.measure:
         print(json.dumps(measure()))
@@ -319,6 +383,9 @@ def main() -> int:
         result[side] = {**revision(trees[side]), "median": median, "quartiles": quartiles,
                         "samples": runs}
         print(side, json.dumps({k: round(v, 3) for k, v in median.items()}))
+    for side, tree in trees.items():
+        result[side]["tier1"] = tier1(tree)
+        print(side, "tier1", json.dumps(result[side]["tier1"]))
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
 

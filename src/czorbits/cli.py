@@ -130,9 +130,29 @@ def _resolve(args, parser: argparse.ArgumentParser, ws: Workspace) -> tuple[int,
     raise NotInGroupError("matrix is unitary but not an element of the group")
 
 
+@functools.cache
+def _commands() -> dict[str, argparse.ArgumentParser]:
+    """The subparser `build_parser` made for each command name."""
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)` in one pass, by the command's own
+    subparser; any argv that pass does not consume whole takes the full
+    parser, so help and usage errors print as that parser prints them."""
+    sub = _commands().get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     out = sys.stdout
 
     try:

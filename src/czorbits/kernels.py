@@ -52,15 +52,18 @@ def mat_mul(x: bytes, y: bytes, dim: int) -> bytes:
     return mat_mul_columns(x, columns(y, dim), dim)
 
 
-def columns(y: bytes, dim: int) -> tuple[list, int]:
+def columns(y: bytes, dim: int) -> tuple[tuple, int]:
     """The right operand of `mat_mul_columns`: y's nonzero entries column by
     column, as (row, a, b, c, d) on y's largest exponent, and that exponent.
-    A caller that multiplies many matrices by one y lifts it once."""
+    A caller that multiplies many matrices by one y lifts it once; the
+    operand is immutable, so a memo may hand it to every caller."""
     ys, ky = _lifted(y)
-    return [[(t, *ys[t * dim + j]) for t in range(dim) if ys[t * dim + j]] for j in range(dim)], ky
+    return tuple(
+        tuple((t, *ys[t * dim + j]) for t in range(dim) if ys[t * dim + j]) for j in range(dim)
+    ), ky
 
 
-def mat_mul_columns(x: bytes, y: tuple[list, int], dim: int) -> bytes:
+def mat_mul_columns(x: bytes, y: tuple[tuple, int], dim: int) -> bytes:
     """x * y for a dim x dim encoding x and y as `columns` lifts it."""
     xs, kx = _lifted(x)
     cols, ky = y

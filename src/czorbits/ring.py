@@ -12,6 +12,7 @@ equality decides numeric equality.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Sequence
 
 from .encoding import COEF_LIMIT, K_LIMIT
@@ -62,9 +63,13 @@ def mul_entry(x: Sequence[int], y: Sequence[int]) -> tuple[int, int, int, int, i
     )
 
 
+@lru_cache(maxsize=256)
 def parse_entry(text: str) -> tuple[int, int, int, int, int]:
     """The reduced (a, b, c, d, k) of the textual entry form "a,b,c,d/k",
-    with k at most K_LIMIT and every |coefficient| below COEF_LIMIT."""
+    with k at most K_LIMIT and every |coefficient| below COEF_LIMIT.
+    Memoised: C2's 92160 elements spell their entries with 25 tokens, so a
+    query's 16 entries are nearly always hits. A raising token is not cached,
+    so it raises its own message on every call."""
     match = _ENTRY.fullmatch(text)
     if match is None:
         raise ValueError(f"malformed ring entry {text!r}")

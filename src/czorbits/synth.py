@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
+from czorbits import kernels
 from czorbits.errors import NotInGroupError, VerificationError
 from czorbits.graph import CzGraph
 from czorbits.groups import GroupTable, bfs_fill, stdlib_array, word_product
@@ -83,15 +84,24 @@ def _word_matrix(word: tuple[str, ...]) -> GateMatrix:
 def _suffix_product(ops: tuple[Op, ...]) -> GateMatrix:
     op, rest = ops[0], ops[1:]
     head = CZ if isinstance(op, CzOp) else _word_matrix(op.a).tensor(_word_matrix(op.b))
-    return head * _suffix_product(rest) if rest else head
+    if not rest:
+        return head
+    return GateMatrix(4, kernels.mat_mul_columns(head.data, _suffix_columns(rest), 4))
+
+
+@lru_cache(maxsize=256)
+def _suffix_columns(ops: tuple[Op, ...]) -> tuple[tuple, int]:
+    """The suffix's product as the right operand of `kernels.mat_mul_columns`."""
+    return kernels.columns(_suffix_product(ops).data, 4)
 
 
 def evaluate(circuit: Circuit) -> GateMatrix:
     """Exact product of the circuit's matrices, multiplied right to left, and
-    the identity for no ops. Each op suffix's product is memoised, so a new
-    circuit of n ops costs n - 1 products and one whose tail this process has
-    already evaluated costs one: every element's circuit is its local layer
-    followed by its orbit's fixed tail, one of 20."""
+    the identity for no ops. Each op suffix's product and its lifted columns
+    are memoised, so a new circuit of n ops costs n - 1 products and one whose
+    tail this process has already evaluated costs one, with the tail lifted
+    once: every element's circuit is its local layer followed by its orbit's
+    fixed tail, one of 20."""
     return _suffix_product(circuit.ops) if circuit.ops else I4
 
 

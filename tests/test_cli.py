@@ -10,10 +10,11 @@ import sys
 
 import pytest
 
-from czorbits import groups, kernels, workspace
-from czorbits.cli import main
+from czorbits import cli, groups, kernels, workspace
+from czorbits.cli import build_parser, main
 from czorbits.io import format_matrix
 from czorbits.matrices import CNOT_T1, CZ, GateMatrix, I4
+from czorbits.ring import parse_entry
 from ringref import OMEGA, ONE, ZERO
 from test_golden import GOLDEN_SHA256
 
@@ -227,6 +228,95 @@ class TestParserReuse:
         assert built == []
 
 
+COMMANDS = ["generate", "orbits", "graph", "synth", "lookup", "verify"]
+
+# valid and invalid argvs alike: help, abbreviations, `=` forms, leftovers,
+# `--`, unknown commands and options before the command
+DISPATCH_ARGVS = [
+    [], ["-h"], ["--help"],
+    *([command, "-h"] for command in COMMANDS),
+    *([command, "--h"] for command in COMMANDS),
+    ["lookup", "--elem", "5"], ["lookup", "--element=5"], ["lookup", "--element", "x"],
+    ["lookup", "--element"], ["lookup", "--element", "-1"], ["lookup", "--e", "3", "--no"],
+    ["lookup", "a.txt", "b.txt"], ["lookup", "a.txt", "--bogus"], ["lookup", "--", "a.txt"],
+    ["lookup", "--", "-"], ["lookup", "--", "--element", "5"], ["lookup", "lookup"],
+    ["lookup", "a.txt", "--out-dir=d"], ["lookup", "--out-dir", "d", "--help"],
+    ["synth", "a.txt", "--verify", "--time-order"], ["synth", "--ver", "--element", "7"],
+    ["synth", "--element", "5", "--element", "6", "--out-dir", "d", "--no-regen"],
+    ["bogus"], ["LOOKUP"], ["look"], ["--out-dir", "d", "lookup"], ["-x"],
+    ["graph", "--format", "xml"], ["graph", "--format", "json"], ["graph", "--form", "dot"],
+    ["generate", "extra"], ["generate", "--out-dir", "d"], ["orbits", "--out-dir"],
+    ["verify", "--no-regen"],
+]
+
+
+class _Parsed(Exception):
+    """Raised in place of building the workspace, once `main` has parsed."""
+
+
+class TestDispatch:
+    @staticmethod
+    def _outcome(fn, argv, capsys):
+        code = None
+        try:
+            fn(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except _Parsed:
+            pass
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_main_parses_as_the_full_parser(self, monkeypatch, capsys):
+        # `main` hands a command to its own subparser; every argv must come out
+        # as the top-level parse_args gives it: exit code, stdout, stderr and,
+        # for a valid argv, the namespace
+        assert len(DISPATCH_ARGVS) >= 30
+        parsed = []
+        real_parse = cli._parse
+
+        def recording_parse(argv):
+            parsed.append(real_parse(argv))
+            return parsed[-1]
+
+        def stop():
+            raise _Parsed
+
+        monkeypatch.setattr(cli, "_parse", recording_parse)
+        monkeypatch.setattr(cli, "build_workspace", stop)
+        for argv in DISPATCH_ARGVS:
+            want = []
+            expected = self._outcome(
+                lambda a: want.append(vars(build_parser().parse_args(a))), argv, capsys
+            )
+            parsed.clear()
+            assert self._outcome(main, argv, capsys) == expected, argv
+            assert [vars(args) for args in parsed] == want, argv
+
+    def test_a_command_skips_the_top_level_parse(self, atlas, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a valid command went through the top-level parser")
+
+        monkeypatch.setattr(build_parser(), "parse_known_args", refuse)
+        assert main(["lookup", "--element", "0", "--out-dir", str(atlas)]) == 0
+        assert capsys.readouterr().out.startswith("element 0\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["lookup"], "provide exactly one of FILE or --element ID"),
+         (["synth", "a.txt", "--element", "5"], "provide exactly one of FILE or --element ID"),
+         (["lookup", "--element", "92160"], "--element: ")],
+        ids=["neither", "both", "out-of-range"],
+    )
+    def test_resolve_errors_name_the_program(self, atlas, capsys, argv, message):
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--out-dir", str(atlas)])
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("usage: czorbits [-h]")
+        assert f"\nczorbits: error: {message}" in stderr
+
+
 class TestExitCodes:
     def test_no_subcommand(self):
         with pytest.raises(SystemExit) as err:
@@ -266,6 +356,20 @@ class TestExitCodes:
         path.write_text(text)
         assert main([command, str(path), "--out-dir", str(atlas)]) == 4
         assert "not unitary" in capsys.readouterr().err
+
+    def test_non_unitary_with_fresh_tokens(self, atlas, tmp_path, capsys):
+        # sixteen tokens no query has parsed, then the same file again from the
+        # entry cache: both runs reject the matrix as non-unitary
+        tokens = [f"0,{3001 + n},0,0/0" for n in range(16)]
+        path = tmp_path / "fresh.txt"
+        path.write_text("4\n" + "".join(" ".join(tokens[i:i + 4]) + "\n" for i in (0, 4, 8, 12)))
+        before = parse_entry.cache_info()
+        assert main(["lookup", str(path), "--out-dir", str(atlas)]) == 4
+        first = capsys.readouterr().err
+        assert parse_entry.cache_info().misses == before.misses + 16
+        assert main(["lookup", str(path), "--out-dir", str(atlas)]) == 4
+        assert capsys.readouterr().err == first
+        assert "not unitary" in first
 
     @pytest.mark.parametrize("command", ["lookup", "synth"])
     @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from czorbits.io import (
     write_atomic,
 )
 from czorbits.matrices import CZ, H, I4, GateMatrix
+from czorbits.ring import parse_entry
 from czorbits.synth import CZ_OP, Circuit, LocalOp
 from czorbits.workspace import ensure_tables, write_tables
 from ringref import CycloNum, entry, parse
@@ -85,6 +86,30 @@ class TestMatrixFormat:
         )
         assert parse_matrix(text) == expect
         assert entry(expect, 0, 0) == CycloNum(1) and entry(expect, 0, 1) == CycloNum(0, 1)
+
+
+class TestEntryCache:
+    """`ring.parse_entry` is memoised; a raising token is not cached."""
+
+    @pytest.mark.parametrize(
+        "token", ["\u0661,0,0,0/0", "1,0,0,0/17", "1048576,0,0,0/0"],
+        ids=["malformed", "exponent-17", "coefficient-2^20"],
+    )
+    def test_a_bad_token_raises_alike_every_time(self, token):
+        text = f"2\n{token} 0,0,0,0/0\n0,0,0,0/0 1,0,0,0/0\n"
+        messages = []
+        for _ in range(2):
+            with pytest.raises(InputFormatError) as err:
+                parse_matrix(text)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert repr(token) in messages[0]
+
+    def test_the_cache_is_bounded(self):
+        assert 0 < parse_entry.cache_info().maxsize <= 1024
+        for n in range(2000):
+            parse_entry(f"{n},0,0,0/0")
+        assert parse_entry.cache_info().currsize == parse_entry.cache_info().maxsize
 
 
 class TestTableFormat:

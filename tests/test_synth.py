@@ -14,6 +14,7 @@ from czorbits.synth import (
     CzOp,
     LocalOp,
     Synthesizer,
+    _suffix_columns,
     _suffix_product,
     evaluate,
     make_circuit,
@@ -219,7 +220,9 @@ class TestEvaluate:
     def test_no_wasted_product(self, ws, monkeypatch):
         """A new circuit of n ops costs n - 1 products, the same circuit again
         none, and another circuit on an evaluated tail one product and one
-        tensor; no identity is built."""
+        tensor and no lift of the tail; no identity is built. Products are
+        counted at `kernels.mat_mul_columns`, which `mat_mul` and the lifted
+        tails both reach."""
         circuit = ws.synthesizer.synthesize(SWAP)
         assert circuit.cz_count == 3
         orbit = ws.atlas.orbit_of[ws.c2.contains(SWAP)]
@@ -230,16 +233,22 @@ class TestEvaluate:
         )
         other = ws.synthesizer.synthesize_id(other_id)
         assert isinstance(other.ops[0], LocalOp)
-        # fill the word caches, then forget every suffix product
+        # fill the word caches, then forget every suffix product and lifted tail
         evaluate(circuit)
         evaluate(other)
         _suffix_product.cache_clear()
-        products, tensors = [], []
-        real_mat_mul, real_mat_tensor = kernels.mat_mul, kernels.mat_tensor
+        _suffix_columns.cache_clear()
+        products, tensors, lifts = [], [], []
+        real_mat_mul_columns, real_mat_tensor = kernels.mat_mul_columns, kernels.mat_tensor
+        real_columns = kernels.columns
 
-        def counting_mat_mul(*args):
+        def counting_mat_mul_columns(*args):
             products.append(args)
-            return real_mat_mul(*args)
+            return real_mat_mul_columns(*args)
+
+        def counting_columns(*args):
+            lifts.append(args)
+            return real_columns(*args)
 
         def counting_mat_tensor(*args):
             tensors.append(args)
@@ -248,7 +257,8 @@ class TestEvaluate:
         def refuse(*args):
             raise AssertionError("evaluate built an identity matrix")
 
-        monkeypatch.setattr(kernels, "mat_mul", counting_mat_mul)
+        monkeypatch.setattr(kernels, "mat_mul_columns", counting_mat_mul_columns)
+        monkeypatch.setattr(kernels, "columns", counting_columns)
         monkeypatch.setattr(kernels, "mat_tensor", counting_mat_tensor)
         monkeypatch.setattr(GateMatrix, "identity", refuse)
         assert evaluate(circuit) == SWAP
@@ -258,8 +268,10 @@ class TestEvaluate:
         tensors.clear()
         assert evaluate(circuit) == SWAP
         assert (products, tensors) == ([], [])
+        lifts.clear()
         assert evaluate(other) == ws.c2.element(other_id)
         assert (len(products), len(tensors)) == (1, 1)
+        assert lifts == []
         products.clear()
         tensors.clear()
         assert evaluate(Circuit(())) is I4
