@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_layers.py --baseline ../parent --runs 7 --out BENCH_25.json
+    python3 scripts/bench_layers.py --baseline ../parent --runs 7 --out BENCH_26.json
 
 Every run is a fresh interpreter (this script with --measure) that imports
 czorbits from one tree's src/. It times `import czorbits.cli` (through
@@ -58,7 +58,10 @@ and 0 if not. Since BENCH_25.json it reports `dispatch_lookup_element_us`,
 in-process `cli.main` call, the least of five passes, on that pickle loaded
 as the cached workspace with the table files on disk: `lookup --element`,
 and `lookup` and `synth --verify` of a matrix file, over every 310th
-element of C2, the whole query from argv to printed output. Since BENCH_15.json it then times the exact work behind one
+element of C2, the whole query from argv to printed output, and since
+BENCH_26.json `parse_argv_us`, the mean of one `cli._parse` call, the least
+of five passes, over the argvs of those three figures. Since BENCH_15.json
+it then times the exact work behind one
 query, each figure a mean per call over the same elements (since
 BENCH_19.json the least of five passes in the run's interpreter, one pass
 before): `parse_matrix`
@@ -224,7 +227,8 @@ def dispatch_figures(loaded, ids, out_dir: Path) -> dict:
     """Mean microseconds per in-process `cli.main` call, the least of five
     passes, on the loaded workspace `loaded` with the tables in out_dir:
     `lookup --element`, and `lookup` and `synth --verify` of a matrix file,
-    over the elements `ids`, as perfbench's query-mix asks them."""
+    over the elements `ids`, as perfbench's query-mix asks them; and per
+    `cli._parse` call over all of those argvs (`parse_argv_us`)."""
     import czorbits.cli as cli
     import czorbits.workspace as workspace
     from czorbits.io import format_matrix
@@ -239,23 +243,33 @@ def dispatch_figures(loaded, ids, out_dir: Path) -> dict:
         "dispatch_lookup_file_us": [["lookup", f] for f in files],
         "dispatch_synth_file_us": [["synth", f, "--verify"] for f in files],
     }
+    queries = {figure: [([*argv, "--out-dir", str(out_dir)],) for argv in argvs]
+               for figure, argvs in queries.items()}
+
+    def run(argv):
+        if cli.main(argv) != 0:
+            raise RuntimeError(f"{argv} failed")
+
     cached, workspace._CACHE = workspace._CACHE, loaded
-    figures = {}
     try:
         with contextlib.redirect_stdout(io.StringIO()):
-            for figure, argvs in queries.items():
-                argvs = [[*argv, "--out-dir", str(out_dir)] for argv in argvs]
-                passes = []
-                for _ in range(5):
-                    t0 = time.perf_counter()
-                    for argv in argvs:
-                        if cli.main(argv) != 0:
-                            raise RuntimeError(f"{argv} failed")
-                    passes.append((time.perf_counter() - t0) / len(argvs) * 1e6)
-                figures[figure] = min(passes)
+            figures = {figure: per_call_us(run, argvs) for figure, argvs in queries.items()}
     finally:
         workspace._CACHE = cached
+    figures["parse_argv_us"] = per_call_us(cli._parse, [a for v in queries.values() for a in v])
     return figures
+
+
+def per_call_us(fn, args) -> float:
+    """Mean microseconds per call fn(*a) over the argument tuples `args`, the
+    least of five passes."""
+    passes = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        for a in args:
+            fn(*a)
+        passes.append((time.perf_counter() - t0) / len(args) * 1e6)
+    return min(passes)
 
 
 def query_figures(ws, ids, matrices) -> dict:
@@ -264,15 +278,6 @@ def query_figures(ws, ids, matrices) -> dict:
     from czorbits import kernels
     from czorbits.io import format_matrix, parse_matrix
     from czorbits.synth import evaluate
-
-    def per_call_us(fn, args):
-        passes = []
-        for _ in range(5):
-            t0 = time.perf_counter()
-            for a in args:
-                fn(*a)
-            passes.append((time.perf_counter() - t0) / len(args) * 1e6)
-        return min(passes)
 
     c1 = [ws.c1.element(e).data for e in range(len(ws.c1))]
     circuits = [ws.synthesizer.synthesize_id(e) for e in ids]
@@ -350,7 +355,7 @@ def main() -> int:
     p.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--baseline", type=Path, help="checkout to compare against (the parent)")
     p.add_argument("--runs", type=int, default=5, help="fresh interpreters per tree, at least 2")
-    p.add_argument("--out", type=Path, default=ROOT / "BENCH_25.json")
+    p.add_argument("--out", type=Path, default=ROOT / "BENCH_26.json")
     args = p.parse_args()
     if args.measure:
         print(json.dumps(measure()))

@@ -103,13 +103,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(args, parser: argparse.ArgumentParser, ws: Workspace) -> tuple[int, GateMatrix]:
-    """The queried element's id and matrix, from --element ID or FILE."""
+def _resolve(
+    args, parser: argparse.ArgumentParser, ws: Workspace
+) -> tuple[int, GateMatrix | None]:
+    """The queried element's id, from --element ID or FILE, and the matrix
+    read from FILE (None for --element, whose matrix no query has to build)."""
     if (args.matrix is None) == (args.element is None):
         parser.error("provide exactly one of FILE or --element ID")
     if args.element is not None:
         try:
-            return args.element, ws.c2.element(args.element)
+            return ws.c2._check_id(args.element), None
         except ValueError as exc:
             parser.error(f"--element: {exc}")
     if args.matrix == "-":
@@ -137,15 +140,68 @@ def _commands() -> dict[str, argparse.ArgumentParser]:
     return sub.choices
 
 
+@functools.cache
+def _actions(command: str) -> tuple[dict, argparse.Action | None, dict]:
+    """The `command` subparser's actions as `_scan` reads them: each option
+    string of a `store_const`/`store_true` or one-value `store` action, the
+    positional (a command has at most one, with `nargs="?"`, and no action
+    is required), and every dest's default."""
+    options, positional, defaults = {}, None, {}
+    for action in _commands()[command]._actions:
+        if action.default is not argparse.SUPPRESS:
+            defaults[action.dest] = action.default
+        if not action.option_strings:
+            positional = action
+        elif isinstance(action, argparse._StoreConstAction) or (
+            isinstance(action, argparse._StoreAction) and action.nargs is None
+        ):
+            options.update(dict.fromkeys(action.option_strings, action))
+    return options, positional, defaults
+
+
+def _value(action: argparse.Action, token: str):
+    """`token` through the action's own type and choices, as argparse takes it."""
+    value = token if action.type is None else action.type(token)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"{value!r} is not a choice")
+    return value
+
+
+def _scan(command: str, tokens: list[str]) -> argparse.Namespace | None:
+    """`tokens` in one exact pass over the command's actions: the positional
+    as the first token only, then each option at most once by its exact
+    string, a `store` option with the next token as its value; None for any
+    other token, a value starting with "-" or one its type or choices reject."""
+    options, positional, defaults = _actions(command)
+    values, given, words = dict(defaults), set(), iter(tokens)
+    try:
+        if positional is not None and tokens and not tokens[0].startswith("-"):
+            values[positional.dest] = _value(positional, next(words))
+        for word in words:
+            action = options.get(word)
+            if action is None or action.dest in given:
+                return None
+            given.add(action.dest)
+            if action.nargs == 0:
+                values[action.dest] = action.const
+                continue
+            value = next(words, "-")  # a missing value declines as a dash does
+            if value.startswith("-"):
+                return None
+            values[action.dest] = _value(action, value)
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        return None
+    return argparse.Namespace(command=command, **values)
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """`build_parser().parse_args(argv)` in one pass, by the command's own
-    subparser; any argv that pass does not consume whole takes the full
-    parser, so help and usage errors print as that parser prints them."""
-    sub = _commands().get(argv[0]) if argv else None
-    if sub is not None:
-        args, rest = sub.parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
+    """`build_parser().parse_args(argv)`. A command's argv that `_scan` takes
+    whole is read off its subparser's actions with no argparse pass; any other
+    argv goes to the full parser, so help and usage errors print as it prints
+    them."""
+    if argv and argv[0] in _commands():
+        args = _scan(argv[0], argv[1:])
+        if args is not None:
             return args
     return build_parser().parse_args(argv)
 
@@ -196,7 +252,7 @@ def main(argv=None) -> int:
         if args.command == "synth":
             eid, m = _resolve(args, parser, ws)
             circuit = ws.synthesizer.synthesize_id(eid)
-            if args.verify and evaluate(circuit) != m:
+            if args.verify and evaluate(circuit) != (ws.c2.element(eid) if m is None else m):
                 raise VerificationError("circuit does not reproduce the input")
             out.write(format_circuit(circuit, time_order=args.time_order))
             return 0

@@ -80,8 +80,8 @@ def _word_matrix(word: tuple[str, ...]) -> GateMatrix:
     return word_product(C1_GENERATORS, word)
 
 
-@lru_cache(maxsize=256)
-def _suffix_product(ops: tuple[Op, ...]) -> GateMatrix:
+def _product(ops: tuple[Op, ...]) -> GateMatrix:
+    """The exact product of `ops`: the head op's matrix times its suffix's."""
     op, rest = ops[0], ops[1:]
     head = CZ if isinstance(op, CzOp) else _word_matrix(op.a).tensor(_word_matrix(op.b))
     if not rest:
@@ -92,17 +92,17 @@ def _suffix_product(ops: tuple[Op, ...]) -> GateMatrix:
 @lru_cache(maxsize=256)
 def _suffix_columns(ops: tuple[Op, ...]) -> tuple[tuple, int]:
     """The suffix's product as the right operand of `kernels.mat_mul_columns`."""
-    return kernels.columns(_suffix_product(ops).data, 4)
+    return kernels.columns(_product(ops).data, 4)
 
 
 def evaluate(circuit: Circuit) -> GateMatrix:
     """Exact product of the circuit's matrices, multiplied right to left, and
-    the identity for no ops. Each op suffix's product and its lifted columns
-    are memoised, so a new circuit of n ops costs n - 1 products and one whose
+    the identity for no ops. Each proper op suffix's lifted product is
+    memoised, so a new circuit of n ops costs n - 1 products and one whose
     tail this process has already evaluated costs one, with the tail lifted
     once: every element's circuit is its local layer followed by its orbit's
     fixed tail, one of 20."""
-    return _suffix_product(circuit.ops) if circuit.ops else I4
+    return _product(circuit.ops) if circuit.ops else I4
 
 
 class Synthesizer:

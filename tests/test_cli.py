@@ -1,7 +1,9 @@
 """End-to-end command-line behaviour, including exit codes."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import pickle
 import shutil
@@ -9,6 +11,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from czorbits import cli, groups, kernels, workspace
 from czorbits.cli import build_parser, main
@@ -231,7 +234,10 @@ class TestParserReuse:
 COMMANDS = ["generate", "orbits", "graph", "synth", "lookup", "verify"]
 
 # valid and invalid argvs alike: help, abbreviations, `=` forms, leftovers,
-# `--`, unknown commands and options before the command
+# `--`, unknown commands and options before the command; then argvs that
+# `cli._scan` declines whole to the full parser (a late positional, a value
+# that starts with "-" or that `int` or the choices read their own way, a
+# repeated option) and the odd tokens argparse takes as values
 DISPATCH_ARGVS = [
     [], ["-h"], ["--help"],
     *([command, "-h"] for command in COMMANDS),
@@ -247,6 +253,16 @@ DISPATCH_ARGVS = [
     ["graph", "--format", "xml"], ["graph", "--format", "json"], ["graph", "--form", "dot"],
     ["generate", "extra"], ["generate", "--out-dir", "d"], ["orbits", "--out-dir"],
     ["verify", "--no-regen"],
+    ["lookup", "--no-regen", "a.txt"], ["lookup", "--element", "5", "a.txt"],
+    ["lookup", "--out-dir", "-d"], ["generate", "--out-dir", "-d", "--no-regen"],
+    ["graph", "--format", "json", "--format", "dot"], ["graph", "--format", "dot", "--format"],
+    ["synth", "--verify", "--verify", "--element", "3"], ["orbits", "--no-regen", "--no-regen"],
+    ["lookup", "-"], ["lookup", "-", "--out-dir", "d"], ["lookup", "--out-dir", "-"],
+    ["lookup", "-x"], ["synth", "-1", "--verify"], ["lookup", "--element", "+5"],
+    ["lookup", "--element", "1_0"], ["lookup", "--element", "١"],
+    ["lookup", "--element", " 7 "], ["lookup", "--element", ""], ["lookup", ""],
+    ["lookup", "--out-dir", ""], ["graph", "--format", "JSON"], ["lookup", "a.txt", "-h"],
+    ["synth", "--time-order", "--element", "9", "--out-dir", "d", "--verify"],
 ]
 
 
@@ -254,24 +270,37 @@ class _Parsed(Exception):
     """Raised in place of building the workspace, once `main` has parsed."""
 
 
-class TestDispatch:
-    @staticmethod
-    def _outcome(fn, argv, capsys):
-        code = None
+def _outcome(fn, argv):
+    """The exit code (None if none) and the stdout and stderr of fn(argv)."""
+    code, out, err = None, io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             fn(argv)
         except SystemExit as exc:
             code = exc.code
         except _Parsed:
             pass
-        out, err = capsys.readouterr()
-        return code, out, err
+    return code, out.getvalue(), err.getvalue()
 
-    def test_main_parses_as_the_full_parser(self, monkeypatch, capsys):
-        # `main` hands a command to its own subparser; every argv must come out
-        # as the top-level parse_args gives it: exit code, stdout, stderr and,
-        # for a valid argv, the namespace
-        assert len(DISPATCH_ARGVS) >= 30
+
+# the CLI's vocabulary for drawn argvs: commands, every option string, their
+# abbreviations and `=` forms, `--`, `-`, help, choices and non-choices, and
+# values that `int` and argparse read their own way
+ARGV_TOKENS = [
+    *COMMANDS, "-h", "--help", "--h", "--", "-", "-x", "--bogus",
+    "--out-dir", "--out", "--out-dir=d", "--no-regen", "--no", "--no-regen=1",
+    "--element", "--elem", "--element=5", "--verify", "--ver", "--time-order", "--time",
+    "--format", "--form", "--format=json", "dot", "json", "xml",
+    "0", "83679", "92160", "-1", "+5", "1_0", "١", "", "a.txt", "d",
+]
+
+
+class TestDispatch:
+    @pytest.fixture
+    def parses_as_the_full_parser(self, monkeypatch):
+        """A check that `main` parses argv as `build_parser().parse_args` does:
+        the same exit code, stdout and stderr and, for a valid argv, the same
+        namespace. It returns whether `cli._scan` took the argv."""
         parsed = []
         real_parse = cli._parse
 
@@ -284,22 +313,50 @@ class TestDispatch:
 
         monkeypatch.setattr(cli, "_parse", recording_parse)
         monkeypatch.setattr(cli, "build_workspace", stop)
-        for argv in DISPATCH_ARGVS:
+
+        def check(argv):
             want = []
-            expected = self._outcome(
-                lambda a: want.append(vars(build_parser().parse_args(a))), argv, capsys
-            )
+            expected = _outcome(lambda a: want.append(vars(build_parser().parse_args(a))), argv)
             parsed.clear()
-            assert self._outcome(main, argv, capsys) == expected, argv
+            assert _outcome(main, argv) == expected, argv
             assert [vars(args) for args in parsed] == want, argv
+            return bool(argv) and argv[0] in COMMANDS and cli._scan(argv[0], argv[1:]) is not None
 
-    def test_a_command_skips_the_top_level_parse(self, atlas, monkeypatch, capsys):
+        return check
+
+    def test_main_parses_as_the_full_parser(self, parses_as_the_full_parser):
+        assert len(DISPATCH_ARGVS) >= 30
+        scanned = [parses_as_the_full_parser(argv) for argv in DISPATCH_ARGVS]
+        assert any(scanned) and not all(scanned)
+
+    def test_drawn_argvs_parse_as_the_full_parser(self, parses_as_the_full_parser):
+        scanned = []
+        tokens = st.lists(st.sampled_from(ARGV_TOKENS), max_size=6)
+
+        @settings(derandomize=True, max_examples=400, deadline=None, database=None)
+        @given(st.one_of(tokens, st.builds(lambda c, rest: [c, *rest],
+                                           st.sampled_from(COMMANDS), tokens)))
+        def check(argv):
+            scanned.append(parses_as_the_full_parser(argv))
+
+        check()
+        assert any(scanned) and not all(scanned)
+
+    def test_a_well_formed_query_runs_no_argparse_parse(self, atlas, tmp_path, monkeypatch,
+                                                       capsys):
         def refuse(*args, **kwargs):
-            raise AssertionError("a valid command went through the top-level parser")
+            raise AssertionError("a well-formed query ran an argparse parse")
 
-        monkeypatch.setattr(build_parser(), "parse_known_args", refuse)
-        assert main(["lookup", "--element", "0", "--out-dir", str(atlas)]) == 0
-        assert capsys.readouterr().out.startswith("element 0\n")
+        path = tmp_path / "cnot.txt"
+        path.write_text(format_matrix(CNOT_T1))
+        for parser in (build_parser(), *cli._commands().values()):
+            monkeypatch.setattr(parser, "parse_known_args", refuse)
+        queries = [["lookup", str(path)], ["lookup", "--element", "0", "--no-regen"],
+                   ["synth", str(path), "--verify", "--time-order"],
+                   ["synth", "--element", "83679", "--verify"]]
+        assert [main([*argv, "--out-dir", str(atlas)]) for argv in queries] == [0, 0, 0, 0]
+        out = capsys.readouterr().out
+        assert "\nelement 0\n" in out and out.count("CZ-COUNT ") == 2
 
     @pytest.mark.parametrize(
         "argv, message",
