@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_layers.py --baseline ../parent --runs 7 --out BENCH_26.json
+    python3 scripts/bench_layers.py --baseline ../parent --runs 7 --out BENCH_27.json
 
 Every run is a fresh interpreter (this script with --measure) that imports
 czorbits from one tree's src/. It times `import czorbits.cli` (through
@@ -68,9 +68,13 @@ before): `parse_matrix`
 of their `format_matrix` text, `kernels.mat_mul` of consecutive pairs of
 them, `kernels.mat_tensor` of 192 pairs of C1 elements, and
 `synth.evaluate` of their circuits after one warm pass over the same
-circuits; and last one `run_verification(ws)` call, the whole verification
-suite. Runs alternate between the two trees; the output holds every
-sample and, per tree, the median of each figure and (since BENCH_18.json)
+circuits; and last the whole verification suite: through BENCH_26.json one
+`run_verification(ws)` call, and since BENCH_27.json each function of
+`verify.CHECKS` called in report order by this script's own loop, its
+seconds recorded by name in `verify_checks_s` and their sum as
+`run_verification_s` (a tree without `CHECKS` records the total only).
+Runs alternate between the two trees; the output holds every sample and,
+per tree, the median of each figure and (since BENCH_18.json)
 its first and third quartiles (`statistics.quantiles`), so that the spread
 of a figure shows next to it, with the machine, each tree's git revision
 and its non-generated line count (the lines of src/czorbits/*.py), and
@@ -135,7 +139,7 @@ def measure() -> dict:
     from czorbits.io import format_table, orbit_map_records, write_atomic
 
     figures = {"import_s": time.perf_counter() - t0, **dict.fromkeys(STAGES.values(), 0.0)}
-    from czorbits.verify import run_verification  # which imports numpy, as cli does not
+    from czorbits import verify  # which imports numpy, as cli does not
     figures["loadavg_1m"] = load
     figures["row_book_s"] = figures["tables_s"] = 0.0
 
@@ -217,9 +221,17 @@ def measure() -> dict:
         workspace.write_tables(ws, Path(out_dir))
         figures.update(dispatch_figures(pickle.loads(blob), ids[::10], Path(out_dir)))
     figures.update(query_figures(ws, ids, matrices))
-    t0 = time.perf_counter()
-    run_verification(ws)
-    figures["run_verification_s"] = time.perf_counter() - t0
+    if hasattr(verify, "CHECKS"):
+        figures["verify_checks_s"] = {}
+        for check in verify.CHECKS:
+            t0 = time.perf_counter()
+            list(check(ws))
+            figures["verify_checks_s"][check.__name__] = time.perf_counter() - t0
+        figures["run_verification_s"] = sum(figures["verify_checks_s"].values())
+    else:
+        t0 = time.perf_counter()
+        verify.run_verification(ws)
+        figures["run_verification_s"] = time.perf_counter() - t0
     return figures
 
 
@@ -341,6 +353,13 @@ def tier1(tree: Path) -> dict:
             "summary": lines[-1] if lines else ""}
 
 
+def summary(runs: list[dict], stat) -> dict:
+    """stat over the runs of each figure, and of each entry of a figure that
+    is a dict (`verify_checks_s`)."""
+    return {k: summary([r[k] for r in runs], stat) if isinstance(runs[0][k], dict)
+            else stat([r[k] for r in runs]) for k in runs[0]}
+
+
 def run_once(tree: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     out = subprocess.run(
@@ -355,7 +374,7 @@ def main() -> int:
     p.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--baseline", type=Path, help="checkout to compare against (the parent)")
     p.add_argument("--runs", type=int, default=5, help="fresh interpreters per tree, at least 2")
-    p.add_argument("--out", type=Path, default=ROOT / "BENCH_26.json")
+    p.add_argument("--out", type=Path, default=ROOT / "BENCH_27.json")
     args = p.parse_args()
     if args.measure:
         print(json.dumps(measure()))
@@ -382,12 +401,12 @@ def main() -> int:
         "runs_per_tree": args.runs,
     }
     for side, runs in samples.items():
-        median = {k: statistics.median(r[k] for r in runs) for k in runs[0]}
+        median = summary(runs, statistics.median)
         # the first and third quartiles of each figure
-        quartiles = {k: statistics.quantiles([r[k] for r in runs], n=4)[::2] for k in runs[0]}
+        quartiles = summary(runs, lambda xs: statistics.quantiles(xs, n=4)[::2])
         result[side] = {**revision(trees[side]), "median": median, "quartiles": quartiles,
                         "samples": runs}
-        print(side, json.dumps({k: round(v, 3) for k, v in median.items()}))
+        print(side, json.dumps(summary([median], lambda xs: round(xs[0], 3))))
     for side, tree in trees.items():
         result[side]["tier1"] = tier1(tree)
         print(side, "tier1", json.dumps(result[side]["tier1"]))

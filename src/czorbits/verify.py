@@ -1,14 +1,15 @@
 """Self-verification: every structural claim checked in one report.
 
-Each check records a name, the expected value, the observed value, and
-whether they match; the report prints one line per check. Sampled checks
-use a fixed seed, so the whole report is deterministic.
+`CHECKS` holds one function per pass of work, in report order, each yielding
+(name, expected, observed) lines for a workspace; the report prints each with
+whether they match. Sampled checks use a fixed seed, so all are deterministic.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -24,6 +25,7 @@ SAMPLE_SEED = 20251117
 SAMPLE_SIZE = 1000
 # ω^0 .. ω^3, so a numerator (a, b, c, d) lifts as (a, b, c, d) @ _OMEGA_POWERS
 _OMEGA_POWERS = np.exp(1j * np.pi / 4 * np.arange(4))
+Lines = Iterator[tuple[str, object, object]]
 
 
 @dataclass
@@ -103,59 +105,49 @@ def _left_mismatches(table: GroupTable) -> int:
     return bad
 
 
-def run_verification(ws: Workspace) -> VerificationReport:
-    rep = VerificationReport()
-    rng = random.Random(SAMPLE_SEED)
-    c1, lc2, c2 = ws.c1, ws.lc2, ws.c2
-    atlas, graph = ws.atlas, ws.graph
-    n = atlas.n_orbits
+def orders(ws: Workspace) -> Lines:
+    """The three group orders, and LC2 as C1 × C1 modulo the 8 phases."""
+    yield "c1-order", 192, len(ws.c1)
+    yield "lc2-order", 4608, len(ws.lc2)
+    yield "c2-order", 92160, len(ws.c2)
+    yield "lc2-dedup-ratio", 8, 192 * 192 // len(ws.lc2)
 
-    rep.add("c1-order", 192, len(c1))
-    rep.add("lc2-order", 4608, len(lc2))
-    rep.add("c2-order", 92160, len(c2))
-    rep.add("lc2-dedup-ratio", 8, 192 * 192 // len(lc2))
 
-    rep.add("orbit-count", 20, n)
-    sizes = sorted({len(atlas.orbit_members(o)) for o in range(1, n + 1)})
-    rep.add("orbit-sizes", [4608], sizes)
-    covered = sum(len(atlas.orbit_members(o)) for o in range(1, n + 1))
-    rep.add("orbit-cover", 92160, covered)
-    o1 = set(atlas.orbit_members(1))
-    lc2_ids = {c2.contains(lc2.element(e)) for e in range(len(lc2))}
-    rep.add("identity-orbit-is-lc2", True, o1 == lc2_ids)
+def orbits(ws: Workspace) -> Lines:
+    """20 orbits of 4608 that cover C2, the identity's being LC2."""
+    atlas, n = ws.atlas, ws.atlas.n_orbits
+    yield "orbit-count", 20, n
+    yield "orbit-sizes", [4608], sorted({len(atlas.orbit_members(o)) for o in range(1, n + 1)})
+    yield "orbit-cover", 92160, sum(len(atlas.orbit_members(o)) for o in range(1, n + 1))
+    lc2_ids = {ws.c2.contains(ws.lc2.element(e)) for e in range(len(ws.lc2))}
+    yield "identity-orbit-is-lc2", True, set(atlas.orbit_members(1)) == lc2_ids
 
-    offdiag = sorted(
-        {graph.weight[i][j] for i in range(n) for j in range(n) if i != j}
-    )
-    rep.add("weights-law", [0, 512], offdiag)
-    rep.add(
-        "diagonal-zero", True, all(graph.weight[i][i] == 0 for i in range(n))
-    )
-    rep.add(
-        "weight-symmetry",
-        True,
-        all(
-            graph.weight[i][j] == graph.weight[j][i]
-            for i in range(n)
-            for j in range(n)
-        ),
-    )
-    rep.add("degrees", [9], sorted({graph.degree(o) for o in range(1, n + 1)}))
-    rep.add("edge-count", 90, len(graph.edges()))
 
-    layer_counts = [ws.atlas.layers.count(v) for v in range(4)]
-    rep.add("layer-profile", [1, 9, 9, 1], layer_counts)
-    elem_counts = [
-        sum(len(atlas.orbit_members(o)) for o in range(1, n + 1) if atlas.layer(o) == v)
-        for v in range(4)
-    ]
-    rep.add("layer-element-counts", [4608, 41472, 41472, 4608], elem_counts)
+def graph(ws: Workspace) -> Lines:
+    """The CZ graph's weights: 0 or 512, symmetric, 9 neighbours per orbit."""
+    w, n = ws.graph.weight, ws.atlas.n_orbits
+    yield "weights-law", [0, 512], sorted({w[i][j] for i in range(n) for j in range(n) if i != j})
+    yield "diagonal-zero", True, all(w[i][i] == 0 for i in range(n))
+    yield "weight-symmetry", True, all(w[i][j] == w[j][i] for i in range(n) for j in range(n))
+    yield "degrees", [9], sorted({ws.graph.degree(o) for o in range(1, n + 1)})
+    yield "edge-count", 90, len(ws.graph.edges())
 
-    rep.add("figure-isomorphism", True, ws.bijection is not None)
-    rep.add("cnot-equivalence", True, cnot_graph_equivalence(atlas, c2, graph))
 
-    failures = 0
-    max_cz = 0
+def layers(ws: Workspace) -> Lines:
+    """The CZ layers, and the graph against the paper's figure and the CNOT graphs."""
+    atlas, n = ws.atlas, ws.atlas.n_orbits
+    yield "layer-profile", [1, 9, 9, 1], [atlas.layers.count(v) for v in range(4)]
+    elem_counts = [sum(len(atlas.orbit_members(o)) for o in range(1, n + 1) if atlas.layer(o) == v)
+                   for v in range(4)]
+    yield "layer-element-counts", [4608, 41472, 41472, 4608], elem_counts
+    yield "figure-isomorphism", True, ws.bijection is not None
+    yield "cnot-equivalence", True, cnot_graph_equivalence(atlas, ws.c2, ws.graph)
+
+
+def synthesis(ws: Workspace) -> Lines:
+    """Every element's circuit has its orbit's layer of CZs and multiplies out to it."""
+    atlas, c2 = ws.atlas, ws.c2
+    failures = max_cz = 0
     for eid in range(len(c2)):
         circ = ws.synthesizer.synthesize_id(eid)
         max_cz = max(max_cz, circ.cz_count)
@@ -163,69 +155,76 @@ def run_verification(ws: Workspace) -> VerificationReport:
             failures += 1
         elif evaluate(circ) != c2.element(eid):
             failures += 1
-    rep.add("synthesis-full-sweep-failures", 0, failures)
-    rep.add("synthesis-max-cz", 3, max_cz)
+    yield "synthesis-full-sweep-failures", 0, failures
+    yield "synthesis-max-cz", 3, max_cz
 
-    bad_unitary = sum(1 for e in range(len(c2)) if not c2.element(e).is_unitary())
-    rep.add("unitarity-exact-failures", 0, bad_unitary)
 
+def unitarity(ws: Workspace) -> Lines:
+    """Every element of C2 unitary, exactly and in floating point."""
+    c2 = ws.c2
+    yield "unitarity-exact-failures", 0, sum(not c2.element(e).is_unitary() for e in range(len(c2)))
     arr = _table_to_numpy(c2)
-    gram = arr @ arr.conj().transpose(0, 2, 1)
-    gram -= np.eye(c2.dim)
+    gram = arr @ arr.conj().transpose(0, 2, 1) - np.eye(c2.dim)
     worst = float(np.sqrt((np.abs(gram) ** 2).sum(axis=(1, 2))).max())
-    rep.add("unitarity-numeric-below-1e-12", True, worst < 1e-12)
+    yield "unitarity-numeric-below-1e-12", True, worst < 1e-12
 
-    ok = 0
-    for _ in range(SAMPLE_SIZE):
-        x = c2.element(rng.randrange(len(c2)))
-        y = c2.element(rng.randrange(len(c2)))
-        if c2.contains(x * y) is not None and c2.contains(x.dagger()) is not None:
-            ok += 1
-    rep.add("group-axioms-sample", SAMPLE_SIZE, ok)
 
-    ok = 0
-    for _ in range(SAMPLE_SIZE):
-        v = lc2.element(rng.randrange(len(lc2)))
-        eid = rng.randrange(len(c2))
-        if atlas.orbit_of[c2.contains(v * c2.element(eid))] == atlas.orbit_of[eid]:
-            ok += 1
-    rep.add("coset-invariance-sample", SAMPLE_SIZE, ok)
-
-    ok = 0
-    for _ in range(SAMPLE_SIZE):
-        oid = rng.randrange(1, n + 1)
-        members = atlas.orbit_members(oid)
-        u1 = c2.element(rng.choice(members))
-        u2 = c2.element(rng.choice(members))
-        if lc2.contains(u1 * u2.dagger()) is not None:
-            ok += 1
-    rep.add("coset-well-definedness-sample", SAMPLE_SIZE, ok)
-
-    ok = 0
-    for _ in range(SAMPLE_SIZE):
-        eid = rng.randrange(len(c2))
-        if word_product(c2.alphabet, c2.word_of(eid)) == c2.element(eid):
-            ok += 1
-    rep.add("word-roundtrip-sample", SAMPLE_SIZE, ok)
-
+def samples(ws: Workspace) -> Lines:
+    """Five properties on SAMPLE_SIZE draws each, from one stream seeded here."""
+    rng = random.Random(SAMPLE_SEED)
+    c2, lc2, atlas = ws.c2, ws.lc2, ws.atlas
     gens = list(c2.alphabet.values())
     lefts = [c2.left(label) for label in c2.alphabet]
-    ok = 0
-    for _ in range(SAMPLE_SIZE):
+
+    def group_axioms() -> bool:
+        x, y = c2.element(rng.randrange(len(c2))), c2.element(rng.randrange(len(c2)))
+        return c2.contains(x * y) is not None and c2.contains(x.dagger()) is not None
+
+    def coset_invariance() -> bool:
+        v, eid = lc2.element(rng.randrange(len(lc2))), rng.randrange(len(c2))
+        return atlas.orbit_of[c2.contains(v * c2.element(eid))] == atlas.orbit_of[eid]
+
+    def coset_well_definedness() -> bool:
+        members = atlas.orbit_members(rng.randrange(1, atlas.n_orbits + 1))
+        u1, u2 = c2.element(rng.choice(members)), c2.element(rng.choice(members))
+        return lc2.contains(u1 * u2.dagger()) is not None
+
+    def word_roundtrip() -> bool:
+        eid = rng.randrange(len(c2))
+        return word_product(c2.alphabet, c2.word_of(eid)) == c2.element(eid)
+
+    def action_table() -> bool:
         col, eid = rng.randrange(len(gens)), rng.randrange(len(c2))
         g, m = gens[col], c2.element(eid)
-        if c2.contains(m * g) == c2.right[eid, col] and c2.contains(g * m) == lefts[col][eid]:
-            ok += 1
-    rep.add("action-table-sample", SAMPLE_SIZE, ok)
-    rep.add("right-table-exact", [0, 0, 0], [_right_mismatches(t) for t in (c1, lc2, c2)])
-    rep.add("left-table-exact", [0, 0, 0], [_left_mismatches(t) for t in (c1, lc2, c2)])
+        return c2.contains(m * g) == c2.right[eid, col] and c2.contains(g * m) == lefts[col][eid]
 
-    ws2 = build_workspace(fresh=True)
-    same = (
-        format_table(ws2.c2) == format_table(c2)
-        and format_orbit_map(ws2.atlas) == format_orbit_map(atlas)
-        and ws2.graph.weight == graph.weight
-    )
-    rep.add("determinism-rebuild", True, same)
+    for name, trial in (("group-axioms", group_axioms), ("coset-invariance", coset_invariance),
+                        ("coset-well-definedness", coset_well_definedness),
+                        ("word-roundtrip", word_roundtrip), ("action-table", action_table)):
+        yield f"{name}-sample", SAMPLE_SIZE, sum(1 for _ in range(SAMPLE_SIZE) if trial())
 
+
+def tables(ws: Workspace) -> Lines:
+    """Every entry of the three tables' right and left actions."""
+    yield "right-table-exact", [0, 0, 0], [_right_mismatches(t) for t in (ws.c1, ws.lc2, ws.c2)]
+    yield "left-table-exact", [0, 0, 0], [_left_mismatches(t) for t in (ws.c1, ws.lc2, ws.c2)]
+
+
+def determinism(ws: Workspace) -> Lines:
+    """A fresh rebuild gives the same C2 file, orbit map and graph."""
+    fresh = build_workspace(fresh=True)
+    same = (format_table(fresh.c2) == format_table(ws.c2)
+            and format_orbit_map(fresh.atlas) == format_orbit_map(ws.atlas)
+            and fresh.graph.weight == ws.graph.weight)
+    yield "determinism-rebuild", True, same
+
+
+CHECKS = (orders, orbits, graph, layers, synthesis, unitarity, samples, tables, determinism)
+
+
+def run_verification(ws: Workspace) -> VerificationReport:
+    rep = VerificationReport()
+    for check in CHECKS:
+        for name, expected, observed in check(ws):
+            rep.add(name, expected, observed)
     return rep

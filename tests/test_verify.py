@@ -1,11 +1,20 @@
-"""Report plumbing and the packed-table numeric bridge."""
+"""Report plumbing, the packed-table numeric bridge, and checks run alone."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
 
-from czorbits.verify import VerificationReport, _left_mismatches, _table_to_numpy
+from czorbits.graph import CzGraph
+from czorbits.verify import (
+    SAMPLE_SIZE,
+    VerificationReport,
+    _left_mismatches,
+    _table_to_numpy,
+    graph,
+    samples,
+)
 from ringref import to_numpy
 
 
@@ -57,3 +66,24 @@ class TestLeftTableExact:
         table._left = table._left.copy()  # writable, and ws.c2 keeps its own
         table._left[row, [5, 9]] = table._left[row, [9, 5]]
         assert _left_mismatches(table) > 0
+
+
+class TestChecksAlone:
+    def test_samples_alone(self, ws):
+        names = ["group-axioms-sample", "coset-invariance-sample",
+                 "coset-well-definedness-sample", "word-roundtrip-sample", "action-table-sample"]
+        assert list(samples(ws)) == [(name, SAMPLE_SIZE, SAMPLE_SIZE) for name in names]
+
+    # orbit 1's weight to its neighbour orbit 2 moved to orbit 20, which is
+    # not a neighbour, or onto orbit 1 itself
+    @pytest.mark.parametrize("k, failed", [
+        (19, ["weight-symmetry"]),
+        (0, ["diagonal-zero", "weight-symmetry", "edge-count"]),
+    ], ids=["off-diagonal", "diagonal"])
+    def test_moved_weight_fails_the_graph_check(self, ws, k, failed):
+        weight = [row[:] for row in ws.graph.weight]
+        assert (weight[0][1], weight[0][k]) == (512, 0)
+        weight[0][1], weight[0][k] = weight[0][k], weight[0][1]
+        broken = dataclasses.replace(ws, graph=CzGraph(weight, ws.graph.witnesses))
+        assert [name for name, exp, obs in graph(broken) if exp != obs] == failed
+        assert all(exp == obs for _, exp, obs in graph(ws))
