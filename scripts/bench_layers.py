@@ -2,86 +2,66 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_layers.py --baseline ../parent --runs 7 --out BENCH_27.json
+    python3 scripts/bench_layers.py --baseline ../parent --runs 7 --out BENCH_28.json
 
 Every run is a fresh interpreter (this script with --measure) that imports
-czorbits from one tree's src/. It times `import czorbits.cli` (through
-BENCH_23.json with `czorbits.verify`, and so numpy, inside it), then one cold
-`build_workspace()` with each stage timed by wrapping the names that
-`czorbits.workspace` calls (the C1 and C2 closures; LC2, read off C2's
-first coset since BENCH_19.json, off C2's `right` by the closures' own tree
-walk from BENCH_13.json, by a walk of its own in BENCH_12.json and closed on
-its own before; the partition, the CZ graph and the synthesis plans), and
-(since BENCH_19.json) `row_book_s`, the time in `czorbits.groups._row_book`
-over both closures, which each close their row book inside their figure, and
-(since BENCH_20.json) `tables_s`, the time over the three tables in each
-table's tree walk and left fill. Through BENCH_22.json that is the time in
-`czorbits.groups.GroupTable.__init__`; since BENCH_23.json a table derives
-`right` and its tree on first use, and `tables_s` is the time in those two
-derivations, `GroupTable.right` and `GroupTable._tree`, wherever first use
-runs them: C1's and LC2's inside the LC2 stage and the synthesis plans,
-C2's inside `build_workspace` between the stages, on its first `left` call.
-So from BENCH_23.json `c2_closure_s` no longer holds C2's `right` and tree,
-and `tables_s` holds the three `right` tables, which earlier trees made in
-the closures.
-Since BENCH_17.json `partition_s` includes
-the CZ layer walk and the orbit labelling; earlier trees ran those after the
-graph, unattributed inside `build_workspace_s`, so compare a tree from
-before BENCH_17.json with one after it on `build_workspace_s`. Then
-`format_table(c2)`, which builds C2's file as one string, and
-`write_tables` into a temporary directory, which streams all three table
-files to disk as `generate` does, and (since BENCH_16.json) `orbit_map_s`,
-the orbit map streamed to `orbit_map.txt` there as `orbits` writes it, then
-the wall time of
-`czorbits lookup --element 83679` in a fresh interpreter with those table
-files on disk (`python -m czorbits.cli`, which rebuilds the workspace as
-every command does), and the mean time
-of one `c2.element` and one `c2.contains` call over every 31st element of
-C2 (2973 calls each; the matrices `element` made are the ones `contains`
-looks up). Through BENCH_22.json a group table fills its generators' left
-actions when it is made, so `c2_closure_s` includes C2's five left actions,
-which `build_workspace` made after the closures in trees that kept them as
-`Workspace.lefts`; since BENCH_20.json C2's tree walk fills them in the same
-pass, where earlier trees walked `right` twice, and since BENCH_23.json that
-walk is in `tables_s` and not in `c2_closure_s`. It also reports the peak RSS
-of the process right after the build, and the size of `pickle.dumps(workspace)` (the snapshot a fast
-start would load, and the pickle perfbench's query-mix loads) with the time
-to load it, and the host's one-minute load average (`os.getloadavg()`)
-when the sample starts, since load on a shared host moves the build times
-by about 2x. Since BENCH_24.json it also reports `query_start_s`, the wall
-time of a fresh interpreter that imports `czorbits.cli`, loads that pickle,
-installs it as the cached workspace and answers `lookup --element 83679` and
-`synth --element 83679 --verify` in-process with the table files on disk,
-and `query_start_numpy`, 1 if numpy was in `sys.modules` when it finished
-and 0 if not. Since BENCH_25.json it reports `dispatch_lookup_element_us`,
-`dispatch_lookup_file_us` and `dispatch_synth_file_us`, the mean of one
-in-process `cli.main` call, the least of five passes, on that pickle loaded
-as the cached workspace with the table files on disk: `lookup --element`,
-and `lookup` and `synth --verify` of a matrix file, over every 310th
-element of C2, the whole query from argv to printed output, and since
-BENCH_26.json `parse_argv_us`, the mean of one `cli._parse` call, the least
-of five passes, over the argvs of those three figures. Since BENCH_15.json
-it then times the exact work behind one
-query, each figure a mean per call over the same elements (since
-BENCH_19.json the least of five passes in the run's interpreter, one pass
-before): `parse_matrix`
-of their `format_matrix` text, `kernels.mat_mul` of consecutive pairs of
-them, `kernels.mat_tensor` of 192 pairs of C1 elements, and
-`synth.evaluate` of their circuits after one warm pass over the same
-circuits; and last the whole verification suite: through BENCH_26.json one
-`run_verification(ws)` call, and since BENCH_27.json each function of
-`verify.CHECKS` called in report order by this script's own loop, its
-seconds recorded by name in `verify_checks_s` and their sum as
-`run_verification_s` (a tree without `CHECKS` records the total only).
-Runs alternate between the two trees; the output holds every sample and,
-per tree, the median of each figure and (since BENCH_18.json)
-its first and third quartiles (`statistics.quantiles`), so that the spread
-of a figure shows next to it, with the machine, each tree's git revision
-and its non-generated line count (the lines of src/czorbits/*.py), and
-(since BENCH_22.json) `tests_loc`, the lines of tests/*.py, so that code
-moved from the library into the tests shows. Since BENCH_25.json it then
-runs each tree's Tier-1 suite once, after the samples, and records its wall
-time, exit status and pytest's summary line as `tier1`.
+czorbits from one tree's src/ and records:
+
+- `import_s`: `import czorbits.cli`, which imports no numpy;
+- `loadavg_1m`: the host's one-minute load average when the run starts,
+  since load on a shared host moves the build times by about 2x;
+- one cold `build_workspace()`, as `build_workspace_s`, with its stages
+  timed by wrapping the names `czorbits.workspace` calls: `c1_closure_s`,
+  `c2_closure_s` (with C2's row book), `lc2_closure_s` (LC2, read off
+  C2's first coset), `partition_s` (the cosets, their CZ layers and
+  orbit order), `graph_s` and `plans_s` (the synthesis plans);
+- `row_book_s`: the time in `czorbits.groups._row_book` over both
+  closures, which each hold their row book inside their figure;
+- `tables_s`: the time in the derivations a table makes on first use,
+  `GroupTable.right` and `GroupTable._tree`, wherever first use runs them:
+  C1's and LC2's inside the LC2 stage and the synthesis plans, C2's inside
+  `build_workspace` between the stages;
+- `build_rss_peak_mb`: the process's peak RSS right after the build;
+- `format_table_c2_s`: `format_table(c2)`, C2's file as one string;
+- `write_tables_s`: `write_tables` into a temporary directory, which
+  streams the three table files to disk as `generate` does;
+- `orbit_map_s`: the orbit map streamed to `orbit_map.txt` there, as
+  `orbits` writes it;
+- `lookup_wall_s`: the wall time of `czorbits lookup --element 83679` in a
+  fresh interpreter with those table files on disk (`python -m
+  czorbits.cli`, which rebuilds the workspace as every command does);
+- `c2_element_us` and `c2_contains_us`: the mean of one `c2.element` and
+  one `c2.contains` call over every 31st element of C2 (2973 calls each;
+  `contains` looks up the matrices `element` made);
+- `pickle_mb` and `pickle_load_s`: the size of `pickle.dumps(workspace)`,
+  the snapshot perfbench's query-mix loads, and the time to load it;
+- `query_start_s`: the wall time of a fresh interpreter that imports
+  `czorbits.cli`, loads that pickle, installs it as the cached workspace
+  and answers `lookup --element 83679` and `synth --element 83679
+  --verify` in-process with the table files on disk, and
+  `query_start_numpy`, 1 if numpy was in `sys.modules` when it finished;
+- `dispatch_lookup_element_us`, `dispatch_lookup_file_us` and
+  `dispatch_synth_file_us`: the mean of one in-process `cli.main` call,
+  the least of five passes, on that pickle loaded as the cached workspace:
+  `lookup --element`, and `lookup` and `synth --verify` of a matrix file,
+  over every 310th element of C2, from argv to printed output; and
+  `parse_argv_us`, the mean of one `cli._parse` call over those argvs;
+- `parse_matrix_us`, `mat_mul_us`, `mat_tensor_us` and `evaluate_us`: the
+  exact work behind one query, each a mean per call, the least of five
+  passes, over the same elements: `parse_matrix` of their `format_matrix`
+  text, `kernels.mat_mul` of consecutive pairs, `kernels.mat_tensor` of
+  192 pairs of C1 elements, and `synth.evaluate` of their circuits after
+  one warm pass;
+- `verify_checks_s`: the seconds of each function of `verify.CHECKS`,
+  called in report order, by name, and `run_verification_s`, their sum.
+
+Runs alternate between the two trees. The output holds every sample and,
+per tree, the median of each figure and its first and third quartiles
+(`statistics.quantiles`), so that a figure's spread shows next to it, with
+the machine, each tree's git revision, `loc` (the lines of
+src/czorbits/*.py) and `tests_loc` (the lines of tests/*.py). After the
+samples it runs each tree's Tier-1 suite once and records its wall time,
+exit status and pytest's summary line as `tier1`.
 """
 
 from __future__ import annotations
@@ -161,23 +141,19 @@ def measure() -> dict:
     originals = {name: getattr(workspace, name) for name in STAGES}
     for name, figure in STAGES.items():
         setattr(workspace, name, timed(originals[name], figure))
-    row_book, table_init = groups._row_book, groups.GroupTable.__init__
+    row_book = groups._row_book
     groups._row_book = timed(row_book, "row_book_s")
-    # the cached derivations (the tree's asks for `right`), or the constructor
-    derived = [vars(groups.GroupTable)[name] for name in ("right", "_tree")
-               if name in vars(groups.GroupTable)]
+    derived = [vars(groups.GroupTable)[name] for name in ("right", "_tree")]
     derive = [d.func for d in derived]
     for d in derived:
         d.func = timed(d.func, "tables_s")
-    if not derived:
-        groups.GroupTable.__init__ = timed(table_init, "tables_s")
     t0 = time.perf_counter()
     ws = workspace.build_workspace()
     figures["build_workspace_s"] = time.perf_counter() - t0
     # unwrapped again, so the rebuild inside run_verification adds to no stage
     for name, fn in originals.items():
         setattr(workspace, name, fn)
-    groups._row_book, groups.GroupTable.__init__ = row_book, table_init
+    groups._row_book = row_book
     for d, fn in zip(derived, derive):
         d.func = fn
     figures["build_rss_peak_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -221,17 +197,12 @@ def measure() -> dict:
         workspace.write_tables(ws, Path(out_dir))
         figures.update(dispatch_figures(pickle.loads(blob), ids[::10], Path(out_dir)))
     figures.update(query_figures(ws, ids, matrices))
-    if hasattr(verify, "CHECKS"):
-        figures["verify_checks_s"] = {}
-        for check in verify.CHECKS:
-            t0 = time.perf_counter()
-            list(check(ws))
-            figures["verify_checks_s"][check.__name__] = time.perf_counter() - t0
-        figures["run_verification_s"] = sum(figures["verify_checks_s"].values())
-    else:
+    figures["verify_checks_s"] = {}
+    for check in verify.CHECKS:
         t0 = time.perf_counter()
-        verify.run_verification(ws)
-        figures["run_verification_s"] = time.perf_counter() - t0
+        list(check(ws))
+        figures["verify_checks_s"][check.__name__] = time.perf_counter() - t0
+    figures["run_verification_s"] = sum(figures["verify_checks_s"].values())
     return figures
 
 
@@ -374,7 +345,7 @@ def main() -> int:
     p.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--baseline", type=Path, help="checkout to compare against (the parent)")
     p.add_argument("--runs", type=int, default=5, help="fresh interpreters per tree, at least 2")
-    p.add_argument("--out", type=Path, default=ROOT / "BENCH_27.json")
+    p.add_argument("--out", type=Path, default=ROOT / "BENCH_28.json")
     args = p.parse_args()
     if args.measure:
         print(json.dumps(measure()))

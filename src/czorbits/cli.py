@@ -22,7 +22,6 @@ from czorbits.errors import (
 from czorbits.graph import to_dot, to_json
 from czorbits.io import format_circuit, format_orbit_summary, orbit_map_records
 from czorbits.io import parse_matrix, write_atomic
-from czorbits.matrices import GateMatrix
 from czorbits.synth import evaluate
 from czorbits.workspace import Workspace, atlas_dir, build_workspace, ensure_tables, write_tables
 
@@ -103,16 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(
-    args, parser: argparse.ArgumentParser, ws: Workspace
-) -> tuple[int, GateMatrix | None]:
-    """The queried element's id, from --element ID or FILE, and the matrix
-    read from FILE (None for --element, whose matrix no query has to build)."""
+def _resolve(args, parser: argparse.ArgumentParser, ws: Workspace) -> int:
+    """The queried element's id, from --element ID or FILE."""
     if (args.matrix is None) == (args.element is None):
         parser.error("provide exactly one of FILE or --element ID")
     if args.element is not None:
         try:
-            return ws.c2._check_id(args.element), None
+            return ws.c2._check_id(args.element)
         except ValueError as exc:
             parser.error(f"--element: {exc}")
     if args.matrix == "-":
@@ -126,7 +122,7 @@ def _resolve(
     m = parse_matrix(text)
     eid = ws.c2.contains(m)
     if eid is not None:
-        return eid, m
+        return eid
     # every element is unitary, so only a miss needs the exact product
     if not m.is_unitary():
         raise NotInGroupError("matrix is not unitary")
@@ -250,20 +246,19 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "synth":
-            eid, m = _resolve(args, parser, ws)
+            eid = _resolve(args, parser, ws)
             circuit = ws.synthesizer.synthesize_id(eid)
-            if args.verify and evaluate(circuit) != (ws.c2.element(eid) if m is None else m):
+            if args.verify and evaluate(circuit) != ws.c2.element(eid):
                 raise VerificationError("circuit does not reproduce the input")
             out.write(format_circuit(circuit, time_order=args.time_order))
             return 0
 
         if args.command == "lookup":
-            eid, _ = _resolve(args, parser, ws)
+            eid = _resolve(args, parser, ws)
             oid = ws.atlas.orbit_of[eid]
             out.write(f"element {eid}\n")
             out.write(f"orbit O{oid}\n")
-            if ws.bijection is not None:
-                out.write(f"reference-label O{ws.bijection[oid]}\n")
+            out.write(f"reference-label O{ws.bijection[oid]}\n")
             out.write(f"layer {ws.atlas.layer(oid)}\n")
             return 0
 

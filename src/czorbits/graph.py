@@ -200,22 +200,17 @@ def to_dot(graph: CzGraph, atlas: OrbitAtlas) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_json(
-    graph: CzGraph,
-    atlas: OrbitAtlas,
-    bijection: Optional[Mapping[int, int]] = None,
-) -> str:
+def to_json(graph: CzGraph, atlas: OrbitAtlas, bijection: Mapping[int, int]) -> str:
     import json
 
-    nodes = []
-    for oid in range(1, graph.n + 1):
-        node = {
+    nodes = [
+        {
             "id": oid,
             "layer": atlas.layer(oid),
             "size": len(atlas.orbit_members(oid)),
+            "reference_label": f"O{bijection[oid]}",
         }
-        if bijection is not None:
-            node["reference_label"] = f"O{bijection[oid]}"
-        nodes.append(node)
+        for oid in range(1, graph.n + 1)
+    ]
     edges = [{"a": a, "b": b, "weight": w} for a, b, w in graph.edges()]
     return json.dumps({"nodes": nodes, "edges": edges}, indent=2) + "\n"

@@ -3,8 +3,9 @@
 Two elements are equivalent when they differ by left multiplication with
 an element of LC2; the classes are the left cosets LC2*U, which C2's
 closure meets one at a time and keeps as rows of ascending element ids.
-The atlas shares those rows, maps every element id to its orbit id, and
-keeps each orbit's row and CZ layer. Orbit ids are 1-based. Like a table, the
+The atlas keeps those rows, the same arrays, in orbit order as each
+orbit's members, maps every element id to its orbit id, and keeps each
+orbit's CZ layer. Orbit ids are 1-based. Like a table, the
 atlas keeps stdlib arrays, so a loaded one answers without numpy.
 """
 
@@ -23,23 +24,21 @@ if TYPE_CHECKING:
 class OrbitAtlas:
     """Immutable orbit partition with each orbit's CZ layer."""
 
-    def __init__(self, orbit_of: array, cosets: list[array], rows: list[int],
-                 layers: list[int]) -> None:
+    def __init__(self, orbit_of: array, members: list[array], layers: list[int]) -> None:
         # orbit_of[e] (array "B", one byte): element e's orbit id
         self.orbit_of = orbit_of
-        # cosets[rows[oid - 1]]: the orbit's element ids, ascending, as an
-        # array "i"; cosets is the table's own list, not a copy
-        self.cosets = cosets
-        self.rows = rows
+        # members[oid - 1]: the orbit's element ids, ascending, as an array
+        # "i"; each is one of the table's own coset rows, not a copy
+        self.members = members
         # layers[oid - 1]: the orbit's CZ layer, 0 for the identity's orbit
         self.layers = layers
 
     @property
     def n_orbits(self) -> int:
-        return len(self.rows)
+        return len(self.members)
 
     def orbit_members(self, oid: int) -> array:
-        return self.cosets[self.rows[oid - 1]]
+        return self.members[oid - 1]
 
     def representative(self, oid: int) -> int:
         """Element id of the orbit's canonical (minimal) member.
@@ -70,7 +69,8 @@ def partition(c2: GroupTable, lc2: GroupTable, cz: np.ndarray) -> OrbitAtlas:
     rows, layers = assign_layers_and_labels(cosets, cz, c2.identity_id)
     orbit_of = np.empty(len(c2), dtype=np.int32)
     orbit_of[cosets[rows]] = np.arange(1, len(rows) + 1, dtype=np.int32)[:, None]
-    return OrbitAtlas(stdlib_array(orbit_of, "B"), c2.cosets, rows.tolist(), layers.tolist())
+    members = [c2.cosets[row] for row in rows.tolist()]
+    return OrbitAtlas(stdlib_array(orbit_of, "B"), members, layers.tolist())
 
 
 def assign_layers_and_labels(cosets: np.ndarray, cz: np.ndarray, ident_eid: int) -> tuple:

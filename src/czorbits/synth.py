@@ -12,8 +12,9 @@ layer down.
 So every element is v * a_i for one v in LC2, its factor, and the factors
 fill breadth-first from the anchors, as g * (v * a_i) = (g * v) * a_i. As
 CZ * CZ = 1, a_i = CZ * factor(CZ * a_i) * a_j with O_j one layer down, so
-each orbit has a fixed circuit tail, and an element's circuit is its
-factor's local layer followed by its orbit's tail.
+each orbit has a fixed circuit tail, built once, and an element's circuit
+is its factor's local layer, left out when both words are empty, then its
+orbit's tail, which starts with a CZ: no two local layers ever meet.
 """
 
 from __future__ import annotations
@@ -58,21 +59,6 @@ class Circuit:
     @property
     def cz_count(self) -> int:
         return sum(1 for op in self.ops if isinstance(op, CzOp))
-
-
-def make_circuit(items: list[Op]) -> Circuit:
-    """Normalize: merge adjacent local layers, drop empty ones."""
-    ops: list[Op] = []
-    for op in items:
-        if isinstance(op, LocalOp):
-            if op.a == () and op.b == ():
-                continue
-            if ops and isinstance(ops[-1], LocalOp):
-                prev = ops[-1]
-                ops[-1] = LocalOp(prev.a + op.a, prev.b + op.b)
-                continue
-        ops.append(op)
-    return Circuit(tuple(ops))
 
 
 @lru_cache(maxsize=512)
@@ -124,9 +110,11 @@ class Synthesizer:
         self._c1_words = [c1.word_of(e) for e in range(len(c1))]
         self._factor, self._tails = self._build_plans()
 
-    def _local(self, lid: int) -> LocalOp:
+    def _local(self, lid: int) -> tuple[Op, ...]:
+        """LC2 element lid's local layer as ops: none for two empty words."""
         ia, ib = self.lc2.pairs[lid]
-        return LocalOp(self._c1_words[ia], self._c1_words[ib])
+        a, b = self._c1_words[ia], self._c1_words[ib]
+        return (LocalOp(a, b),) if a or b else ()
 
     def _build_plans(self) -> tuple[array, dict[int, tuple[Op, ...]]]:
         """Each element's factor, as an lc2 id (array "h", int16), and each
@@ -152,7 +140,7 @@ class Synthesizer:
         tails: dict[int, tuple[Op, ...]] = {1: ()}
         for oid, anchor in anchors.items():
             pushed = cz[anchor]
-            tails[oid] = (CZ_OP, self._local(factor[pushed]), *tails[atlas.orbit_of[pushed]])
+            tails[oid] = (CZ_OP, *self._local(factor[pushed]), *tails[atlas.orbit_of[pushed]])
         return stdlib_array(factor, "h"), tails
 
     def synthesize(self, m: GateMatrix) -> Circuit:
@@ -163,4 +151,4 @@ class Synthesizer:
 
     def synthesize_id(self, eid: int) -> Circuit:
         tail = self._tails[self.atlas.orbit_of[self.c2._check_id(eid)]]
-        return make_circuit([self._local(self._factor[eid]), *tail])
+        return Circuit((*self._local(self._factor[eid]), *tail))

@@ -15,7 +15,7 @@ import numpy as np
 
 from czorbits import kernels
 from czorbits.encoding import ENTRY_BYTES, unpack_values
-from czorbits.graph import cnot_graph_equivalence
+from czorbits.graph import check_isomorphic, cnot_graph_equivalence
 from czorbits.groups import GroupTable, word_product
 from czorbits.io import format_orbit_map, format_table
 from czorbits.synth import evaluate
@@ -105,6 +105,19 @@ def _left_mismatches(table: GroupTable) -> int:
     return bad
 
 
+def _distances(weight: list[list[int]]) -> list[int | None]:
+    """Each orbit's breadth-first distance from O1 over the nonzero weights,
+    None for an orbit it does not reach."""
+    dist: list[int | None] = [None] * len(weight)
+    dist[0], frontier = 0, [0]
+    for i in frontier:  # grows as the walk goes
+        for j, w in enumerate(weight[i]):
+            if w and dist[j] is None:
+                dist[j] = dist[i] + 1
+                frontier.append(j)
+    return dist
+
+
 def orders(ws: Workspace) -> Lines:
     """The three group orders, and LC2 as C1 × C1 modulo the 8 phases."""
     yield "c1-order", 192, len(ws.c1)
@@ -134,13 +147,15 @@ def graph(ws: Workspace) -> Lines:
 
 
 def layers(ws: Workspace) -> Lines:
-    """The CZ layers, and the graph against the paper's figure and the CNOT graphs."""
+    """The CZ layers, each an orbit's distance from O1, and the graph against
+    the paper's figure and the CNOT graphs."""
     atlas, n = ws.atlas, ws.atlas.n_orbits
     yield "layer-profile", [1, 9, 9, 1], [atlas.layers.count(v) for v in range(4)]
     elem_counts = [sum(len(atlas.orbit_members(o)) for o in range(1, n + 1) if atlas.layer(o) == v)
                    for v in range(4)]
     yield "layer-element-counts", [4608, 41472, 41472, 4608], elem_counts
-    yield "figure-isomorphism", True, ws.bijection is not None
+    yield "layer-is-graph-distance", atlas.layers, _distances(ws.graph.weight)
+    yield "figure-isomorphism", True, check_isomorphic(ws.graph.edge_set()) is not None
     yield "cnot-equivalence", True, cnot_graph_equivalence(atlas, ws.c2, ws.graph)
 
 

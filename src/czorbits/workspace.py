@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
-from czorbits.errors import InputFormatError
+from czorbits.errors import InputFormatError, VerificationError
 from czorbits.graph import CzGraph, build_graph, check_isomorphic, check_weight_law
 from czorbits.groups import GroupTable, build_c1, build_c2, build_lc2
 from czorbits.io import table_records, write_atomic
@@ -39,7 +39,7 @@ class Workspace:
     c2: GroupTable
     atlas: OrbitAtlas
     graph: CzGraph
-    bijection: Optional[dict[int, int]]
+    bijection: dict[int, int]
     synthesizer: Synthesizer
 
     def table(self, name: str) -> GroupTable:
@@ -55,7 +55,8 @@ def build_workspace(fresh: bool = False) -> Workspace:
     fresh=True forces a complete rebuild even when a workspace is cached;
     determinism checks compare such a rebuild against the cached one. The
     first workspace built in a process, fresh or not, becomes the cached
-    one, and a later build never replaces it.
+    one, and a later build never replaces it. A CZ graph that breaks the
+    weight law or is not the reference figure raises VerificationError.
     """
     global _CACHE
     if _CACHE is not None and not fresh:
@@ -68,6 +69,8 @@ def build_workspace(fresh: bool = False) -> Workspace:
     graph = build_graph(atlas, cz)
     check_weight_law(graph)
     bijection = check_isomorphic(graph.edge_set())
+    if bijection is None:
+        raise VerificationError("CZ graph is not isomorphic to the reference figure")
     synthesizer = Synthesizer(c1, lc2, c2, atlas, graph)
     ws = Workspace(c1, lc2, c2, atlas, graph, bijection, synthesizer)
     if _CACHE is None:

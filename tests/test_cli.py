@@ -512,7 +512,8 @@ REPORT_NAMES = [
     "c1-order", "lc2-order", "c2-order", "lc2-dedup-ratio",
     "orbit-count", "orbit-sizes", "orbit-cover", "identity-orbit-is-lc2",
     "weights-law", "diagonal-zero", "weight-symmetry", "degrees", "edge-count",
-    "layer-profile", "layer-element-counts", "figure-isomorphism", "cnot-equivalence",
+    "layer-profile", "layer-element-counts", "layer-is-graph-distance",
+    "figure-isomorphism", "cnot-equivalence",
     "synthesis-full-sweep-failures", "synthesis-max-cz",
     "unitarity-exact-failures", "unitarity-numeric-below-1e-12",
     "group-axioms-sample", "coset-invariance-sample", "coset-well-definedness-sample",
@@ -523,10 +524,9 @@ REPORT_NAMES = [
 
 
 class TestVerifyCommand:
-    def test_full_report_passes(self, atlas, capsys):
-        assert main(["verify", "--out-dir", str(atlas)]) == 0
-        out = capsys.readouterr().out
-        lines = out.strip().splitlines()
+    def test_full_report_passes(self, verify_run):
+        code, lines = verify_run
+        assert code == 0
         assert [line.split()[1] for line in lines[:-1]] == REPORT_NAMES
         assert lines[-1] == "OVERALL PASS"
         assert "CHECK orbit-count expected=20 observed=20 PASS" in lines

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from czorbits import workspace
 from czorbits.errors import VerificationError
 from czorbits.graph import (
     REFERENCE_EDGES,
@@ -125,6 +126,12 @@ class TestComputedIsomorphism:
         assert sorted(ws.bijection) == list(range(1, 21))
         assert sorted(ws.bijection.values()) == list(range(1, 21))
 
+    def test_build_refuses_a_graph_off_the_figure(self, ws, monkeypatch):
+        monkeypatch.setattr(workspace, "check_isomorphic", lambda edges: None)
+        with pytest.raises(VerificationError, match="reference figure"):
+            workspace.build_workspace(fresh=True)
+        assert workspace.build_workspace() is ws
+
 
 class TestGateSubstitution:
     def test_cnot_graphs_identical(self, ws):
@@ -163,7 +170,3 @@ class TestExports:
         assert labels == {f"O{i}" for i in range(1, 21)}
         layer_of = {n["id"]: n["layer"] for n in doc["nodes"]}
         assert sorted(layer_of.values()).count(1) == 9
-
-    def test_json_without_bijection(self, ws):
-        doc = json.loads(to_json(ws.graph, ws.atlas, None))
-        assert all("reference_label" not in n for n in doc["nodes"])

@@ -16,7 +16,6 @@ from czorbits.synth import (
     Synthesizer,
     _suffix_columns,
     evaluate,
-    make_circuit,
 )
 from ringref import CycloNum
 
@@ -36,13 +35,15 @@ def bfs_distance_from_identity_orbit(graph, oid):
     return dist[oid]
 
 
-def local_op(synth, v):
-    """The local layer of an LC2 matrix, spelled by its factor pair's c1 words."""
+def local_ops(synth, v):
+    """The local layer of an LC2 matrix, spelled by its factor pair's c1
+    words, as ops: none when both words are empty."""
     lid = synth.lc2.contains(v)
     if lid is None:
         raise VerificationError("descent produced a non-local factor")
     ia, ib = synth.lc2.pairs[lid]
-    return LocalOp(synth.c1.word_of(ia), synth.c1.word_of(ib))
+    a, b = synth.c1.word_of(ia), synth.c1.word_of(ib)
+    return (LocalOp(a, b),) if a or b else ()
 
 
 def synthesize_by_scan(synth, m):
@@ -56,13 +57,13 @@ def synthesize_by_scan(synth, m):
         raise NotInGroupError("matrix is not an element of the group")
     d = synth.atlas.layer(synth.atlas.orbit_of[eid])
     if d == 0:
-        return make_circuit([local_op(synth, m)])
+        return Circuit(local_ops(synth, m))
     for v in map(synth.lc2.element, range(len(synth.lc2))):
         pushed = CZ * v * m
         j = synth.atlas.orbit_of[synth.c2.contains(pushed)]
         if synth.atlas.layer(j) == d - 1:
             rest = synthesize_by_scan(synth, pushed)
-            return make_circuit([local_op(synth, v.dagger()), CZ_OP, *rest.ops])
+            return Circuit((*local_ops(synth, v.dagger()), CZ_OP, *rest.ops))
     raise VerificationError("no descent witness found")
 
 
@@ -170,19 +171,11 @@ class TestCircuitStructure:
         rng = random.Random(101)
         for eid in rng.sample(range(len(ws.c2)), 300):
             ops = ws.synthesizer.synthesize_id(eid).ops
+            assert LocalOp((), ()) not in ops
             for left, right in zip(ops, ops[1:]):
                 assert not (
                     isinstance(left, LocalOp) and isinstance(right, LocalOp)
                 )
-
-    def test_make_circuit_merges_locals(self):
-        merged = make_circuit(
-            [LocalOp(("H",), ()), LocalOp(("P",), ("H",)), CZ_OP]
-        )
-        assert merged.ops == (LocalOp(("H", "P"), ("H",)), CZ_OP)
-
-    def test_make_circuit_drops_empty_local(self):
-        assert make_circuit([LocalOp((), ()), CZ_OP]).ops == (CZ_OP,)
 
     def test_cz_count_property(self):
         circuit = Circuit((CZ_OP, LocalOp(("H",), ()), CZ_OP))

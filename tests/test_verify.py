@@ -13,6 +13,7 @@ from czorbits.verify import (
     _left_mismatches,
     _table_to_numpy,
     graph,
+    layers,
     samples,
 )
 from ringref import to_numpy
@@ -87,3 +88,15 @@ class TestChecksAlone:
         broken = dataclasses.replace(ws, graph=CzGraph(weight, ws.graph.witnesses))
         assert [name for name, exp, obs in graph(broken) if exp != obs] == failed
         assert all(exp == obs for _, exp, obs in graph(ws))
+
+    # the count lines cannot see two orbits of 4608 trade layers
+    @pytest.mark.parametrize("a, b", [(2, 12), (1, 20)], ids=["O2-O12", "O1-O20"])
+    def test_swapped_layers_fail_the_distance_check(self, ws, a, b):
+        atlas = copy.copy(ws.atlas)
+        atlas.layers = ws.atlas.layers[:]
+        assert atlas.layers[a - 1] != atlas.layers[b - 1]
+        atlas.layers[a - 1], atlas.layers[b - 1] = atlas.layers[b - 1], atlas.layers[a - 1]
+        broken = dataclasses.replace(ws, atlas=atlas)
+        assert [name for name, exp, obs in layers(broken) if exp != obs] == [
+            "layer-is-graph-distance"]
+        assert all(exp == obs for _, exp, obs in layers(ws))
