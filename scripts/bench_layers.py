@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_layers.py --baseline ../parent --runs 7 --out BENCH_28.json
+    python3 scripts/bench_layers.py --baseline ../parent --runs 7 --out BENCH_29.json
 
 Every run is a fresh interpreter (this script with --measure) that imports
 czorbits from one tree's src/ and records:
@@ -345,7 +345,7 @@ def main() -> int:
     p.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--baseline", type=Path, help="checkout to compare against (the parent)")
     p.add_argument("--runs", type=int, default=5, help="fresh interpreters per tree, at least 2")
-    p.add_argument("--out", type=Path, default=ROOT / "BENCH_28.json")
+    p.add_argument("--out", type=Path, default=ROOT / "BENCH_29.json")
     args = p.parse_args()
     if args.measure:
         print(json.dumps(measure()))

@@ -130,7 +130,6 @@ def check_isomorphic(edges: Iterable[tuple[int, int]]) -> Optional[dict[int, int
         return None
 
     mapping: dict[int, int] = {}
-    used: set[int] = set()
 
     def consistent(u: int, v: int) -> bool:
         if len(a_adj[u]) != len(b_adj[v]):
@@ -144,26 +143,20 @@ def check_isomorphic(edges: Iterable[tuple[int, int]]) -> Optional[dict[int, int
         if not consistent(u, v):
             return None
         mapping[u] = v
-        used.add(v)
-
-    free = [u for u in range(1, n + 1) if u not in mapping]
 
     def extend() -> bool:
-        if not free:
+        if len(mapping) == n:
             return True
         # most-constrained first: prefer nodes touching the mapped region
-        free.sort(key=lambda u: (-sum(w in mapping for w in a_adj[u]), u))
-        u = free.pop(0)
-        for v in range(1, n + 1):
-            if v in used or not consistent(u, v):
+        u = min((u for u in a_adj if u not in mapping),
+                key=lambda u: (-sum(w in mapping for w in a_adj[u]), u))
+        for v in b_adj:
+            if v in mapping.values() or not consistent(u, v):
                 continue
             mapping[u] = v
-            used.add(v)
             if extend():
                 return True
             del mapping[u]
-            used.remove(v)
-        free.insert(0, u)
         return False
 
     return dict(sorted(mapping.items())) if extend() else None

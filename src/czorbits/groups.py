@@ -2,10 +2,10 @@
 
 A GroupTable holds the elements of a finitely generated matrix group in
 canonical encoding order (the element id is the rank in that order), as
-integer arrays only. The groups have few distinct matrix rows (48 in C1, 288
-in LC2, 480 in C2's 92160 elements): the table keeps them once, as its row
-book, their encodings in ascending order. An element is its dim row ids
-packed into one int64 key, ROW_BITS bits each and the first row highest.
+integer arrays only. The groups have few distinct matrix rows (48 in C1, 480
+in C2's 92160 elements, 288 of them in LC2's 4608): the table keeps them once,
+as its row book, their encodings in ascending order. An element is its dim row
+ids packed into one int64 key, ROW_BITS bits each and the first row highest.
 Rows of one width sort like their ids, so keys sort like encodings and
 membership is a binary search over them.
 
@@ -18,18 +18,20 @@ length at a time, in blocks: first the subgroup S that its local generators
 make, one key at a time, then the whole group one left coset S * u at a time,
 since (S * u) * g = S * (u * g) is again a whole coset. C2's search so meets
 its 20 cosets of LC2 as 20 blocks of 4608 keys, LC2 itself first, and keeps
-them as ids; LC2 is read off the first. The sorted keys are the ids.
+them as ids. The sorted keys are the ids. LC2 is read off the first coset on
+C2's own rows: its keys are C2's at those ids, and its row book and the row
+action of its generators are C2's own objects, so it keeps no rows of its own.
 
-A table stores what the closure finds: its keys, its row book, the row action
-`act` of its generators and its cosets (and LC2 its factor pairs), which is
-all that a pickled table holds. It derives the rest the first time something
-reads it, and keeps it: the integer Cayley table `right`, one gather per row
-in `act` and a rank per generator; and from `right` the breadth-first tree
-that gives each element a shortest word (its parent id and the generator that
-leads from the parent to it, so words read left-to-right as matrix products),
-with the left actions filled in the same walk. Membership and elements read
-the keys and the book alone, so a loaded table answers them without deriving
-anything.
+A table stores what the closure finds: its keys, its row book with each row's
+id (`_row_of`), the row action `act` of its generators and its cosets (and LC2
+its factor pairs), which is all that a pickled table holds. It derives the
+rest the first time something reads it, and keeps it: the integer Cayley table
+`right`, one gather per row in `act` and a rank per generator; and from
+`right` the breadth-first tree that gives each element a shortest word (its
+parent id and the generator that leads from the parent to it, so words read
+left-to-right as matrix products), with the left actions filled in the same
+walk. Membership reads the keys and `_row_of`, and elements the keys and the
+book, so a loaded table answers them without deriving anything.
 
 What a table stores it keeps in stdlib arrays (`stdlib_array`), so that a
 pickled table loads, and answers membership by `bisect` and elements by a
@@ -53,6 +55,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 CLOSURE_CAP = 10**6
+# the C2 generators that make LC2, the local group, each on one wire
+LOCAL = ("H1", "P1", "H2", "P2")
 # a key holds dim row ids of ROW_BITS bits each, so a book holds MAX_ROWS rows
 ROW_BITS = 9
 MAX_ROWS = 1 << ROW_BITS
@@ -217,7 +221,7 @@ class GroupTable:
         size, key = self.dim * ENTRY_BYTES, 0
         for at in range(0, len(m.data), size):
             r = self._row_of.get(m.data[at : at + size])
-            if r is None:  # a row no element has
+            if r is None:  # a row outside the book
                 return None
             key = key << ROW_BITS | r
         eid = bisect_left(self.keys, key)
@@ -384,13 +388,13 @@ def build_c1() -> GroupTable:
 
 
 def build_lc2(c1: GroupTable, c2: GroupTable) -> GroupTable:
-    """The local group H1, P1, H2 and P2 generate, read off c2 and factored over c1.
+    """The local group the LOCAL generators make, read off c2 and factored over c1.
 
     c2's closure meets that group first, so c2's first coset row holds LC2's
-    ids, ascending; LC2's row book is the c2 rows they use, its row action
-    c2's local rows of `act` on those rows, renumbered. A row those generators
-    lead out of (c2 closed without `local`) raises VerificationError, and so
-    does a product outside the coset, when LC2's `right` is derived below.
+    ids, ascending, and LC2 is a table on c2's own rows: its keys are c2's at
+    those ids, its row book is c2's, and its row action is c2's `act` for the
+    LOCAL generators. A product outside the coset (c2 closed without `local`)
+    raises VerificationError when LC2's `right` is derived for the fill below.
 
     (A * g) (x) B = (A (x) B)(g (x) I), and the same holds on wire 2, so the
     id of each A (x) B fills breadth-first from the identity pair along c1's
@@ -400,26 +404,18 @@ def build_lc2(c1: GroupTable, c2: GroupTable) -> GroupTable:
     (ia, ib); the identity factors as the identity pair.
     """
     import numpy as np
-    alphabet = {k: v for k, v in c2.alphabet.items() if k != "CZ"}
-    cols = [list(c2.alphabet).index(label) for label in alphabet]
-    rows = _unpack(np.asarray(c2.keys)[c2.cosets[0]], c2.dim)
-    used = np.zeros(len(c2.book), dtype=bool)
-    used[rows] = True
-    act = np.array(c2.act)[cols][:, used]
-    if not used[act].all():
-        raise VerificationError(f"the first coset of {c2.name} is not closed under {list(alphabet)}")
-    renumber = (np.cumsum(used) - 1).astype(np.uint16)
-    table = GroupTable("lc2", alphabet, stdlib_array(_pack(renumber[rows]), "q"),
-                       [c2.book[r] for r in np.flatnonzero(used)],
-                       [stdlib_array(a, "H") for a in renumber[act]])
+    table = GroupTable("lc2", {label: c2.alphabet[label] for label in LOCAL},
+                       stdlib_array(np.asarray(c2.keys)[c2.cosets[0]], "q"), c2.book,
+                       [c2.act[list(c2.alphabet).index(label)] for label in LOCAL])
+    right = table.right
     n, k = len(c1), len(c1.alphabet)
     ia, ib = np.divmod(np.arange(n * n), n)
     # at[ia * n + ib]: id of c1's ia (x) c1's ib; wire w's generators are
     # LC2's columns k*w .. k*w + k - 1
     at = np.full(n * n, -1, dtype=np.int32)
     at[c1.identity_id * (n + 1)] = table.identity_id
-    bfs_fill(at, [(c1.right[ia, g] * n + ib, table.right[:, g]) for g in range(k)]
-             + [(ia * n + c1.right[ib, g], table.right[:, k + g]) for g in range(k)])
+    bfs_fill(at, [(c1.right[ia, g] * n + ib, right[:, g]) for g in range(k)]
+             + [(ia * n + c1.right[ib, g], right[:, k + g]) for g in range(k)])
     wl = np.array([len(c1.word_of(e)) for e in range(n)])
     # candidates sorted by (total letters, ia, ib); keep each element's first
     order = np.lexsort((np.arange(n * n), (wl[:, None] + wl).ravel()))
@@ -430,4 +426,4 @@ def build_lc2(c1: GroupTable, c2: GroupTable) -> GroupTable:
 
 
 def build_c2() -> GroupTable:
-    return closure(C2_GENERATORS, "c2", local=("H1", "P1", "H2", "P2"))
+    return closure(C2_GENERATORS, "c2", local=LOCAL)

@@ -1,7 +1,7 @@
 """One-stop construction of the full group/orbit/graph workspace.
 
 Building everything from scratch takes about 0.1 s on a shared 2-vCPU
-machine (0.096 s median, BENCH_20.json), most of it the C2 closure, off
+machine (`build_workspace_s`, BENCH_29.json), most of it the C2 closure, off
 which LC2 is read; commands simply rebuild in memory on every invocation,
 and the table files on disk act as the deterministic persistence layer. When files are present
 they can be validated by byte comparison against the regenerated content,

@@ -1,6 +1,8 @@
 """CZ connectivity graph: intersection law, reference isomorphism, exports."""
 
 import json
+import random
+import sys
 
 import pytest
 
@@ -105,6 +107,26 @@ class TestReferenceGraph:
         swap = {1: 2, 2: 1}
         edges = {(swap.get(a, a), swap.get(b, b)) for a, b in REFERENCE_EDGES}
         assert check_isomorphic(edges) is None
+
+    def test_search_backtracks_off_a_double_edge_swap(self):
+        # (a, b), (c, d) -> (a, d), (c, b) keeps every degree, so the search
+        # places nodes, and takes each back, before it finds no bijection
+        (a, b), (c, d) = random.Random(7).sample(sorted(REFERENCE_EDGES), 2)
+        swapped = {(min(a, d), max(a, d)), (min(c, b), max(c, b))}
+        assert len({a, b, c, d}) == 4 and not swapped & REFERENCE_EDGES
+        edges = (REFERENCE_EDGES - {(a, b), (c, d)}) | swapped
+        calls = 0  # of the search's `extend`; each after the first follows a placement
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "call" and frame.f_code.co_name == "extend"
+
+        sys.setprofile(count)
+        try:
+            assert check_isomorphic(edges) is None
+        finally:
+            sys.setprofile(None)
+        assert calls > 1
 
 
 class TestComputedIsomorphism:

@@ -10,7 +10,15 @@ import pytest
 from czorbits import groups, kernels
 from czorbits.encoding import ENTRY_BYTES
 from czorbits.errors import VerificationError
-from czorbits.groups import CLOSURE_CAP, MAX_ROWS, GroupTable, build_lc2, closure, word_product
+from czorbits.groups import (
+    CLOSURE_CAP,
+    LOCAL,
+    MAX_ROWS,
+    GroupTable,
+    build_lc2,
+    closure,
+    word_product,
+)
 from czorbits.matrices import (
     C1_GENERATORS,
     C2_GENERATORS,
@@ -316,20 +324,24 @@ class TestCosetSearch:
 
 class TestLc2FromC2:
     def test_derived_lc2_equals_its_own_closure(self, ws):
-        """LC2 read off C2's tables is the table closing H1, P1, H2, P2 makes."""
-        local = {k: v for k, v in C2_GENERATORS.items() if k != "CZ"}
-        closed = closure(local, "lc2")
+        """LC2 read off C2's tables is, element by element, the table closing
+        H1, P1, H2, P2 makes, kept on C2's own rows."""
+        closed = closure({label: C2_GENERATORS[label] for label in LOCAL}, "lc2")
         derived = build_lc2(ws.c1, ws.c2)
         assert derived.name == closed.name and derived.alphabet == closed.alphabet
-        assert derived.book == closed.book
-        assert derived.keys.typecode == closed.keys.typecode and derived.keys == closed.keys
-        assert derived.act == closed.act and {a.typecode for a in derived.act} == {"H"}
+        assert len(derived) == len(closed) == 4608
+        ids = np.arange(len(closed))
+        assert derived.encodings(ids) == closed.encodings(ids)
         for field in ("parent", "label", "right"):
             got, want = getattr(derived, field), getattr(closed, field)
             assert got.dtype == want.dtype and np.array_equal(got, want), field
-        for label in local:
+        for label in LOCAL:
             assert np.array_equal(derived.left(label), closed.left(label)), label
         assert derived.pairs == ws.lc2.pairs
+        cols = [list(ws.c2.alphabet).index(label) for label in LOCAL]
+        for table in (derived, ws.lc2):
+            assert table.book is ws.c2.book
+            assert all(a is ws.c2.act[col] for a, col in zip(table.act, cols, strict=True))
 
     def test_derived_lc2_ids_are_its_c2_elements_in_order(self, ws):
         ids = [ws.c2.contains(ws.lc2.element(e)) for e in range(len(ws.lc2))]
@@ -377,10 +389,12 @@ class TestClosureValidation:
 
 
 class TestRowBook:
+    # size: the distinct rows the table's keys use; LC2's are 288 of C2's book
     @pytest.mark.parametrize("name, size", [("c1", 48), ("lc2", 288), ("c2", 480)])
     def test_row_book_ascends_and_keys_rise_strictly(self, ws, name, size):
         table = ws.table(name)
-        assert len(table.book) == size
+        assert len(np.unique(table.row_ids(slice(None)))) == size
+        assert table.book is ws.c2.book if name == "lc2" else len(table.book) == size
         assert all(len(row) == table.dim * ENTRY_BYTES for row in table.book)
         assert all(a < b for a, b in zip(table.book, table.book[1:]))
         assert table.keys.typecode == "q" and table.keys.itemsize == 8

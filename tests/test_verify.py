@@ -12,9 +12,11 @@ from czorbits.verify import (
     VerificationReport,
     _left_mismatches,
     _table_to_numpy,
+    determinism,
     graph,
     layers,
     samples,
+    tables,
 )
 from ringref import to_numpy
 
@@ -100,3 +102,36 @@ class TestChecksAlone:
         assert [name for name, exp, obs in layers(broken) if exp != obs] == [
             "layer-is-graph-distance"]
         assert all(exp == obs for _, exp, obs in layers(ws))
+
+    def test_changed_right_entry_fails_the_table_checks(self, ws):
+        # a copied table derives its tree again, here from the broken `right`
+        c2 = copy.copy(ws.c2)
+        c2.right = ws.c2.right.copy()
+        assert c2.right[100, 4] != c2.right[101, 4]
+        c2.right[100, 4] = c2.right[101, 4]
+        broken = dataclasses.replace(ws, c2=c2)
+        assert [name for name, exp, obs in tables(broken) if exp != obs] == [
+            "right-table-exact", "left-table-exact"]
+
+    def test_replaced_book_row_fails_the_right_table_check(self, ws):
+        # LC2 shares C2's book, so the copy gets its own list and row index;
+        # a copied table derives its `_book` again from that list
+        c2 = copy.copy(ws.c2)
+        c2.book = ws.c2.book[:]
+        assert c2.book[7] != c2.book[8]
+        c2.book[7] = c2.book[8]
+        c2._row_of = {data: r for r, data in enumerate(c2.book)}
+        broken = dataclasses.replace(ws, c2=c2)
+        assert [name for name, exp, obs in tables(broken) if exp != obs] == ["right-table-exact"]
+
+    def test_swapped_orbit_labels_fail_the_rebuild_check(self, ws):
+        # elements 0 and 1 trade orbits: every orbit keeps its size, so no
+        # count line sees it, but the rebuilt orbit map differs
+        atlas = copy.copy(ws.atlas)
+        atlas.orbit_of = copy.copy(ws.atlas.orbit_of)
+        of = atlas.orbit_of
+        assert of[0] != of[1]
+        of[0], of[1] = of[1], of[0]
+        broken = dataclasses.replace(ws, atlas=atlas)
+        assert [name for name, exp, obs in determinism(broken) if exp != obs] == [
+            "determinism-rebuild"]
