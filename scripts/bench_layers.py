@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_layers.py --baseline ../parent --runs 7 --out BENCH_29.json
+    python3 scripts/bench_layers.py --baseline ../parent --runs 7 --out BENCH_30.json
 
 Every run is a fresh interpreter (this script with --measure) that imports
 czorbits from one tree's src/ and records:
@@ -12,21 +12,26 @@ czorbits from one tree's src/ and records:
   since load on a shared host moves the build times by about 2x;
 - one cold `build_workspace()`, as `build_workspace_s`, with its stages
   timed by wrapping the names `czorbits.workspace` calls: `c1_closure_s`,
-  `c2_closure_s` (with C2's row book), `lc2_closure_s` (LC2, read off
-  C2's first coset), `partition_s` (the cosets, their CZ layers and
-  orbit order), `graph_s` and `plans_s` (the synthesis plans);
+  `c2_closure_s` (with C2's row book and its closedness check),
+  `lc2_closure_s` (LC2, read off C2's first coset), `cz_action_s` (CZ's
+  left action, `groups.cz_left`; 0 on a tree without it), `partition_s`
+  (the cosets, their CZ layers and orbit order), `graph_s` and `plans_s`
+  (the synthesis plans);
 - `row_book_s`: the time in `czorbits.groups._row_book` over both
   closures, which each hold their row book inside their figure;
 - `tables_s`: the time in the derivations a table makes on first use,
   `GroupTable.right` and `GroupTable._tree`, wherever first use runs them:
-  C1's and LC2's inside the LC2 stage and the synthesis plans, C2's inside
-  `build_workspace` between the stages;
+  in a cold build, C1's and LC2's inside the LC2 stage and the synthesis
+  plans, and none of C2's;
 - `build_rss_peak_mb`: the process's peak RSS right after the build;
-- `format_table_c2_s`: `format_table(c2)`, C2's file as one string;
 - `write_tables_s`: `write_tables` into a temporary directory, which
   streams the three table files to disk as `generate` does;
 - `orbit_map_s`: the orbit map streamed to `orbit_map.txt` there, as
   `orbits` writes it;
+- `atlas_rss_peak_mb`: the process's peak RSS after those two writes, the
+  point where a cold `generate` and `orbits` job peaks;
+- `format_table_c2_s`: `format_table(c2)`, C2's file as one string, after
+  that reading, since the string outweighs any streamed chunk;
 - `lookup_wall_s`: the wall time of `czorbits lookup --element 83679` in a
   fresh interpreter with those table files on disk (`python -m
   czorbits.cli`, which rebuilds the workspace as every command does);
@@ -88,6 +93,7 @@ STAGES = {
     "build_c1": "c1_closure_s",
     "build_lc2": "lc2_closure_s",
     "build_c2": "c2_closure_s",
+    "cz_left": "cz_action_s",
     "partition": "partition_s",
     "build_graph": "graph_s",
     "Synthesizer": "plans_s",
@@ -138,9 +144,11 @@ def measure() -> dict:
                 running.discard(figure)
         return wrapper
 
-    originals = {name: getattr(workspace, name) for name in STAGES}
-    for name, figure in STAGES.items():
-        setattr(workspace, name, timed(originals[name], figure))
+    # a tree before cz_left reads CZ's action off C2's derived left actions,
+    # so its cz_action_s stays 0 and that time is in tables_s
+    originals = {name: getattr(workspace, name) for name in STAGES if hasattr(workspace, name)}
+    for name, fn in originals.items():
+        setattr(workspace, name, timed(fn, STAGES[name]))
     row_book = groups._row_book
     groups._row_book = timed(row_book, "row_book_s")
     derived = [vars(groups.GroupTable)[name] for name in ("right", "_tree")]
@@ -156,10 +164,7 @@ def measure() -> dict:
     groups._row_book = row_book
     for d, fn in zip(derived, derive):
         d.func = fn
-    figures["build_rss_peak_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    t0 = time.perf_counter()
-    format_table(ws.c2)
-    figures["format_table_c2_s"] = time.perf_counter() - t0
+    figures["build_rss_peak_mb"] = peak_rss_mb()
     with tempfile.TemporaryDirectory() as out_dir:
         t0 = time.perf_counter()
         workspace.write_tables(ws, Path(out_dir))
@@ -167,6 +172,10 @@ def measure() -> dict:
         t0 = time.perf_counter()
         write_atomic(Path(out_dir) / "orbit_map.txt", orbit_map_records(ws.atlas))
         figures["orbit_map_s"] = time.perf_counter() - t0
+        figures["atlas_rss_peak_mb"] = peak_rss_mb()
+        t0 = time.perf_counter()
+        format_table(ws.c2)
+        figures["format_table_c2_s"] = time.perf_counter() - t0
         lookup = [sys.executable, "-m", "czorbits.cli", "lookup", "--element", "83679",
                   "--out-dir", out_dir, "--no-regen"]
         t0 = time.perf_counter()
@@ -204,6 +213,11 @@ def measure() -> dict:
         figures["verify_checks_s"][check.__name__] = time.perf_counter() - t0
     figures["run_verification_s"] = sum(figures["verify_checks_s"].values())
     return figures
+
+
+def peak_rss_mb() -> float:
+    """This process's peak resident set so far, in MB (Linux reports KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def dispatch_figures(loaded, ids, out_dir: Path) -> dict:
@@ -345,7 +359,7 @@ def main() -> int:
     p.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--baseline", type=Path, help="checkout to compare against (the parent)")
     p.add_argument("--runs", type=int, default=5, help="fresh interpreters per tree, at least 2")
-    p.add_argument("--out", type=Path, default=ROOT / "BENCH_29.json")
+    p.add_argument("--out", type=Path, default=ROOT / "BENCH_30.json")
     args = p.parse_args()
     if args.measure:
         print(json.dumps(measure()))

@@ -78,7 +78,8 @@ class CzGraph:
 def build_graph(atlas: OrbitAtlas, action: np.ndarray) -> CzGraph:
     """Weight matrix of the pushforward through a left action.
 
-    action[e] is the id of gate*element(e), as GroupTable.left gives it;
+    action[e] is the id of gate*element(e), as groups.cz_left gives CZ's
+    and GroupTable.left a generator's;
     weight[i][j] counts elements of O_{i+1} landing in O_{j+1}.
     """
     import numpy as np

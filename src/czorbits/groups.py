@@ -18,20 +18,28 @@ length at a time, in blocks: first the subgroup S that its local generators
 make, one key at a time, then the whole group one left coset S * u at a time,
 since (S * u) * g = S * (u * g) is again a whole coset. C2's search so meets
 its 20 cosets of LC2 as 20 blocks of 4608 keys, LC2 itself first, and keeps
-them as ids. The sorted keys are the ids. LC2 is read off the first coset on
-C2's own rows: its keys are C2's at those ids, and its row book and the row
-action of its generators are C2's own objects, so it keeps no rows of its own.
+them as ids. The sorted keys are the ids. The closure then checks that the
+table is closed: each generator's products, sorted, are the keys. LC2 is read
+off the first coset on C2's own rows: its keys are C2's at those ids, and its
+row book, row index and the row action of its generators are C2's own
+objects, so it keeps no rows of its own.
 
 A table stores what the closure finds: its keys, its row book with each row's
 id (`_row_of`), the row action `act` of its generators and its cosets (and LC2
 its factor pairs), which is all that a pickled table holds. It derives the
 rest the first time something reads it, and keeps it: the integer Cayley table
-`right`, one gather per row in `act` and a rank per generator; and from
+`right`, one gather per row in `act` and a sort per generator; and from
 `right` the breadth-first tree that gives each element a shortest word (its
 parent id and the generator that leads from the parent to it, so words read
 left-to-right as matrix products), with the left actions filled in the same
 walk. Membership reads the keys and `_row_of`, and elements the keys and the
 book, so a loaded table answers them without deriving anything.
+
+A cold build derives these only for C1, and LC2's `right`, which are small.
+What it needs of C2 are row gathers: CZ's left action negates each element's
+last row (`cz_left`), and right multiplication by a fixed element is one row
+map (`GroupTable.row_map`); `ids_of` finds the products by binary search.
+C2's `right`, tree and left actions are derived only by `verify` and tests.
 
 What a table stores it keeps in stdlib arrays (`stdlib_array`), so that a
 pickled table loads, and answers membership by `bisect` and elements by a
@@ -44,10 +52,10 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from functools import cached_property, reduce
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequence
 
 from czorbits import kernels
-from czorbits.encoding import ENTRY_BYTES, pack_values
+from czorbits.encoding import ENTRY_BYTES, pack_values, unpack_values
 from czorbits.errors import VerificationError
 from czorbits.matrices import C1_GENERATORS, C2_GENERATORS, IDENTITY, GateMatrix
 
@@ -78,7 +86,8 @@ def stdlib_array(a: np.ndarray, code: str) -> array:
 
 def bfs_fill(out: np.ndarray, moves: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """Set out[step[e]] = relabel[out[e]] for each (step, relabel), breadth-first
-    from the entries >= 0 until no more entries of -1 are reached; returns out."""
+    from the entries >= 0 until no more entries of -1 are reached; returns out.
+    Its one caller is build_lc2, which fills LC2's factor pairs."""
     import numpy as np
     frontier = np.flatnonzero(out >= 0)
     while frontier.size:
@@ -154,15 +163,9 @@ class GroupTable:
         """right[e, g] (int32): the id of element(e) times the g-th generator
         of the alphabet. A product outside the table raises VerificationError."""
         import numpy as np
-        # uint16 row ids, gathered one row at a time: int64 ids would be the peak
-        keys = np.asarray(self.keys)
-        rows = _unpack(keys, self.dim).astype(np.uint16)
-        right = np.empty((len(self), len(self.act)), np.int32)
-        for g, a in enumerate(np.array(self.act)):  # x * g runs over the group once as x does
-            products = _pack([a[r] for r in rows])
-            order, right[:, g] = _ranks(products)
-            if not np.array_equal(products[order], keys):
-                raise VerificationError(f"{self.name} is not closed under {list(self.alphabet)[g]}")
+        keys, right = np.asarray(self.keys), np.empty((len(self), len(self.act)), np.int32)
+        for g, products in enumerate(_closed_products(self)):
+            right[:, g] = np.searchsorted(keys, products)
         return right
 
     @cached_property
@@ -209,6 +212,28 @@ class GroupTable:
         """The row ids of the elements `ids`, one more axis of dim at the end."""
         import numpy as np
         return np.moveaxis(_unpack(np.asarray(self.keys)[ids], self.dim), 0, -1)
+
+    def ids_of(self, rows: np.ndarray) -> np.ndarray:
+        """The id (int32) of each element whose row ids are `rows`, dim at the
+        end as `row_ids` gives them, by binary search in the keys. A row id
+        < 0 or a key not in the table raises VerificationError."""
+        import numpy as np
+        keys, products = np.asarray(self.keys), _pack(np.moveaxis(rows, -1, 0))
+        found = np.minimum(np.searchsorted(keys, products), len(self) - 1)
+        if (rows < 0).any() or not np.array_equal(keys[found], products):
+            raise VerificationError(f"a product of rows is not an element of {self.name}")
+        return found.astype(np.int32)
+
+    def row_map(self, word: Iterable[str]) -> np.ndarray:
+        """out[r]: the id of row r times the word's product, read left to right
+        as a matrix product: `act` composed along the word. Right multiplication
+        by a group element permutes the row book, so out is a permutation."""
+        import numpy as np
+        act, labels = np.array(self.act), list(self.alphabet)
+        out = np.arange(len(self.book))
+        for label in word:
+            out = act[labels.index(label)][out]
+        return out
 
     def encodings(self, ids: int | np.ndarray) -> bytes:
         """The encodings of the elements `ids`, concatenated in that order."""
@@ -261,8 +286,10 @@ def closure(
     The search meets the group one left coset S * u at a time, where S is the
     subgroup that the generators labeled in `local` make (the trivial group
     when there are none), and the table keeps those cosets as ids. Ids follow
-    canonical encoding order. Every product m * g is kept, in ids, as the
-    table's `right`, from which the table grows its tree (see `_bfs_tree`).
+    canonical encoding order. Every product m * g of an element and a
+    generator must be an element, one sort per generator (`_closed_products`),
+    or VerificationError names the generator; the table derives those
+    products, in ids, as its `right` on first use.
     """
     gens = list(generators.items())
     if not gens:
@@ -274,7 +301,10 @@ def closure(
         if not g.is_unitary():
             raise ValueError(f"generator {label!r} is not unitary")
     local_cols = [list(generators).index(label) for label in local]
-    return GroupTable(name, dict(gens), *_level_search(gens, dim, name, local_cols))
+    table = GroupTable(name, dict(gens), *_level_search(gens, dim, name, local_cols))
+    for _ in _closed_products(table):  # the search kept whole blocks: check each product
+        pass
+    return table
 
 
 def _row_book(gens: list[tuple[str, GateMatrix]], dim: int, name: str) -> tuple:
@@ -321,6 +351,22 @@ def _level_search(gens: list[tuple[str, GateMatrix]], dim: int, name: str,
     cosets.sort(axis=1)  # in place: a sorted copy would raise the search's peak
     return (stdlib_array(blocks.ravel()[order], "q"), book,
             [stdlib_array(a, "H") for a in act], [stdlib_array(c, "i") for c in cosets])
+
+
+def _closed_products(table: GroupTable) -> Iterator[np.ndarray]:
+    """For each generator g in turn, the keys of the products x * g of all the
+    table's elements x, in id order. x * g runs over the group once as x does,
+    so those keys, sorted, are the table's keys; VerificationError names the
+    first g for which they are not."""
+    import numpy as np
+    keys = np.asarray(table.keys)
+    # uint16 row ids, gathered one row at a time: int64 ids would be the peak
+    rows = _unpack(keys, table.dim).astype(np.uint16)
+    for label, a in zip(table.alphabet, np.array(table.act)):
+        products = _pack([a[r] for r in rows])
+        if not np.array_equal(np.sort(products), keys):
+            raise VerificationError(f"{table.name} is not closed under {label}")
+        yield products
 
 
 def _ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -392,8 +438,8 @@ def build_lc2(c1: GroupTable, c2: GroupTable) -> GroupTable:
 
     c2's closure meets that group first, so c2's first coset row holds LC2's
     ids, ascending, and LC2 is a table on c2's own rows: its keys are c2's at
-    those ids, its row book is c2's, and its row action is c2's `act` for the
-    LOCAL generators. A product outside the coset (c2 closed without `local`)
+    those ids, its row book and row index are c2's, and its row action is
+    c2's `act` for the LOCAL generators. A product outside the coset (c2 closed without `local`)
     raises VerificationError when LC2's `right` is derived for the fill below.
 
     (A * g) (x) B = (A (x) B)(g (x) I), and the same holds on wire 2, so the
@@ -407,6 +453,7 @@ def build_lc2(c1: GroupTable, c2: GroupTable) -> GroupTable:
     table = GroupTable("lc2", {label: c2.alphabet[label] for label in LOCAL},
                        stdlib_array(np.asarray(c2.keys)[c2.cosets[0]], "q"), c2.book,
                        [c2.act[list(c2.alphabet).index(label)] for label in LOCAL])
+    table._row_of = c2._row_of  # the same book, so one row index, pickled once
     right = table.right
     n, k = len(c1), len(c1.alphabet)
     ia, ib = np.divmod(np.arange(n * n), n)
@@ -427,3 +474,20 @@ def build_lc2(c1: GroupTable, c2: GroupTable) -> GroupTable:
 
 def build_c2() -> GroupTable:
     return closure(C2_GENERATORS, "c2", local=LOCAL)
+
+
+def cz_left(c2: GroupTable, ids: slice | Sequence[int] = slice(None)) -> np.ndarray:
+    """CZ's left action on the elements `ids` of c2, whose generator CZ is
+    diag(1, 1, 1, -1): out[i] (int32) is the id of CZ times element(ids[i]),
+    which is that element with its last row negated. Each last row id goes
+    through the book's negation map, and `ids_of` finds the products; one
+    outside c2 raises VerificationError."""
+    import numpy as np
+
+    def negated(row: bytes) -> bytes:  # each entry's a, b, c, d, not its k
+        return pack_values([v if i % 5 == 4 else -v for i, v in enumerate(unpack_values(row))])
+
+    negation = np.array([c2._row_of.get(negated(row), -1) for row in c2.book])
+    rows = c2.row_ids(ids)
+    rows[..., -1] = negation[rows[..., -1]]
+    return c2.ids_of(rows)

@@ -5,16 +5,18 @@ layers and CZ gates, with exactly layer(orbit(m)) CZ gates; fewer is
 impossible because a local layer never changes the orbit and one CZ moves
 at most one edge in the quotient graph.
 
-The synthesizer reads the Cayley tables and multiplies no matrices. Each
-orbit O_i is the left coset LC2 * a_i of its anchor a_i: the identity for
-O1, else the graph's witness for its edge to the lowest-numbered orbit one
-layer down.
-So every element is v * a_i for one v in LC2, its factor, and the factors
-fill breadth-first from the anchors, as g * (v * a_i) = (g * v) * a_i. As
-CZ * CZ = 1, a_i = CZ * factor(CZ * a_i) * a_j with O_j one layer down, so
-each orbit has a fixed circuit tail, built once, and an element's circuit
-is its factor's local layer, left out when both words are empty, then its
-orbit's tail, which starts with a CZ: no two local layers ever meet.
+The synthesizer gathers row ids and multiplies no matrices. Each orbit O_i
+is the left coset LC2 * a_i of its anchor a_i: the identity for O1, else the
+graph's witness for its edge to the lowest-numbered orbit one layer down.
+So every element e of O_i is v * a_i for one v in LC2, its factor, and v is
+e * a_i^-1. As CZ * CZ = 1, a_i = CZ * factor(CZ * a_i) * a_j with O_j one
+layer down, so each orbit has a fixed circuit tail, built once, shallow
+orbits first, that spells its anchor. Right multiplication by a_i acts on
+each row alone, as the row map of the tail's letters (`GroupTable.row_map`),
+a permutation of C2's row book; its inverse sends e's rows to v's, which
+LC2's keys find. An element's circuit is its factor's local layer, left out
+when both words are empty, then its orbit's tail, which starts with a CZ: no
+two local layers ever meet.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Union
 from czorbits import kernels
 from czorbits.errors import NotInGroupError, VerificationError
 from czorbits.graph import CzGraph
-from czorbits.groups import GroupTable, bfs_fill, stdlib_array, word_product
+from czorbits.groups import GroupTable, cz_left, stdlib_array, word_product
 from czorbits.matrices import C1_GENERATORS, CZ, I4, GateMatrix
 from czorbits.orbits import OrbitAtlas
 
@@ -91,6 +93,13 @@ def evaluate(circuit: Circuit) -> GateMatrix:
     return _product(circuit.ops) if circuit.ops else I4
 
 
+def _letters(ops: tuple[Op, ...]) -> list[str]:
+    """The ops as one word over C2's generators, read left to right: a local
+    layer A (x) B is A's letters on wire 1, then B's on wire 2."""
+    return [label for op in ops for label in (
+        ["CZ"] if isinstance(op, CzOp) else [g + "1" for g in op.a] + [g + "2" for g in op.b])]
+
+
 class Synthesizer:
     """Per-element factors and per-orbit circuit tails over a fixed workspace."""
 
@@ -118,9 +127,10 @@ class Synthesizer:
 
     def _build_plans(self) -> tuple[array, dict[int, tuple[Op, ...]]]:
         """Each element's factor, as an lc2 id (array "h", int16), and each
-        orbit's tail, from the left actions of the generators on c2 and on lc2."""
+        orbit's tail, one orbit at a time, shallow orbits first: a tail reads
+        the factor of CZ times its anchor, which lies one layer down."""
         import numpy as np
-        atlas, graph = self.atlas, self.graph
+        atlas, graph, c2 = self.atlas, self.graph, self.c2
         # anchors below O1, shallow orbits first so each tail reuses the one below
         anchors: dict[int, int] = {}
         for oid in sorted(range(2, atlas.n_orbits + 1), key=atlas.layer):
@@ -132,15 +142,16 @@ class Synthesizer:
                 raise VerificationError(f"orbit {oid} has no downward edge")
             anchors[oid] = graph.witnesses[(oid, min(below))]
 
-        factor = np.full(len(self.c2), -1, dtype=np.int32)
-        factor[[self.c2.identity_id, *anchors.values()]] = self.lc2.identity_id
-        bfs_fill(factor, [(self.c2.left(g), self.lc2.left(g)) for g in self.lc2.alphabet])
-
-        cz = self.c2.left("CZ")
-        tails: dict[int, tuple[Op, ...]] = {1: ()}
-        for oid, anchor in anchors.items():
-            pushed = cz[anchor]
-            tails[oid] = (CZ_OP, *self._local(factor[pushed]), *tails[atlas.orbit_of[pushed]])
+        pushed = dict(zip(anchors, cz_left(c2, list(anchors.values())).tolist()))
+        factor = np.empty(len(c2), dtype=np.int32)
+        tails: dict[int, tuple[Op, ...]] = {}
+        for oid in (1, *anchors):
+            tails[oid] = () if oid == 1 else (
+                CZ_OP, *self._local(factor[pushed[oid]]), *tails[atlas.orbit_of[pushed[oid]]])
+            # e's rows times a_i^-1: a_i's row map is a permutation; argsort inverts it
+            inverse = np.argsort(c2.row_map(_letters(tails[oid])))
+            members = atlas.orbit_members(oid)
+            factor[members] = self.lc2.ids_of(inverse[c2.row_ids(members)])
         return stdlib_array(factor, "h"), tails
 
     def synthesize(self, m: GateMatrix) -> Circuit:

@@ -1,11 +1,17 @@
 """One-stop construction of the full group/orbit/graph workspace.
 
 Building everything from scratch takes about 0.1 s on a shared 2-vCPU
-machine (`build_workspace_s`, BENCH_29.json), most of it the C2 closure, off
+machine (`build_workspace_s`, BENCH_30.json), most of it the C2 closure, off
 which LC2 is read; commands simply rebuild in memory on every invocation,
 and the table files on disk act as the deterministic persistence layer. When files are present
 they can be validated by byte comparison against the regenerated content,
 which catches truncation or editing without trusting any cached state.
+
+A cold build derives C1's `right` and tree and LC2's `right`, for LC2's
+factor pairs, and nothing of C2's: CZ's left action is a row gather
+(`groups.cz_left`), which the partition, the graph and the synthesis tails
+read, and the synthesis factors are row maps too. C2's `right`, tree and
+left actions stay underived until `verify` or a test reads them.
 
 A workspace holds numpy arrays only in what its tables derive on first use,
 which pickling leaves out (`groups.DERIVED`); everything else is plain
@@ -24,7 +30,7 @@ from typing import Iterable, Optional
 
 from czorbits.errors import InputFormatError, VerificationError
 from czorbits.graph import CzGraph, build_graph, check_isomorphic, check_weight_law
-from czorbits.groups import GroupTable, build_c1, build_c2, build_lc2
+from czorbits.groups import GroupTable, build_c1, build_c2, build_lc2, cz_left
 from czorbits.io import table_records, write_atomic
 from czorbits.orbits import OrbitAtlas, partition
 from czorbits.synth import Synthesizer
@@ -64,7 +70,7 @@ def build_workspace(fresh: bool = False) -> Workspace:
     c1 = build_c1()
     c2 = build_c2()
     lc2 = build_lc2(c1, c2)
-    cz = c2.left("CZ")
+    cz = cz_left(c2)
     atlas = partition(c2, lc2, cz)
     graph = build_graph(atlas, cz)
     check_weight_law(graph)

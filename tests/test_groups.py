@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from czorbits import groups, kernels
+from czorbits import groups, kernels, workspace
 from czorbits.encoding import ENTRY_BYTES
 from czorbits.errors import VerificationError
 from czorbits.groups import (
@@ -17,6 +17,7 @@ from czorbits.groups import (
     GroupTable,
     build_lc2,
     closure,
+    cz_left,
     word_product,
 )
 from czorbits.matrices import (
@@ -464,6 +465,68 @@ class TestRightTableOracle:
         broken = GroupTable("c1", ws.c1.alphabet, ws.c1.keys, ws.c1.book, act)
         with pytest.raises(VerificationError, match="c1 is not closed under H"):
             broken.right
+
+
+class TestColdBuild:
+    """A build derives nothing of C2's Cayley table: CZ's left action and the
+    synthesis factors are row gathers, and the closure checks closedness."""
+
+    def test_a_fresh_build_derives_nothing_of_c2(self):
+        fresh = workspace.build_workspace(fresh=True)
+        assert not set(groups.DERIVED) & set(vars(fresh.c2))
+        assert fresh.lc2._row_of is fresh.c2._row_of
+
+    def test_cz_row_gather_is_the_left_action_on_every_id(self, ws):
+        action = cz_left(ws.c2)
+        assert action.dtype == np.int32
+        assert np.array_equal(action, ws.c2.left("CZ"))
+        assert cz_left(ws.c2, [83679, 0]).tolist() == ws.c2.left("CZ")[[83679, 0]].tolist()
+
+    def test_cz_row_gather_on_another_closure(self):
+        hh_cz = closure({"HH": H.tensor(H), "CZ": CZ}, "hh-cz")
+        assert cz_left(hh_cz).tolist() == hh_cz.left("CZ").tolist()
+
+    def test_ids_of_inverts_row_ids_and_refuses_outsiders(self, ws):
+        ids = np.array([0, 5, 4607])
+        assert ws.lc2.ids_of(ws.lc2.row_ids(ids)).tolist() == ids.tolist()
+        outside = ws.c2.row_ids([ws.c2.contains(CZ)])
+        with pytest.raises(VerificationError, match="not an element of lc2"):
+            ws.lc2.ids_of(outside)
+        with pytest.raises(VerificationError, match="not an element of c2"):
+            ws.c2.ids_of(np.full((1, 4), -1))
+
+    def test_row_map_is_right_multiplication(self, ws):
+        word = ["H1", "CZ", "P2", "P2", "H2"]
+        m = word_product(ws.c2.alphabet, word)
+        forward = ws.c2.row_map(word)
+        assert sorted(forward.tolist()) == list(range(len(ws.c2.book)))
+        for eid in (0, 777, 91234):
+            got = ws.c2.ids_of(forward[ws.c2.row_ids([eid])])
+            assert got.tolist() == [ws.c2.contains(ws.c2.element(eid) * m)]
+
+    def test_a_corrupted_row_action_fails_the_closedness_check(self, ws):
+        # on a copied C2, CZ sends rows 0 and 1 to one row
+        broken = copy.copy(ws.c2)
+        broken.act = [copy.copy(a) for a in ws.c2.act]
+        assert broken.act[4][1] != broken.act[4][0]
+        broken.act[4][1] = broken.act[4][0]
+        with pytest.raises(VerificationError, match="c2 is not closed under CZ"):
+            for _ in groups._closed_products(broken):
+                pass
+        assert all(len(keys) == len(ws.c2) for keys in groups._closed_products(ws.c2))
+
+    def test_closure_runs_the_closedness_check(self, monkeypatch):
+        # the search's own result, its P row action then corrupted
+        search = groups._level_search
+
+        def corrupted(*args):
+            keys, book, act, cosets = search(*args)
+            act[1][1] = act[1][0]
+            return keys, book, act, cosets
+
+        monkeypatch.setattr(groups, "_level_search", corrupted)
+        with pytest.raises(VerificationError, match="c1 is not closed under P"):
+            groups.build_c1()
 
 
 class TestPickle:

@@ -2,11 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from czorbits import kernels
 from czorbits.errors import NotInGroupError, VerificationError
-from czorbits.groups import GroupTable
+from czorbits.groups import GroupTable, bfs_fill
 from czorbits.matrices import CNOT_T1, CNOT_T2, CZ, H, I2, I4, P, SWAP, GateMatrix
 from czorbits.synth import (
     CZ_OP,
@@ -44,6 +45,20 @@ def local_ops(synth, v):
     ia, ib = synth.lc2.pairs[lid]
     a, b = synth.c1.word_of(ia), synth.c1.word_of(ib)
     return (LocalOp(a, b),) if a or b else ()
+
+
+def factors_by_left_fill(synth):
+    """Reference: each element's LC2 factor, filled breadth-first from the
+    identity and the anchors (factor: the identity) along the left actions of
+    LC2's generators on c2 and on lc2, as g * (v * a) = (g * v) * a."""
+    atlas, graph = synth.atlas, synth.graph
+    anchors = [synth.c2.identity_id]
+    for oid in range(2, atlas.n_orbits + 1):
+        below = [j for j in graph.neighbors(oid) if atlas.layer(j) == atlas.layer(oid) - 1]
+        anchors.append(graph.witnesses[(oid, min(below))])
+    factor = np.full(len(synth.c2), -1, dtype=np.int32)
+    factor[anchors] = synth.lc2.identity_id
+    return bfs_fill(factor, [(synth.c2.left(g), synth.lc2.left(g)) for g in synth.lc2.alphabet])
 
 
 def synthesize_by_scan(synth, m):
@@ -157,6 +172,11 @@ class TestRoundTrip:
             assert evaluate(circuit) == ws.c2.element(eid)
         for m, circuit in zip(members, by_matrix):
             assert evaluate(circuit) == m
+
+    def test_factors_equal_the_left_action_fill(self, ws):
+        want = factors_by_left_fill(ws.synthesizer)
+        assert (want >= 0).all()
+        assert np.array_equal(np.array(ws.synthesizer._factor), want)
 
     def test_non_member_rejected(self, ws):
         double = GateMatrix.from_entries(
