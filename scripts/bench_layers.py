@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_layers.py --baseline ../parent --runs 7 --out BENCH_30.json
+    python3 scripts/bench_layers.py --baseline ../parent --runs 7 --out BENCH_31.json
 
 Every run is a fresh interpreter (this script with --measure) that imports
 czorbits from one tree's src/ and records:
@@ -14,7 +14,8 @@ czorbits from one tree's src/ and records:
   timed by wrapping the names `czorbits.workspace` calls: `c1_closure_s`,
   `c2_closure_s` (with C2's row book and its closedness check),
   `lc2_closure_s` (LC2, read off C2's first coset), `cz_action_s` (CZ's
-  left action, `groups.cz_left`; 0 on a tree without it), `partition_s`
+  left action, `groups.left_action`, or `groups.cz_left` on a tree from
+  before it; 0 on a tree with neither), `partition_s`
   (the cosets, their CZ layers and orbit order), `graph_s` and `plans_s`
   (the synthesis plans);
 - `row_book_s`: the time in `czorbits.groups._row_book` over both
@@ -93,7 +94,8 @@ STAGES = {
     "build_c1": "c1_closure_s",
     "build_lc2": "lc2_closure_s",
     "build_c2": "c2_closure_s",
-    "cz_left": "cz_action_s",
+    "left_action": "cz_action_s",
+    "cz_left": "cz_action_s",  # CZ's left action on a tree before left_action
     "partition": "partition_s",
     "build_graph": "graph_s",
     "Synthesizer": "plans_s",
@@ -145,7 +147,8 @@ def measure() -> dict:
         return wrapper
 
     # a tree before cz_left reads CZ's action off C2's derived left actions,
-    # so its cz_action_s stays 0 and that time is in tables_s
+    # so its cz_action_s stays 0 and that time is in tables_s; a tree has
+    # left_action or cz_left, not both
     originals = {name: getattr(workspace, name) for name in STAGES if hasattr(workspace, name)}
     for name, fn in originals.items():
         setattr(workspace, name, timed(fn, STAGES[name]))
@@ -359,7 +362,7 @@ def main() -> int:
     p.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--baseline", type=Path, help="checkout to compare against (the parent)")
     p.add_argument("--runs", type=int, default=5, help="fresh interpreters per tree, at least 2")
-    p.add_argument("--out", type=Path, default=ROOT / "BENCH_30.json")
+    p.add_argument("--out", type=Path, default=ROOT / "BENCH_31.json")
     args = p.parse_args()
     if args.measure:
         print(json.dumps(measure()))

@@ -2,8 +2,9 @@
 
 The weight between orbits i and j is |CZ*O_i intersect O_j|, counted by
 reading the orbit of CZ*u from the integer left action of CZ for every
-element u. The result is a 9-regular graph whose every edge carries
-weight 512; it must match the embedded reference diagram up to isomorphism.
+element u, a row gather (`groups.left_action`). The result is a 9-regular
+graph whose every edge carries weight 512; it must match the embedded
+reference diagram up to isomorphism.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
 from czorbits.errors import VerificationError
-from czorbits.groups import GroupTable
+from czorbits.groups import GroupTable, left_action
 from czorbits.matrices import CNOT_T1, CNOT_T2
 from czorbits.orbits import OrbitAtlas
 
@@ -78,8 +79,7 @@ class CzGraph:
 def build_graph(atlas: OrbitAtlas, action: np.ndarray) -> CzGraph:
     """Weight matrix of the pushforward through a left action.
 
-    action[e] is the id of gate*element(e), as groups.cz_left gives CZ's
-    and GroupTable.left a generator's;
+    action[e] is the id of gate*element(e), as groups.left_action gives it;
     weight[i][j] counts elements of O_{i+1} landing in O_{j+1}.
     """
     import numpy as np
@@ -166,16 +166,14 @@ def check_isomorphic(edges: Iterable[tuple[int, int]]) -> Optional[dict[int, int
 def cnot_graph_equivalence(atlas: OrbitAtlas, c2: GroupTable, graph: CzGraph) -> bool:
     """True iff both CNOT pushforward graphs equal the CZ graph exactly.
 
-    The CNOT onto wire w is H_w*CZ*H_w (checked exactly), so its left
-    action composes three of c2's generator actions.
+    The CNOT onto wire w is H_w*CZ*H_w (checked exactly); it permutes the
+    basis, so its left action on c2 is a row gather.
     """
-    cz = c2.left("CZ")
     for wire, cnot in (("2", CNOT_T2), ("1", CNOT_T1)):
         h = c2.alphabet["H" + wire]
         if h * c2.alphabet["CZ"] * h != cnot:
             raise VerificationError(f"H{wire}*CZ*H{wire} is not the CNOT onto wire {wire}")
-        lh = c2.left("H" + wire)
-        if build_graph(atlas, lh[cz[lh]]).weight != graph.weight:
+        if build_graph(atlas, left_action(c2, cnot)).weight != graph.weight:
             return False
     return True
 

@@ -31,15 +31,15 @@ rest the first time something reads it, and keeps it: the integer Cayley table
 `right`, one gather per row in `act` and a sort per generator; and from
 `right` the breadth-first tree that gives each element a shortest word (its
 parent id and the generator that leads from the parent to it, so words read
-left-to-right as matrix products), with the left actions filled in the same
-walk. Membership reads the keys and `_row_of`, and elements the keys and the
-book, so a loaded table answers them without deriving anything.
+left-to-right as matrix products). Membership reads the keys and `_row_of`,
+and elements the keys and the book, so a loaded table answers them without
+deriving anything.
 
 A cold build derives these only for C1, and LC2's `right`, which are small.
-What it needs of C2 are row gathers: CZ's left action negates each element's
-last row (`cz_left`), and right multiplication by a fixed element is one row
-map (`GroupTable.row_map`); `ids_of` finds the products by binary search.
-C2's `right`, tree and left actions are derived only by `verify` and tests.
+What it needs of C2 are row gathers: a monomial gate's left action (CZ's)
+maps each row alone (`left_action`), and so does right multiplication by a
+fixed element (`GroupTable.row_map`); `ids_of` finds the products by binary
+search. C2's `right` and tree are derived only by `verify` and tests.
 
 What a table stores it keeps in stdlib arrays (`stdlib_array`), so that a
 pickled table loads, and answers membership by `bisect` and elements by a
@@ -57,7 +57,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequenc
 from czorbits import kernels
 from czorbits.encoding import ENTRY_BYTES, pack_values, unpack_values
 from czorbits.errors import VerificationError
-from czorbits.matrices import C1_GENERATORS, C2_GENERATORS, IDENTITY, GateMatrix
+from czorbits.matrices import C1_GENERATORS, C2_GENERATORS, IDENTITY, ONE, GateMatrix
+from czorbits.ring import mul_entry
 
 if TYPE_CHECKING:
     import numpy as np
@@ -71,7 +72,7 @@ MAX_ROWS = 1 << ROW_BITS
 # _SHIFTS[dim]: the shift of each row's id in a key, first row first
 _SHIFTS = {dim: range(ROW_BITS * (dim - 1), -1, -ROW_BITS) for dim in (2, 4)}
 # the attributes a GroupTable derives on first use and leaves out of its pickle
-DERIVED = ("right", "_tree", "parent", "label", "_left", "_book")
+DERIVED = ("right", "_tree", "parent", "label", "_book")
 
 
 def stdlib_array(a: np.ndarray, code: str) -> array:
@@ -121,8 +122,8 @@ def _pack(rows: np.ndarray) -> np.ndarray:
 class GroupTable:
     """Immutable table of group elements: their keys and row book, the row
     action of the generators and, derived from those on first use, the right
-    and left actions of the generators on element ids and a shortest word for
-    each element (see DERIVED, which pickling leaves out).
+    action of the generators on element ids and a shortest word for each
+    element (see DERIVED, which pickling leaves out).
 
     Precondition: `keys` ascend, as `closure()` leaves them, so an id is its
     element's rank and `contains` is a binary search.
@@ -169,18 +170,14 @@ class GroupTable:
         return right
 
     @cached_property
-    def _tree(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """parent, label and _left, from one walk over `right` (see _bfs_tree)."""
-        parent, label, left = _bfs_tree(self.right, self.identity_id)
-        left.flags.writeable = False
-        return parent, label, left
+    def _tree(self) -> tuple[np.ndarray, np.ndarray]:
+        """parent and label, from one walk over `right` (see _bfs_tree)."""
+        return _bfs_tree(self.right, self.identity_id)
 
     # the breadth-first tree: element e is element(parent[e]) (int32) times
-    # generator label[e] (int8), both -1 at the identity; _left[g, e] (int32,
-    # read-only): the id of the g-th generator times element(e)
+    # generator label[e] (int8), both -1 at the identity
     parent = cached_property(lambda self: self._tree[0])
     label = cached_property(lambda self: self._tree[1])
-    _left = cached_property(lambda self: self._tree[2])
 
     @cached_property
     def _book(self) -> np.ndarray:
@@ -259,11 +256,6 @@ class GroupTable:
             word.append(labels[self.label[e]])
             e = self.parent[e]
         return tuple(reversed(word))
-
-    def left(self, label: str) -> np.ndarray:
-        """Left action of generator `label`, read-only: out[e] is the id of
-        the generator times element(e)."""
-        return self._left[list(self.alphabet).index(label)]
 
 
 def word_product(alphabet: Mapping[str, GateMatrix], word: Iterable[str]) -> GateMatrix:
@@ -404,19 +396,16 @@ def _blocks(act: np.ndarray, start: np.ndarray, dim: int, name: str) -> np.ndarr
     return np.concatenate(met)
 
 
-def _bfs_tree(right: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _bfs_tree(right: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
     """The breadth-first tree from the identity `start` over the columns of `right`, as
-    one product at a time finds it, and the left actions: parent[e] (int32) and label[e]
-    (int8) are the id and column that first reached e, -1 at start; parent is -2 at ids
-    not reached. The walk meets elements in word-length order (ties broken by frontier
-    position, then column order), so the word the tree spells for each element is a
-    shortest one. left[g, e] (int32) is the id of the g-th column's generator times e:
-    g * start is right[start, g], and each e = p * h met gets g * e = (g * p) * h."""
+    one product at a time finds it: parent[e] (int32) and label[e] (int8) are the id and
+    column that first reached e, -1 at start; parent is -2 at ids not reached. The walk
+    meets elements in word-length order (ties broken by frontier position, then column
+    order), so the word the tree spells for each element is a shortest one."""
     import numpy as np
     n, k = right.shape
     parent, label = np.full(n, -2, dtype=np.int32), np.full(n, -1, dtype=np.int8)
-    left = np.full((k, n), -1, dtype=np.int32)
-    parent[start], left[:, start] = -1, right[start]
+    parent[start] = -1
     frontier = np.array([start])
     while frontier.size:
         # first[e]: e's first position among the level's products
@@ -425,8 +414,8 @@ def _bfs_tree(right: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray, np
         np.minimum.at(first, cand[at], at)
         fresh = at[first[cand[at]] == at]
         p, h, frontier = frontier[fresh // k], fresh % k, cand[fresh]
-        parent[frontier], label[frontier], left[:, frontier] = p, h, right[left[:, p], h]
-    return parent, label, left
+        parent[frontier], label[frontier] = p, h
+    return parent, label
 
 
 def build_c1() -> GroupTable:
@@ -476,18 +465,26 @@ def build_c2() -> GroupTable:
     return closure(C2_GENERATORS, "c2", local=LOCAL)
 
 
-def cz_left(c2: GroupTable, ids: slice | Sequence[int] = slice(None)) -> np.ndarray:
-    """CZ's left action on the elements `ids` of c2, whose generator CZ is
-    diag(1, 1, 1, -1): out[i] (int32) is the id of CZ times element(ids[i]),
-    which is that element with its last row negated. Each last row id goes
-    through the book's negation map, and `ids_of` finds the products; one
-    outside c2 raises VerificationError."""
+def left_action(table: GroupTable, gate: GateMatrix) -> np.ndarray:
+    """out[e] (int32): the id of the monomial gate times element(e). Row r of
+    gate * m is the unit gate[r, c] times row c of m, so each unit other than 1
+    maps the row book once, through ring.mul_entry and `_row_of`, and `ids_of`
+    finds the products. A gate that is not monomial or not of the table's
+    dimension raises ValueError; a product outside the table VerificationError."""
     import numpy as np
-
-    def negated(row: bytes) -> bytes:  # each entry's a, b, c, d, not its k
-        return pack_values([v if i % 5 == 4 else -v for i, v in enumerate(unpack_values(row))])
-
-    negation = np.array([c2._row_of.get(negated(row), -1) for row in c2.book])
-    rows = c2.row_ids(ids)
-    rows[..., -1] = negation[rows[..., -1]]
-    return c2.ids_of(rows)
+    cells = gate.entries()
+    cols = [[c for c, v in enumerate(row) if any(v)] for row in cells]
+    if gate.dim != table.dim or sorted(cols) != [[c] for c in range(gate.dim)]:
+        raise ValueError(f"the gate is not a monomial {table.dim}x{table.dim} matrix")
+    # maps[unit][s]: the id of unit times row s, -1 for a row outside the book
+    maps = {ONE: np.arange(len(table.book))}
+    # one row id of every key at a time, as int16: int64 ids would set the build's peak
+    keys, out = np.asarray(table.keys), np.empty((len(table), table.dim), np.int16)
+    for r, [c] in enumerate(cols):
+        unit = cells[r][c]
+        if unit not in maps:
+            scaled = (pack_values([x for e in zip(*[iter(unpack_values(row))] * 5)
+                                   for x in mul_entry(unit, e)]) for row in table.book)
+            maps[unit] = np.array([table._row_of.get(row, -1) for row in scaled])
+        out[:, r] = maps[unit][keys >> _SHIFTS[table.dim][c] & (MAX_ROWS - 1)]
+    return table.ids_of(out)

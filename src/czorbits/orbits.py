@@ -57,7 +57,7 @@ def partition(c2: GroupTable, lc2: GroupTable, cz: np.ndarray) -> OrbitAtlas:
 
     c2's closure searches whole left cosets of the subgroup its local
     generators make, LC2 for build_c2, and keeps them as rows of ascending
-    ids; cz is CZ's left action on those ids, as groups.cz_left gives it.
+    ids; cz is CZ's left action on those ids, as groups.left_action gives it.
     """
     import numpy as np
     cosets = np.array(c2.cosets)

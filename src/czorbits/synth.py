@@ -24,14 +24,17 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from czorbits import kernels
 from czorbits.errors import NotInGroupError, VerificationError
 from czorbits.graph import CzGraph
-from czorbits.groups import GroupTable, cz_left, stdlib_array, word_product
+from czorbits.groups import GroupTable, stdlib_array, word_product
 from czorbits.matrices import C1_GENERATORS, CZ, I4, GateMatrix
 from czorbits.orbits import OrbitAtlas
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -110,6 +113,7 @@ class Synthesizer:
         c2: GroupTable,
         atlas: OrbitAtlas,
         graph: CzGraph,
+        cz: np.ndarray,
     ) -> None:
         self.c1 = c1
         self.lc2 = lc2
@@ -117,7 +121,7 @@ class Synthesizer:
         self.atlas = atlas
         self.graph = graph
         self._c1_words = [c1.word_of(e) for e in range(len(c1))]
-        self._factor, self._tails = self._build_plans()
+        self._factor, self._tails = self._build_plans(cz)
 
     def _local(self, lid: int) -> tuple[Op, ...]:
         """LC2 element lid's local layer as ops: none for two empty words."""
@@ -125,14 +129,14 @@ class Synthesizer:
         a, b = self._c1_words[ia], self._c1_words[ib]
         return (LocalOp(a, b),) if a or b else ()
 
-    def _build_plans(self) -> tuple[array, dict[int, tuple[Op, ...]]]:
+    def _build_plans(self, cz: np.ndarray) -> tuple[array, dict[int, tuple[Op, ...]]]:
         """Each element's factor, as an lc2 id (array "h", int16), and each
         orbit's tail, one orbit at a time, shallow orbits first: a tail reads
-        the factor of CZ times its anchor, which lies one layer down."""
+        the factor of CZ times its anchor, one layer down, read off cz, CZ's left action."""
         import numpy as np
         atlas, graph, c2 = self.atlas, self.graph, self.c2
-        # anchors below O1, shallow orbits first so each tail reuses the one below
-        anchors: dict[int, int] = {}
+        # CZ times each anchor below O1, shallow orbits first so each tail reuses the one below
+        pushed: dict[int, int] = {}
         for oid in sorted(range(2, atlas.n_orbits + 1), key=atlas.layer):
             below = [
                 j for j in graph.neighbors(oid)
@@ -140,12 +144,11 @@ class Synthesizer:
             ]
             if not below:
                 raise VerificationError(f"orbit {oid} has no downward edge")
-            anchors[oid] = graph.witnesses[(oid, min(below))]
+            pushed[oid] = int(cz[graph.witnesses[(oid, min(below))]])
 
-        pushed = dict(zip(anchors, cz_left(c2, list(anchors.values())).tolist()))
         factor = np.empty(len(c2), dtype=np.int32)
         tails: dict[int, tuple[Op, ...]] = {}
-        for oid in (1, *anchors):
+        for oid in (1, *pushed):
             tails[oid] = () if oid == 1 else (
                 CZ_OP, *self._local(factor[pushed[oid]]), *tails[atlas.orbit_of[pushed[oid]]])
             # e's rows times a_i^-1: a_i's row map is a permutation; argsort inverts it

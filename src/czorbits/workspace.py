@@ -8,10 +8,10 @@ they can be validated by byte comparison against the regenerated content,
 which catches truncation or editing without trusting any cached state.
 
 A cold build derives C1's `right` and tree and LC2's `right`, for LC2's
-factor pairs, and nothing of C2's: CZ's left action is a row gather
-(`groups.cz_left`), which the partition, the graph and the synthesis tails
-read, and the synthesis factors are row maps too. C2's `right`, tree and
-left actions stay underived until `verify` or a test reads them.
+factor pairs, and nothing of C2's: CZ's left action is one row gather
+(`groups.left_action`), which the partition, the graph and the synthesis
+tails read, and the synthesis factors are row maps too. C2's `right` and
+tree stay underived until `verify` or a test reads them.
 
 A workspace holds numpy arrays only in what its tables derive on first use,
 which pickling leaves out (`groups.DERIVED`); everything else is plain
@@ -30,7 +30,7 @@ from typing import Iterable, Optional
 
 from czorbits.errors import InputFormatError, VerificationError
 from czorbits.graph import CzGraph, build_graph, check_isomorphic, check_weight_law
-from czorbits.groups import GroupTable, build_c1, build_c2, build_lc2, cz_left
+from czorbits.groups import GroupTable, build_c1, build_c2, build_lc2, left_action
 from czorbits.io import table_records, write_atomic
 from czorbits.orbits import OrbitAtlas, partition
 from czorbits.synth import Synthesizer
@@ -70,14 +70,14 @@ def build_workspace(fresh: bool = False) -> Workspace:
     c1 = build_c1()
     c2 = build_c2()
     lc2 = build_lc2(c1, c2)
-    cz = cz_left(c2)
+    cz = left_action(c2, c2.alphabet["CZ"])
     atlas = partition(c2, lc2, cz)
     graph = build_graph(atlas, cz)
     check_weight_law(graph)
     bijection = check_isomorphic(graph.edge_set())
     if bijection is None:
         raise VerificationError("CZ graph is not isomorphic to the reference figure")
-    synthesizer = Synthesizer(c1, lc2, c2, atlas, graph)
+    synthesizer = Synthesizer(c1, lc2, c2, atlas, graph, cz)
     ws = Workspace(c1, lc2, c2, atlas, graph, bijection, synthesizer)
     if _CACHE is None:
         _CACHE = ws

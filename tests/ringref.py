@@ -6,7 +6,8 @@ tests' reference value type over the same ring, built on the library's
 and complex lift. The other helpers (powers, conjugation, parsing an entry
 into a CycloNum, packing one, one entry of a matrix, the complex lift of a
 matrix, the constants, and a row book closed in CycloNum sums) build on it
-for the tests' checks.
+for the tests' checks. `left_fill` is the reference left action of every
+generator, filled along a table's breadth-first tree.
 """
 
 import cmath
@@ -171,3 +172,19 @@ def row_book(gens: list[tuple[str, GateMatrix]], dim: int) -> tuple:
     order = sorted(range(len(rows)), key=book.__getitem__)
     rank = np.argsort(order).astype(np.uint16)
     return [book[r] for r in order], rank[np.array(images)[order].T], rank[:dim]
+
+
+def left_fill(table) -> np.ndarray:
+    """Reference left actions of the table's generators, from its `right`
+    and its breadth-first tree: left[g, e] (int32) is the id of the g-th
+    generator times element(e). As g·1 = 1·g and g·(p·h) = (g·p)·h, each
+    element e = p·h of the tree gets left[g, e] = right[left[g, p], h],
+    filled one level of the tree at a time from the identity."""
+    right, parent, label, one = table.right, table.parent, table.label, table.identity_id
+    left = np.full((right.shape[1], len(table)), -1, dtype=np.int32)
+    left[:, one] = right[one]
+    level = np.array([one])
+    while level.size:
+        level = np.flatnonzero(np.isin(parent, level))
+        left[:, level] = right[left[:, parent[level]], label[level]]
+    return left

@@ -518,7 +518,7 @@ REPORT_NAMES = [
     "unitarity-exact-failures", "unitarity-numeric-below-1e-12",
     "group-axioms-sample", "coset-invariance-sample", "coset-well-definedness-sample",
     "word-roundtrip-sample", "action-table-sample",
-    "right-table-exact", "left-table-exact",
+    "right-table-exact", "left-gather-exact",
     "determinism-rebuild",
 ]
 

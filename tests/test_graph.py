@@ -8,6 +8,7 @@ import pytest
 
 from czorbits import workspace
 from czorbits.errors import VerificationError
+from czorbits.groups import left_action
 from czorbits.graph import (
     REFERENCE_EDGES,
     build_graph,
@@ -17,6 +18,7 @@ from czorbits.graph import (
     to_dot,
     to_json,
 )
+from czorbits.matrices import CZ
 
 
 class TestIntersectionLaw:
@@ -58,7 +60,7 @@ class TestIntersectionLaw:
 
 class TestOneGraph:
     def test_relabeled_graph_equals_a_fresh_build(self, ws):
-        fresh = build_graph(ws.atlas, ws.c2.left("CZ"))
+        fresh = build_graph(ws.atlas, left_action(ws.c2, CZ))
         assert fresh.weight == ws.graph.weight
         assert fresh.witnesses == ws.graph.witnesses
 
@@ -160,7 +162,8 @@ class TestGateSubstitution:
         assert cnot_graph_equivalence(ws.atlas, ws.c2, ws.graph)
 
     def test_local_gate_degenerate_probe(self, ws):
-        probe = build_graph(ws.atlas, ws.c2.left("H1"))
+        # P1, local and monomial, keeps every element in its orbit
+        probe = build_graph(ws.atlas, left_action(ws.c2, ws.c2.alphabet["P1"]))
         assert probe.weight[0][0] == 4608
         for i in range(20):
             for j in range(20):
@@ -169,7 +172,7 @@ class TestGateSubstitution:
     def test_weight_law_rejects_degenerate_probe(self, ws):
         check_weight_law(ws.graph)
         with pytest.raises(VerificationError):
-            check_weight_law(build_graph(ws.atlas, ws.c2.left("H1")))
+            check_weight_law(build_graph(ws.atlas, left_action(ws.c2, ws.c2.alphabet["P1"])))
 
 
 class TestExports:

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -17,13 +18,16 @@ from czorbits.groups import (
     GroupTable,
     build_lc2,
     closure,
-    cz_left,
+    left_action,
     word_product,
 )
 from czorbits.matrices import (
     C1_GENERATORS,
     C2_GENERATORS,
+    CNOT_T1,
+    CNOT_T2,
     CZ,
+    SWAP,
     GateMatrix,
     H,
     I2,
@@ -31,9 +35,16 @@ from czorbits.matrices import (
     P,
 )
 from czorbits.verify import _right_mismatches
-from ringref import IMAG_UNIT, OMEGA, ONE, ZERO, row_book
+from ringref import IMAG_UNIT, OMEGA, ONE, ZERO, left_fill, row_book
 
 T = GateMatrix.from_entries([[ONE, ZERO], [ZERO, OMEGA]])
+# the monomial gates whose left actions the tests gather on each table, by name
+MONOMIAL = {
+    "c1": {"P": P},
+    "lc2": {"P1": C2_GENERATORS["P1"], "P2": C2_GENERATORS["P2"]},
+    "c2": {"CZ": CZ, "CNOT_T1": CNOT_T1, "CNOT_T2": CNOT_T2, "SWAP": SWAP,
+           "P1": C2_GENERATORS["P1"], "P2": C2_GENERATORS["P2"]},
+}
 
 
 class TestOrders:
@@ -197,57 +208,50 @@ class TestActionTables:
                     product = table.element(eid) * table.alphabet[label]
                     assert table.right[eid, col] == table.contains(product)
 
-    @pytest.mark.parametrize("label", ["H1", "P1", "H2", "P2", "CZ"])
+    @pytest.mark.parametrize("label", ["CZ", "CNOT_T1", "CNOT_T2", "SWAP", "P1", "P2"])
     def test_left_matches_exact_products(self, ws, label):
         rng = random.Random(67)
         for table in (ws.c2, ws.lc2):
-            if label not in table.alphabet:
-                continue  # CZ generates c2 only
-            action = table.left(label)
+            if label not in MONOMIAL[table.name]:
+                continue  # only P1 and P2 keep lc2
+            gate = MONOMIAL[table.name][label]
+            action = left_action(table, gate)
             assert sorted(action.tolist()) == list(range(len(table)))
-            gen = table.alphabet[label]
             for eid in rng.sample(range(len(table)), 200):
-                assert action[eid] == table.contains(gen * table.element(eid))
+                assert action[eid] == table.contains(gate * table.element(eid))
 
     @pytest.mark.parametrize("name", ["c1", "lc2", "c2"])
     def test_left_actions_agree_with_right_on_every_id(self, ws, name):
-        # g * (e * h) = (g * e) * h and g * 1 = 1 * g fix every left action
-        # from `right`, by integer gathers alone
+        # g * (e * h) = (g * e) * h and g * 1 = g fix a left action from
+        # `right`, by integer gathers alone
         table = getattr(ws, name)
-        one, k = table.identity_id, len(table.alphabet)
-        for g, label in enumerate(table.alphabet):
-            action = table.left(label)
+        for label, gate in MONOMIAL[name].items():
+            action = left_action(table, gate)
+            assert action.shape == (len(table),) and action.dtype == np.int32, label
             assert (np.bincount(action, minlength=len(table)) == 1).all(), label
-            assert action[one] == table.right[one, g], label
-            for h in range(k):
-                assert np.array_equal(action[table.right[:, h]], table.right[action, h]), (label, h)
-
-    def test_left_actions_are_kept_not_recomputed(self, ws, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("left() ran a breadth-first fill")
-
-        monkeypatch.setattr(groups, "bfs_fill", refuse)
-        for table in (ws.c1, ws.lc2, ws.c2):
-            for label in table.alphabet:
-                action = table.left(label)
-                assert action.shape == (len(table),) and action.dtype == np.int32
-                assert not action.flags.writeable
+            assert action[table.identity_id] == table.contains(gate), label
+            for h, column in enumerate(table.right.T):
+                assert np.array_equal(action[column], column[action]), (label, h)
 
     def test_left_of_whole_c1(self, ws):
-        for label, gen in ws.c1.alphabet.items():
-            expected = [ws.c1.contains(gen * m) for m in map(ws.c1.element, range(len(ws.c1)))]
-            assert ws.c1.left(label).tolist() == expected
+        expected = [ws.c1.contains(P * m) for m in map(ws.c1.element, range(len(ws.c1)))]
+        assert left_action(ws.c1, P).tolist() == expected
 
     def test_left_of_whole_hh_cz_closure(self):
-        # a closure other than the workspace's: every left action, every element
+        # a closure other than the workspace's: every element, and a local
+        # gate whose products leave the group
         table = closure({"HH": H.tensor(H), "CZ": CZ}, "hh-cz")
-        for label, gen in table.alphabet.items():
-            expected = [table.contains(gen * table.element(e)) for e in range(len(table))]
-            assert table.left(label).tolist() == expected
+        expected = [table.contains(CZ * table.element(e)) for e in range(len(table))]
+        assert left_action(table, CZ).tolist() == expected
+        with pytest.raises(VerificationError, match="not an element of hh-cz"):
+            left_action(table, C2_GENERATORS["P1"])
 
-    def test_left_rejects_unknown_label(self, ws):
-        with pytest.raises(ValueError):
-            ws.c2.left("X")
+    def test_left_action_rejects_a_gate_that_is_not_monomial(self, ws):
+        # H1 and H have two nonzeros in a row, CZ is not 2x2, the last repeats a column
+        for table, gate in ((ws.c2, C2_GENERATORS["H1"]), (ws.c1, H), (ws.c1, CZ),
+                            (ws.c1, GateMatrix.from_entries([[ONE, ZERO], [ONE, ZERO]]))):
+            with pytest.raises(ValueError, match="not a monomial"):
+                left_action(table, gate)
 
 
 def _reference_closure(generators):
@@ -309,8 +313,9 @@ class TestCosetSearch:
         cosets = ws.c2.cosets
         coset_of = np.empty(len(ws.c2), dtype=np.int64)
         coset_of[cosets] = np.arange(len(cosets))[:, None]
+        fill = left_fill(ws.c2)
         for label in ws.lc2.alphabet:
-            moved = coset_of[ws.c2.left(label)[cosets]]
+            moved = coset_of[fill[list(ws.c2.alphabet).index(label)][cosets]]
             assert (moved == np.arange(len(cosets))[:, None]).all(), label
 
     def test_identity_coset_is_lc2(self, ws):
@@ -336,8 +341,8 @@ class TestLc2FromC2:
         for field in ("parent", "label", "right"):
             got, want = getattr(derived, field), getattr(closed, field)
             assert got.dtype == want.dtype and np.array_equal(got, want), field
-        for label in LOCAL:
-            assert np.array_equal(derived.left(label), closed.left(label)), label
+        for label, gate in MONOMIAL["lc2"].items():
+            assert np.array_equal(left_action(derived, gate), left_action(closed, gate)), label
         assert derived.pairs == ws.lc2.pairs
         cols = [list(ws.c2.alphabet).index(label) for label in LOCAL]
         for table in (derived, ws.lc2):
@@ -476,15 +481,28 @@ class TestColdBuild:
         assert not set(groups.DERIVED) & set(vars(fresh.c2))
         assert fresh.lc2._row_of is fresh.c2._row_of
 
+    def test_build_workspace_gathers_cz_once(self, monkeypatch):
+        # the partition, the graph and the synthesis tails read one array
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return left_action(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("czorbits") and getattr(module, "left_action", None) is left_action:
+                monkeypatch.setattr(module, "left_action", counting)
+        workspace.build_workspace(fresh=True)
+        assert len(calls) == 1
+
     def test_cz_row_gather_is_the_left_action_on_every_id(self, ws):
-        action = cz_left(ws.c2)
+        action = left_action(ws.c2, CZ)
         assert action.dtype == np.int32
-        assert np.array_equal(action, ws.c2.left("CZ"))
-        assert cz_left(ws.c2, [83679, 0]).tolist() == ws.c2.left("CZ")[[83679, 0]].tolist()
+        assert np.array_equal(action, left_fill(ws.c2)[list(ws.c2.alphabet).index("CZ")])
 
     def test_cz_row_gather_on_another_closure(self):
         hh_cz = closure({"HH": H.tensor(H), "CZ": CZ}, "hh-cz")
-        assert cz_left(hh_cz).tolist() == hh_cz.left("CZ").tolist()
+        assert left_action(hh_cz, CZ).tolist() == left_fill(hh_cz)[1].tolist()
 
     def test_ids_of_inverts_row_ids_and_refuses_outsiders(self, ws):
         ids = np.array([0, 5, 4607])
@@ -548,10 +566,9 @@ class TestPickle:
         for field in ("right", "parent", "label"):
             got, want = getattr(table, field), getattr(built, field)
             assert got.dtype == want.dtype and np.array_equal(got, want), field
-        for label in built.alphabet:
-            got, want = table.left(label), built.left(label)
+        for label, gate in MONOMIAL[name].items():
+            got, want = left_action(table, gate), left_action(built, gate)
             assert got.dtype == want.dtype and np.array_equal(got, want), label
-            assert not got.flags.writeable
 
     def test_workspace_pickle_is_compact(self, ws):
         assert len(pickle.dumps(ws, protocol=pickle.HIGHEST_PROTOCOL)) <= 1.67e6

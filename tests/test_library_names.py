@@ -21,7 +21,6 @@ ALLOWED = {
     **{name: "public API, in czorbits.__all__" for name in czorbits.__all__},
     "Synthesizer.synthesize": "perfbench/spans.py wraps it by name",
     "format_matrix": "perfbench/spans.py wraps it by name",
-    "GateMatrix.entries": "perfbench/spans.py wraps it by name",
 }
 
 

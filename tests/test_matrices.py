@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from czorbits.groups import left_action
 from czorbits.matrices import (
     CNOT_T1,
     CNOT_T2,
@@ -162,8 +163,7 @@ class TestEncoding:
         assert (c1.right == ws.c1.right).all()
         assert c1.contains(H) == ws.c1.contains(H)
         assert [c1.contains(c1.element(e)) for e in range(len(c1))] == list(range(len(c1)))
-        for label in c1.alphabet:
-            assert (c1.left(label) == ws.c1.left(label)).all()
+        assert (left_action(c1, P) == left_action(ws.c1, P)).all()
 
     def test_bad_dimension_rejected(self):
         with pytest.raises(ValueError):

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from czorbits.errors import VerificationError
-from czorbits.groups import closure
+from czorbits.groups import closure, left_action
 from czorbits.matrices import CNOT_T1, CNOT_T2, CZ, H, I4, P, SWAP
 from czorbits.orbits import partition
+from ringref import left_fill
 
 
 def _fixpoint_orbit_of(c2, lc2):
@@ -17,7 +18,8 @@ def _fixpoint_orbit_of(c2, lc2):
     label among its neighbours under the left actions on c2 of lc2's
     generators until nothing changes; orbit ids follow the minima in
     increasing order."""
-    actions = [c2.left(label) for label in lc2.alphabet]
+    fill = left_fill(c2)
+    actions = [fill[list(c2.alphabet).index(label)] for label in lc2.alphabet]
     low = np.arange(len(c2))
     while True:
         nxt = low.copy()
@@ -30,7 +32,7 @@ def _fixpoint_orbit_of(c2, lc2):
 
 class TestPartition:
     def test_cosets_label_as_the_fixpoint_does(self, ws):
-        orbit_of = partition(ws.c2, ws.lc2, ws.c2.left("CZ")).orbit_of
+        orbit_of = partition(ws.c2, ws.lc2, left_action(ws.c2, CZ)).orbit_of
         fixpoint = _fixpoint_orbit_of(ws.c2, ws.lc2)
         assert sorted(set(orbit_of)) == sorted(set(fixpoint)) == list(range(1, 21))
         # one fixpoint class per orbit and one orbit per fixpoint class
@@ -40,7 +42,7 @@ class TestPartition:
     def test_cosets_of_another_size_rejected(self, ws):
         hh_cz = closure({"HH": H.tensor(H), "CZ": CZ}, "hh-cz", local=("HH",))
         with pytest.raises(VerificationError, match="expected 0 cosets of size 4608"):
-            partition(hh_cz, ws.lc2, hh_cz.left("CZ"))
+            partition(hh_cz, ws.lc2, left_action(hh_cz, CZ))
 
     def test_disconnected_quotient_rejected(self, ws):
         # under the identity action every coset reaches only itself

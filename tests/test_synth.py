@@ -7,7 +7,7 @@ import pytest
 
 from czorbits import kernels
 from czorbits.errors import NotInGroupError, VerificationError
-from czorbits.groups import GroupTable, bfs_fill
+from czorbits.groups import GroupTable, bfs_fill, left_action
 from czorbits.matrices import CNOT_T1, CNOT_T2, CZ, H, I2, I4, P, SWAP, GateMatrix
 from czorbits.synth import (
     CZ_OP,
@@ -18,7 +18,7 @@ from czorbits.synth import (
     _suffix_columns,
     evaluate,
 )
-from ringref import CycloNum
+from ringref import CycloNum, left_fill
 
 
 def bfs_distance_from_identity_orbit(graph, oid):
@@ -50,7 +50,7 @@ def local_ops(synth, v):
 def factors_by_left_fill(synth):
     """Reference: each element's LC2 factor, filled breadth-first from the
     identity and the anchors (factor: the identity) along the left actions of
-    LC2's generators on c2 and on lc2, as g * (v * a) = (g * v) * a."""
+    LC2's generators on c2 and on lc2 (`left_fill`), as g * (v * a) = (g * v) * a."""
     atlas, graph = synth.atlas, synth.graph
     anchors = [synth.c2.identity_id]
     for oid in range(2, atlas.n_orbits + 1):
@@ -58,7 +58,9 @@ def factors_by_left_fill(synth):
         anchors.append(graph.witnesses[(oid, min(below))])
     factor = np.full(len(synth.c2), -1, dtype=np.int32)
     factor[anchors] = synth.lc2.identity_id
-    return bfs_fill(factor, [(synth.c2.left(g), synth.lc2.left(g)) for g in synth.lc2.alphabet])
+    c2_left, lc2_left = left_fill(synth.c2), left_fill(synth.lc2)
+    cols = [list(synth.c2.alphabet).index(g) for g in synth.lc2.alphabet]
+    return bfs_fill(factor, [(c2_left[c], lc2_left[i]) for i, c in enumerate(cols)])
 
 
 def synthesize_by_scan(synth, m):
@@ -159,9 +161,10 @@ class TestRoundTrip:
         ids = rng.sample(range(len(ws.c2)), 300)
         members = [ws.c2.element(eid) for eid in rng.sample(range(len(ws.c2)), 50)]
         members += [I4, CZ, SWAP]
+        cz = left_action(ws.c2, CZ)
         for name in ("mat_mul", "mat_dagger", "mat_tensor"):
             monkeypatch.setattr(kernels, name, refuse)
-        synth = Synthesizer(ws.c1, ws.lc2, ws.c2, ws.atlas, ws.graph)
+        synth = Synthesizer(ws.c1, ws.lc2, ws.c2, ws.atlas, ws.graph, cz)
         monkeypatch.setattr(GroupTable, "contains", counting_contains)
         by_id = [synth.synthesize_id(eid) for eid in ids]
         by_matrix = [synth.synthesize(m) for m in members]

@@ -6,11 +6,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from czorbits import groups, verify
 from czorbits.graph import CzGraph
+from czorbits.matrices import CNOT_T1, CNOT_T2, CZ, P, SWAP
 from czorbits.verify import (
     SAMPLE_SIZE,
     VerificationReport,
-    _left_mismatches,
+    _gather_mismatches,
     _table_to_numpy,
     determinism,
     graph,
@@ -18,7 +20,8 @@ from czorbits.verify import (
     samples,
     tables,
 )
-from ringref import to_numpy
+from czorbits.workspace import build_workspace
+from ringref import left_fill, to_numpy
 
 
 class TestReport:
@@ -59,16 +62,24 @@ class TestTableBridge:
 
 
 class TestLeftTableExact:
-    def test_built_tables_have_no_mismatch(self, ws):
-        assert [_left_mismatches(t) for t in (ws.c1, ws.lc2, ws.c2)] == [0, 0, 0]
+    def test_built_tables_have_no_mismatch(self, ws, monkeypatch):
+        gates = (CZ, CNOT_T2, CNOT_T1, SWAP, ws.c2.alphabet["P1"], ws.c2.alphabet["P2"])
+        assert [_gather_mismatches(ws.c2, g) for g in gates] == [0] * 6
+        p2 = ws.lc2.alphabet["P2"]
+        assert _gather_mismatches(ws.c1, P) == _gather_mismatches(ws.lc2, p2) == 0
+        # the tests' reference left actions of every generator, H's too
+        for table in (ws.c1, ws.lc2, ws.c2):
+            fill = left_fill(table)
+            for g, (label, gate) in enumerate(table.alphabet.items()):
+                monkeypatch.setattr(verify, "left_action", lambda t, _: fill[g])
+                assert _gather_mismatches(table, gate) == 0, (table.name, label)
 
     @pytest.mark.parametrize("label", ["H1", "P1", "H2", "P2", "CZ"])
-    def test_swapped_left_entries_are_caught(self, ws, label):
-        table = copy.copy(ws.c2)
-        row = list(table.alphabet).index(label)
-        table._left = table._left.copy()  # writable, and ws.c2 keeps its own
-        table._left[row, [5, 9]] = table._left[row, [9, 5]]
-        assert _left_mismatches(table) > 0
+    def test_swapped_left_entries_are_caught(self, ws, label, monkeypatch):
+        action = left_fill(ws.c2)[list(ws.c2.alphabet).index(label)]
+        action[[5, 9]] = action[[9, 5]]
+        monkeypatch.setattr(verify, "left_action", lambda table, gate: action)
+        assert _gather_mismatches(ws.c2, ws.c2.alphabet[label]) > 0
 
 
 class TestChecksAlone:
@@ -111,7 +122,25 @@ class TestChecksAlone:
         c2.right[100, 4] = c2.right[101, 4]
         broken = dataclasses.replace(ws, c2=c2)
         assert [name for name, exp, obs in tables(broken) if exp != obs] == [
-            "right-table-exact", "left-table-exact"]
+            "right-table-exact", "left-gather-exact"]
+
+    def test_swapped_gather_ids_fail_the_left_gather_check(self, ws, monkeypatch):
+        # two ids swapped in each gathered action: CZ's, CNOT_T2's, CNOT_T1's
+        def swapped(table, gate):
+            action = groups.left_action(table, gate)
+            action[[5, 9]] = action[[9, 5]]
+            return action
+
+        monkeypatch.setattr(verify, "left_action", swapped)
+        lines = list(tables(ws))
+        assert [name for name, exp, obs in lines if exp != obs] == ["left-gather-exact"]
+        assert all(count > 0 for count in lines[1][2])
+
+    def test_layers_alone_derive_no_cayley_table_of_c2(self):
+        # the CNOT check gathers rows, so C2's `right` and tree stay underived
+        fresh = build_workspace(fresh=True)
+        assert all(exp == obs for _, exp, obs in layers(fresh))
+        assert not {"right", "_tree"} & set(vars(fresh.c2))
 
     def test_replaced_book_row_fails_the_right_table_check(self, ws):
         # LC2 shares C2's book, so the copy gets its own list and row index;
@@ -122,7 +151,11 @@ class TestChecksAlone:
         c2.book[7] = c2.book[8]
         c2._row_of = {data: r for r, data in enumerate(c2.book)}
         broken = dataclasses.replace(ws, c2=c2)
-        assert [name for name, exp, obs in tables(broken) if exp != obs] == ["right-table-exact"]
+        # CZ's gather meets a negated row that the book no longer holds, and
+        # the report counts that gate as failing instead of raising
+        lines = {name: obs for name, exp, obs in tables(broken) if exp != obs}
+        assert list(lines) == ["right-table-exact", "left-gather-exact"]
+        assert lines["left-gather-exact"][0] == len(c2)
 
     def test_swapped_orbit_labels_fail_the_rebuild_check(self, ws):
         # elements 0 and 1 trade orbits: every orbit keeps its size, so no
