@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_layers.py --baseline ../parent --runs 7 --out BENCH_31.json
+    python3 scripts/bench_layers.py --baseline ../parent --runs 7 --out BENCH_32.json
 
 Every run is a fresh interpreter (this script with --measure) that imports
 czorbits from one tree's src/ and records:
@@ -44,8 +44,9 @@ czorbits from one tree's src/ and records:
 - `query_start_s`: the wall time of a fresh interpreter that imports
   `czorbits.cli`, loads that pickle, installs it as the cached workspace
   and answers `lookup --element 83679` and `synth --element 83679
-  --verify` in-process with the table files on disk, and
-  `query_start_numpy`, 1 if numpy was in `sys.modules` when it finished;
+  --verify` in-process with the table files on disk,
+  `query_start_numpy`, 1 if numpy was in `sys.modules` when it finished,
+  and `query_start_dataclasses`, 1 if `dataclasses` was;
 - `dispatch_lookup_element_us`, `dispatch_lookup_file_us` and
   `dispatch_synth_file_us`: the mean of one in-process `cli.main` call,
   the least of five passes, on that pickle loaded as the cached workspace:
@@ -103,7 +104,8 @@ STAGES = {
 
 
 # a query process: import the CLI, load the pickled workspace from the table
-# directory argv[1], answer two queries, print whether numpy was imported
+# directory argv[1], answer two queries, print whether numpy and dataclasses
+# were imported
 QUERY_START = """
 import pickle, sys
 import czorbits.cli as cli
@@ -113,7 +115,7 @@ with open(sys.argv[1] + "/workspace.pickle", "rb") as f:
 for argv in (["lookup"], ["synth", "--verify"]):
     args = [argv[0], "--element", "83679", *argv[1:], "--out-dir", sys.argv[1], "--no-regen"]
     assert cli.main(args) == 0
-print("numpy" in sys.modules)
+print("numpy" in sys.modules, "dataclasses" in sys.modules)
 """
 
 
@@ -204,7 +206,9 @@ def measure() -> dict:
         out = subprocess.run([sys.executable, "-c", QUERY_START, out_dir],
                              capture_output=True, text=True, check=True, timeout=600)
         figures["query_start_s"] = time.perf_counter() - t0
-        figures["query_start_numpy"] = int(out.stdout.splitlines()[-1] == "True")
+        numpy, dataclasses = out.stdout.splitlines()[-1].split()
+        figures["query_start_numpy"] = int(numpy == "True")
+        figures["query_start_dataclasses"] = int(dataclasses == "True")
     with tempfile.TemporaryDirectory() as out_dir:
         workspace.write_tables(ws, Path(out_dir))
         figures.update(dispatch_figures(pickle.loads(blob), ids[::10], Path(out_dir)))
@@ -362,7 +366,7 @@ def main() -> int:
     p.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--baseline", type=Path, help="checkout to compare against (the parent)")
     p.add_argument("--runs", type=int, default=5, help="fresh interpreters per tree, at least 2")
-    p.add_argument("--out", type=Path, default=ROOT / "BENCH_31.json")
+    p.add_argument("--out", type=Path, default=ROOT / "BENCH_32.json")
     args = p.parse_args()
     if args.measure:
         print(json.dumps(measure()))

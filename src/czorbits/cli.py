@@ -114,11 +114,11 @@ def _resolve(args, parser: argparse.ArgumentParser, ws: Workspace) -> int:
     if args.matrix == "-":
         text = sys.stdin.read()
     else:
-        path = Path(args.matrix)
         try:
-            text = path.read_text()
+            with open(args.matrix, "rb") as f:
+                text = f.read().decode()
         except (OSError, UnicodeDecodeError) as exc:
-            raise InputFormatError(f"cannot read {path}: {exc}") from None
+            raise InputFormatError(f"cannot read {Path(args.matrix)}: {exc}") from None
     m = parse_matrix(text)
     eid = ws.c2.contains(m)
     if eid is not None:

@@ -303,12 +303,12 @@ def _row_book(gens: list[tuple[str, GateMatrix]], dim: int, name: str) -> tuple:
     """The closure of the dim unit rows under r -> r * g for each generator,
     in exact arithmetic: the row encodings in ascending order, act[g, r]
     (uint16), the id of row r times the g-th generator, and the identity's
-    row ids. Rows are multiplied dim at a time, as the rows of one
-    kernels.mat_mul_columns operand, zero rows padding the last, by each
-    generator lifted once. More than MAX_ROWS rows stop the search."""
+    row ids. Rows are multiplied dim at a time, as the rows of one operand
+    of kernels.mat_mul_lifted, zero rows padding the last, lifted once, by
+    each generator lifted once. More than MAX_ROWS rows stop the search."""
     import numpy as np
     size, unit = dim * ENTRY_BYTES, IDENTITY[dim].data
-    lifted = [kernels.columns(g.data, dim) for _, g in gens]
+    gen_columns = [kernels.columns(g.data, dim) for _, g in gens]
     # found[row]: the row's id, in the order met
     found = {unit[at : at + size]: r for r, at in enumerate(range(0, len(unit), size))}
     images: list[list[int]] = []
@@ -316,8 +316,8 @@ def _row_book(gens: list[tuple[str, GateMatrix]], dim: int, name: str) -> tuple:
         if len(found) > MAX_ROWS:
             raise VerificationError(f"closure of {name} met more than {MAX_ROWS} distinct rows")
         block = list(found)[len(images) : len(images) + dim]
-        operand = b"".join(block) + pack_values([0] * 5 * dim) * (dim - len(block))
-        products = [kernels.mat_mul_columns(operand, g, dim) for g in lifted]
+        operand = kernels.lifted(b"".join(block) + pack_values([0] * 5 * dim) * (dim - len(block)))
+        products = [kernels.mat_mul_lifted(operand, g, dim) for g in gen_columns]
         for at in range(0, len(block) * size, size):
             images.append([found.setdefault(p[at : at + size], len(found)) for p in products])
     rows = list(found)

@@ -7,12 +7,14 @@ so a product's bytes depend only on its value.
 
 `mat_mul`, `mat_tensor` and `mat_dagger` act on one matrix in Python
 integers. `mat_mul` lifts each operand once to its largest exponent, skips
-zero entries and reduces each output entry once, and `mat_mul_columns` takes
-its right operand already lifted by `columns`; `mat_tensor` makes each of
-its 16 entries as one `ring.mul_entry` product of its factors' entries.
+zero entries and reduces each output entry once; its loop, `mat_mul_lifted`,
+takes its operands as `lifted` (or `tensor_lifted`) and `columns` make them,
+so a caller lifts a reused operand once. `tensor_lifted` makes x (x) y of two
+lifted 2x2 operands as 16 unreduced ring products on the exponent kx + ky, and
+`mat_tensor` is that tensor reduced and packed.
 `mat_mul_batch` multiplies many matrices by many at once in numpy int64,
 with the scalar `mat_mul` as its reference. Group closure multiplies only its
-row book's rows, with `mat_mul_columns`, lifting each generator once (see
+row book's rows, with `mat_mul_lifted`, lifting each generator once (see
 `groups`); the batched kernel is the independent oracle that `verify` holds
 every closure's Cayley table to. The scalar kernels are plain Python, so a
 query's products import no numpy: only the batched kernel imports it, when
@@ -24,7 +26,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .encoding import BIAS, COEF_LIMIT, ENTRY_BYTES, K_LIMIT, pack_values, unpack_values
-from .ring import mul_entry, reduce_entry, scale_entry
+from .ring import reduce_entry, scale_entry
 
 if TYPE_CHECKING:
     import numpy as np
@@ -32,16 +34,22 @@ if TYPE_CHECKING:
 BACKEND = "pure-python"
 
 
-def _lifted(data: bytes) -> tuple[list, int]:
-    """The numerators of one matrix's entries in row-major order, all on the
-    matrix's largest exponent k (m = num / √2^k), None for a zero entry, and k."""
+def lifted(data: bytes) -> tuple[tuple, int]:
+    """The left operand of `mat_mul_lifted`: the numerators of one matrix's
+    entries in row-major order, all on the matrix's largest exponent k
+    (m = num / √2^k), None for a zero entry, and k."""
     vals = unpack_values(data)
     top = max(vals[4::5])
-    return [
+    return tuple([
         None if not (a or b or c or d)
         else (a, b, c, d) if k == top else scale_entry(a, b, c, d, top - k)
         for a, b, c, d, k in zip(*[iter(vals)] * 5)
-    ], top
+    ]), top
+
+
+def packed(x: tuple[tuple, int]) -> bytes:
+    """The encoding of a lifted operand, each entry reduced."""
+    return pack_values([v for e in x[0] for v in reduce_entry(*(e or (0, 0, 0, 0)), x[1])])
 
 
 def mat_mul(x: bytes, y: bytes, dim: int) -> bytes:
@@ -49,23 +57,23 @@ def mat_mul(x: bytes, y: bytes, dim: int) -> bytes:
     over y's nonzero column entries at the fixed exponent kx + ky, reduced once."""
     if len(x) != dim * dim * ENTRY_BYTES or len(y) != dim * dim * ENTRY_BYTES:
         raise ValueError("matrix encoding does not match dimension")
-    return mat_mul_columns(x, columns(y, dim), dim)
+    return mat_mul_lifted(lifted(x), columns(y, dim), dim)
 
 
 def columns(y: bytes, dim: int) -> tuple[tuple, int]:
-    """The right operand of `mat_mul_columns`: y's nonzero entries column by
+    """The right operand of `mat_mul_lifted`: y's nonzero entries column by
     column, as (row, a, b, c, d) on y's largest exponent, and that exponent.
     A caller that multiplies many matrices by one y lifts it once; the
     operand is immutable, so a memo may hand it to every caller."""
-    ys, ky = _lifted(y)
+    ys, ky = lifted(y)
     return tuple(
         tuple((t, *ys[t * dim + j]) for t in range(dim) if ys[t * dim + j]) for j in range(dim)
     ), ky
 
 
-def mat_mul_columns(x: bytes, y: tuple[tuple, int], dim: int) -> bytes:
-    """x * y for a dim x dim encoding x and y as `columns` lifts it."""
-    xs, kx = _lifted(x)
+def mat_mul_lifted(x: tuple[tuple, int], y: tuple[tuple, int], dim: int) -> bytes:
+    """x * y for x as `lifted` or `tensor_lifted` makes it and y as `columns` does."""
+    xs, kx = x
     cols, ky = y
     k = kx + ky
     out: list[int] = []
@@ -90,21 +98,31 @@ def mat_mul_columns(x: bytes, y: tuple[tuple, int], dim: int) -> bytes:
 # (entry of x, entry of y) behind each entry of x (x) y, row-major; basis
 # index 2*q1 + q2, so x acts on q1 (the high bit) and y on q2
 _TENSOR_CELLS = [
-    ((i1 * 2 + j1) * 5, (i2 * 2 + j2) * 5)
+    (i1 * 2 + j1, i2 * 2 + j2)
     for i1 in range(2) for i2 in range(2) for j1 in range(2) for j2 in range(2)
 ]
 
 
+def tensor_lifted(x: tuple[tuple, int], y: tuple[tuple, int]) -> tuple[tuple, int]:
+    """x (x) y of two lifted 2x2 operands, lifted: 16 unreduced ring products of an
+    entry of x and one of y on the exponent kx + ky, None where either is zero."""
+    (xs, kx), (ys, ky) = x, y
+    out = []
+    for p, q in _TENSOR_CELLS:
+        if xs[p] is None or ys[q] is None:
+            out.append(None)
+            continue
+        (a1, b1, c1, d1), (a2, b2, c2, d2) = xs[p], ys[q]
+        out.append((a1 * a2 - b1 * d2 - c1 * c2 - d1 * b2, a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
+                    a1 * c2 + b1 * b2 + c1 * a2 - d1 * d2, a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2))
+    return tuple(out), kx + ky
+
+
 def mat_tensor(x: bytes, y: bytes) -> bytes:
-    """x (x) y for 2x2 encodings: each of the 16 entries is one ring product
-    of an entry of x and an entry of y, reduced."""
+    """x (x) y for 2x2 encodings: `tensor_lifted`, reduced and packed."""
     if len(x) != 4 * ENTRY_BYTES or len(y) != 4 * ENTRY_BYTES:
         raise ValueError("tensor expects two 2x2 encodings")
-    xs, ys = unpack_values(x), unpack_values(y)
-    out: list[int] = []
-    for p, q in _TENSOR_CELLS:
-        out += mul_entry(xs[p : p + 5], ys[q : q + 5])
-    return pack_values(out)
+    return packed(tensor_lifted(lifted(x), lifted(y)))
 
 
 def mat_dagger(x: bytes, dim: int) -> bytes:

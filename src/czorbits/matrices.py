@@ -1,15 +1,16 @@
 """Exact unitary matrices over the cyclotomic ring.
 
 A GateMatrix is an immutable 2x2 or 4x4 matrix whose entries live in
-Z[ω, 1/√2], each an (a, b, c, d, k) tuple in `ring`'s reduced form. Its
-fields (dim, canonical packed byte string) are the dataclass's equality,
-hash and total-order key, so matrices can be deduplicated in sets and
-sorted deterministically without ever touching floating point.
+Z[ω, 1/√2], each an (a, b, c, d, k) tuple in `ring`'s reduced form. It is a
+slotted class, not a dataclass, so importing it imports no `inspect`; its two
+slots (dim, canonical packed byte string) are its equality, hash and
+total-order key, so matrices can be deduplicated in sets and sorted
+deterministically without ever touching floating point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import total_ordering
 from typing import Iterable, Sequence
 
 from czorbits import kernels
@@ -26,22 +27,41 @@ INV_SQRT2 = (1, 0, 0, 0, 1)
 MINUS_INV_SQRT2 = (-1, 0, 0, 0, 1)
 
 
-@dataclass(frozen=True, order=True, slots=True, repr=False)
+@total_ordering
 class GateMatrix:
     """Immutable exact matrix, canonically encoded."""
 
-    dim: int
-    data: bytes
+    __slots__ = ("dim", "data")  # dim: int, data: bytes
 
-    def __post_init__(self) -> None:
-        if self.dim not in (2, 4):
+    def __init__(self, dim: int, data: bytes) -> None:
+        if dim not in (2, 4):
             raise ValueError("matrix dimension must be 2 or 4")
-        if len(self.data) != self.dim * self.dim * ENTRY_BYTES:
+        if len(data) != dim * dim * ENTRY_BYTES:
             raise ValueError("matrix encoding does not match dimension")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "data", data)
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot set or delete {name!r} of an immutable GateMatrix")
+
+    __delattr__ = __setattr__
 
     def __reduce__(self) -> tuple:
-        # unpickling calls the constructor, however this Python restores frozen slots
+        # unpickling calls the constructor, which validates dim and length
         return GateMatrix, (self.dim, self.data)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not GateMatrix:
+            return NotImplemented
+        return self.dim == other.dim and self.data == other.data
+
+    def __lt__(self, other: GateMatrix) -> bool:
+        if other.__class__ is not GateMatrix:
+            return NotImplemented
+        return (self.dim, self.data) < (other.dim, other.data)
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.data))
 
     @classmethod
     def from_entries(cls, rows: Sequence[Sequence[Entry]]) -> GateMatrix:

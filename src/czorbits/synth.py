@@ -17,14 +17,18 @@ a permutation of C2's row book; its inverse sends e's rows to v's, which
 LC2's keys find. An element's circuit is its factor's local layer, left out
 when both words are empty, then its orbit's tail, which starts with a CZ: no
 two local layers ever meet.
+
+`evaluate`, which `synth --verify` runs, is the independent oracle: it reads
+no table, row map or action. It multiplies the lifted tensor of a local
+layer's two word matrices, each lifted once, into its memoised tail's lifted
+columns, so a query's check is one exact 4x4 product.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
 from czorbits import kernels
 from czorbits.errors import NotInGroupError, VerificationError
@@ -37,16 +41,14 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class LocalOp:
+class LocalOp(NamedTuple):
     """One layer of local gates: words over {H, P} per wire."""
 
     a: tuple[str, ...]
     b: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class CzOp:
+class CzOp(NamedTuple):
     """Marker for a CZ gate in a circuit."""
 
 
@@ -55,8 +57,7 @@ CZ_OP = CzOp()
 Op = Union[LocalOp, CzOp]
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(NamedTuple):
     """Alternating local/CZ operation list, left-to-right product order."""
 
     ops: tuple[Op, ...]
@@ -67,22 +68,26 @@ class Circuit:
 
 
 @lru_cache(maxsize=512)
-def _word_matrix(word: tuple[str, ...]) -> GateMatrix:
-    return word_product(C1_GENERATORS, word)
+def _word(word: tuple[str, ...]) -> tuple[tuple, int]:
+    """The word's 2x2 matrix as an operand of `kernels.tensor_lifted`."""
+    return kernels.lifted(word_product(C1_GENERATORS, word).data)
+
+
+_CZ_LIFTED = kernels.lifted(CZ.data)
 
 
 def _product(ops: tuple[Op, ...]) -> GateMatrix:
-    """The exact product of `ops`: the head op's matrix times its suffix's."""
+    """The exact product of `ops`: the head op's lifted matrix times its suffix's."""
     op, rest = ops[0], ops[1:]
-    head = CZ if isinstance(op, CzOp) else _word_matrix(op.a).tensor(_word_matrix(op.b))
+    head = _CZ_LIFTED if isinstance(op, CzOp) else kernels.tensor_lifted(_word(op.a), _word(op.b))
     if not rest:
-        return head
-    return GateMatrix(4, kernels.mat_mul_columns(head.data, _suffix_columns(rest), 4))
+        return GateMatrix(4, kernels.packed(head))
+    return GateMatrix(4, kernels.mat_mul_lifted(head, _suffix_columns(rest), 4))
 
 
 @lru_cache(maxsize=256)
 def _suffix_columns(ops: tuple[Op, ...]) -> tuple[tuple, int]:
-    """The suffix's product as the right operand of `kernels.mat_mul_columns`."""
+    """The suffix's product as the right operand of `kernels.mat_mul_lifted`."""
     return kernels.columns(_product(ops).data, 4)
 
 

@@ -18,15 +18,15 @@ which pickling leaves out (`groups.DERIVED`); everything else is plain
 Python and stdlib arrays. So a pickled workspace loads without numpy, and,
 installed as the cached one, answers `lookup` and `synth` (with `--verify`)
 without importing it: numpy is imported by the code that builds, derives,
-writes tables or verifies, when it runs.
+writes tables or verifies, when it runs. A workspace is a named tuple, so a
+query process imports no `dataclasses` either.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from czorbits.errors import InputFormatError, VerificationError
 from czorbits.graph import CzGraph, build_graph, check_isomorphic, check_weight_law
@@ -38,8 +38,7 @@ from czorbits.synth import Synthesizer
 TABLE_NAMES = ("c1", "lc2", "c2")
 
 
-@dataclass
-class Workspace:
+class Workspace(NamedTuple):
     c1: GroupTable
     lc2: GroupTable
     c2: GroupTable

@@ -178,8 +178,9 @@ class TestLoadedWorkspace:
     def test_a_loaded_workspace_answers_without_numpy(self, ws, queries, tmp_path, monkeypatch,
                                                      capsys):
         # a fresh interpreter imports the CLI, loads the pickled workspace and
-        # answers the queries as the built workspace does, with no numpy; then
-        # `generate` and `orbits` write the pinned files from it
+        # answers the queries as the built workspace does, with no numpy,
+        # `dataclasses` or `inspect`; then `generate` and `orbits` write the
+        # pinned files from it
         monkeypatch.setattr(workspace, "_CACHE", ws)
         codes = [main(argv) for argv in queries]
         assert codes == [0, 0, 0, 0, 4, 4]
@@ -192,7 +193,7 @@ class TestLoadedWorkspace:
             "with open(sys.argv[1], 'rb') as f:\n"
             "    workspace._CACHE = pickle.load(f)\n"
             "codes = [cli.main(argv) for argv in json.loads(sys.argv[2])]\n"
-            "print(codes, 'numpy' in sys.modules)\n"
+            "print(codes, *(name in sys.modules for name in ('numpy', 'dataclasses', 'inspect')))\n"
             "for command in ('generate', 'orbits'):\n"
             "    assert cli.main([command, '--out-dir', sys.argv[3]]) == 0\n"
         )
@@ -204,7 +205,7 @@ class TestLoadedWorkspace:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == want.err
-        assert proc.stdout.startswith(want.out + f"{codes} False\n")
+        assert proc.stdout.startswith(want.out + f"{codes} False False False\n")
         for name, digest in GOLDEN_SHA256.items():
             if name != "graph.json":
                 assert hashlib.sha256((out_dir / name).read_bytes()).hexdigest() == digest, name

@@ -5,8 +5,9 @@ import random
 import pytest
 
 from czorbits import kernels
-from czorbits.encoding import BIAS, COEF_LIMIT, ENTRY_BYTES, K_LIMIT, pack_values
+from czorbits.encoding import BIAS, COEF_LIMIT, ENTRY_BYTES, K_LIMIT, pack_values, unpack_values
 from czorbits.matrices import C1_GENERATORS, C2_GENERATORS, CZ, GateMatrix, H, I2, I4, P
+from czorbits.ring import mul_entry
 from ringref import CycloNum, conj, entry
 
 
@@ -107,6 +108,20 @@ class TestScalarOracle:
             ]
             expect = GateMatrix.from_entries(rows)
             assert kernels.mat_tensor(x.data, y.data) == expect.data
+
+    def test_mat_tensor_is_the_per_entry_formula_on_c1(self, ws):
+        # the reference: each of the 16 entries one reduced `ring.mul_entry`
+        # product of an entry of x and an entry of y, on the two entries' own
+        # exponents; the kernel multiplies lifted and reduces afterwards
+        c1 = [ws.c1.element(e).data for e in range(len(ws.c1))]
+        assert len(c1) == 192
+        cells = [(i1 * 2 + j1, i2 * 2 + j2)
+                 for i1 in range(2) for i2 in range(2) for j1 in range(2) for j2 in range(2)]
+        entries = [list(zip(*[iter(unpack_values(x))] * 5)) for x in c1]
+        for x, ex in zip(c1, entries):
+            for y, ey in zip(c1, entries):
+                want = pack_values([v for p, q in cells for v in mul_entry(ex[p], ey[q])])
+                assert kernels.mat_tensor(x, y) == want
 
     def test_mat_dagger_matches_ring_arithmetic(self):
         rng = random.Random(29)

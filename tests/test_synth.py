@@ -234,10 +234,10 @@ class TestEvaluate:
 
     def test_no_wasted_product(self, ws, monkeypatch):
         """A new circuit of n ops costs n - 1 products, and the same circuit
-        again, or another circuit on an evaluated tail, one product and one
-        tensor and no lift of the tail; no identity is built. Products are
-        counted at `kernels.mat_mul_columns`, which `mat_mul` and the lifted
-        tails both reach."""
+        again, or another circuit on an evaluated tail, one product, one
+        lifted tensor and no lift of the tail or of a word; no identity is
+        built. Products are counted at `kernels.mat_mul_lifted`, which every
+        product of `evaluate` reaches, its local layers multiplied lifted."""
         circuit = ws.synthesizer.synthesize(SWAP)
         assert circuit.cz_count == 3
         orbit = ws.atlas.orbit_of[ws.c2.contains(SWAP)]
@@ -253,27 +253,32 @@ class TestEvaluate:
         evaluate(other)
         _suffix_columns.cache_clear()
         products, tensors, lifts = [], [], []
-        real_mat_mul_columns, real_mat_tensor = kernels.mat_mul_columns, kernels.mat_tensor
-        real_columns = kernels.columns
+        real_mat_mul_lifted, real_tensor_lifted = kernels.mat_mul_lifted, kernels.tensor_lifted
+        real_columns, real_lifted = kernels.columns, kernels.lifted
 
-        def counting_mat_mul_columns(*args):
+        def counting_mat_mul_lifted(*args):
             products.append(args)
-            return real_mat_mul_columns(*args)
+            return real_mat_mul_lifted(*args)
 
         def counting_columns(*args):
             lifts.append(args)
             return real_columns(*args)
 
-        def counting_mat_tensor(*args):
+        def counting_lifted(*args):
+            lifts.append(args)
+            return real_lifted(*args)
+
+        def counting_tensor_lifted(*args):
             tensors.append(args)
-            return real_mat_tensor(*args)
+            return real_tensor_lifted(*args)
 
         def refuse(*args):
             raise AssertionError("evaluate built an identity matrix")
 
-        monkeypatch.setattr(kernels, "mat_mul_columns", counting_mat_mul_columns)
+        monkeypatch.setattr(kernels, "mat_mul_lifted", counting_mat_mul_lifted)
         monkeypatch.setattr(kernels, "columns", counting_columns)
-        monkeypatch.setattr(kernels, "mat_tensor", counting_mat_tensor)
+        monkeypatch.setattr(kernels, "lifted", counting_lifted)
+        monkeypatch.setattr(kernels, "tensor_lifted", counting_tensor_lifted)
         monkeypatch.setattr(GateMatrix, "identity", refuse)
         assert evaluate(circuit) == SWAP
         assert len(products) == len(circuit.ops) - 1

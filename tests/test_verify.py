@@ -1,7 +1,6 @@
 """Report plumbing, the packed-table numeric bridge, and checks run alone."""
 
 import copy
-import dataclasses
 
 import numpy as np
 import pytest
@@ -98,7 +97,7 @@ class TestChecksAlone:
         weight = [row[:] for row in ws.graph.weight]
         assert (weight[0][1], weight[0][k]) == (512, 0)
         weight[0][1], weight[0][k] = weight[0][k], weight[0][1]
-        broken = dataclasses.replace(ws, graph=CzGraph(weight, ws.graph.witnesses))
+        broken = ws._replace(graph=CzGraph(weight, ws.graph.witnesses))
         assert [name for name, exp, obs in graph(broken) if exp != obs] == failed
         assert all(exp == obs for _, exp, obs in graph(ws))
 
@@ -109,7 +108,7 @@ class TestChecksAlone:
         atlas.layers = ws.atlas.layers[:]
         assert atlas.layers[a - 1] != atlas.layers[b - 1]
         atlas.layers[a - 1], atlas.layers[b - 1] = atlas.layers[b - 1], atlas.layers[a - 1]
-        broken = dataclasses.replace(ws, atlas=atlas)
+        broken = ws._replace(atlas=atlas)
         assert [name for name, exp, obs in layers(broken) if exp != obs] == [
             "layer-is-graph-distance"]
         assert all(exp == obs for _, exp, obs in layers(ws))
@@ -120,7 +119,7 @@ class TestChecksAlone:
         c2.right = ws.c2.right.copy()
         assert c2.right[100, 4] != c2.right[101, 4]
         c2.right[100, 4] = c2.right[101, 4]
-        broken = dataclasses.replace(ws, c2=c2)
+        broken = ws._replace(c2=c2)
         assert [name for name, exp, obs in tables(broken) if exp != obs] == [
             "right-table-exact", "left-gather-exact"]
 
@@ -150,7 +149,7 @@ class TestChecksAlone:
         assert c2.book[7] != c2.book[8]
         c2.book[7] = c2.book[8]
         c2._row_of = {data: r for r, data in enumerate(c2.book)}
-        broken = dataclasses.replace(ws, c2=c2)
+        broken = ws._replace(c2=c2)
         # CZ's gather meets a negated row that the book no longer holds, and
         # the report counts that gate as failing instead of raising
         lines = {name: obs for name, exp, obs in tables(broken) if exp != obs}
@@ -165,6 +164,6 @@ class TestChecksAlone:
         of = atlas.orbit_of
         assert of[0] != of[1]
         of[0], of[1] = of[1], of[0]
-        broken = dataclasses.replace(ws, atlas=atlas)
+        broken = ws._replace(atlas=atlas)
         assert [name for name, exp, obs in determinism(broken) if exp != obs] == [
             "determinism-rebuild"]
