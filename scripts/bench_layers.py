@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_layers.py --baseline ../parent --runs 7 --out BENCH_32.json
+    python3 scripts/bench_layers.py --baseline ../parent --runs 7 --out BENCH_33.json
 
 Every run is a fresh interpreter (this script with --measure) that imports
 czorbits from one tree's src/ and records:
@@ -53,12 +53,13 @@ czorbits from one tree's src/ and records:
   `lookup --element`, and `lookup` and `synth --verify` of a matrix file,
   over every 310th element of C2, from argv to printed output; and
   `parse_argv_us`, the mean of one `cli._parse` call over those argvs;
-- `parse_matrix_us`, `mat_mul_us`, `mat_tensor_us` and `evaluate_us`: the
-  exact work behind one query, each a mean per call, the least of five
-  passes, over the same elements: `parse_matrix` of their `format_matrix`
-  text, `kernels.mat_mul` of consecutive pairs, `kernels.mat_tensor` of
-  192 pairs of C1 elements, and `synth.evaluate` of their circuits after
-  one warm pass;
+- `parse_matrix_us`, `mat_mul_us`, `mat_tensor_us`, `synthesize_id_us`
+  and `evaluate_us`: the exact work behind one query, each a mean per
+  call, the least of five passes, over the same elements: `parse_matrix`
+  of their `format_matrix` text, `kernels.mat_mul` of consecutive pairs,
+  `kernels.mat_tensor` of 192 pairs of C1 elements,
+  `Synthesizer.synthesize_id` of their ids, and `synth.evaluate` of their
+  circuits after one warm pass;
 - `verify_checks_s`: the seconds of each function of `verify.CHECKS`,
   called in report order, by name, and `run_verification_s`, their sum.
 
@@ -295,6 +296,7 @@ def query_figures(ws, ids, matrices) -> dict:
         "mat_tensor_us": per_call_us(
             kernels.mat_tensor, [(x, c1[(31 * i + 7) % len(c1)]) for i, x in enumerate(c1)]
         ),
+        "synthesize_id_us": per_call_us(ws.synthesizer.synthesize_id, [(e,) for e in ids]),
         "evaluate_us": per_call_us(evaluate, [(c,) for c in circuits]),
     }
 
@@ -366,7 +368,7 @@ def main() -> int:
     p.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--baseline", type=Path, help="checkout to compare against (the parent)")
     p.add_argument("--runs", type=int, default=5, help="fresh interpreters per tree, at least 2")
-    p.add_argument("--out", type=Path, default=ROOT / "BENCH_32.json")
+    p.add_argument("--out", type=Path, default=ROOT / "BENCH_33.json")
     args = p.parse_args()
     if args.measure:
         print(json.dumps(measure()))

@@ -4,7 +4,7 @@ The weight between orbits i and j is |CZ*O_i intersect O_j|, counted by
 reading the orbit of CZ*u from the integer left action of CZ for every
 element u, a row gather (`groups.left_action`). The result is a 9-regular
 graph whose every edge carries weight 512; it must match the embedded
-reference diagram up to isomorphism.
+reference diagram up to isomorphism. It keeps only its weights.
 """
 
 from __future__ import annotations
@@ -51,11 +51,9 @@ REFERENCE_EDGES: frozenset[tuple[int, int]] = frozenset(
 class CzGraph:
     """Symmetric weighted graph on 1-based orbit ids."""
 
-    def __init__(self, weight: list[list[int]], witnesses: dict[tuple[int, int], int]) -> None:
+    def __init__(self, weight: list[list[int]]) -> None:
         self.n = len(weight)
         self.weight = weight
-        # witnesses[(i, j)]: minimal element id u in O_i with CZ*u in O_j
-        self.witnesses = witnesses
 
     def edges(self) -> list[tuple[int, int, int]]:
         return [
@@ -86,12 +84,7 @@ def build_graph(atlas: OrbitAtlas, action: np.ndarray) -> CzGraph:
     n = atlas.n_orbits
     orbit = np.asarray(atlas.orbit_of, dtype=np.intp) - 1
     pair = orbit * n + orbit[action]
-    weight = np.bincount(pair, minlength=n * n).reshape(n, n).tolist()
-    # each pair's witness is its minimal element id
-    first = np.full(n * n, len(pair))
-    np.minimum.at(first, pair, np.arange(len(pair)))
-    witnesses = {(p // n + 1, p % n + 1): e for p, e in enumerate(first.tolist()) if e < len(pair)}
-    return CzGraph(weight, witnesses)
+    return CzGraph(np.bincount(pair, minlength=n * n).reshape(n, n).tolist())
 
 
 def check_weight_law(graph: CzGraph) -> None:

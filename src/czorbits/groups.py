@@ -200,10 +200,13 @@ class GroupTable:
             raise ValueError(f"element id {eid} is not in [0, {len(self) - 1}]")
         return eid
 
-    def element(self, eid: int) -> GateMatrix:
+    def rows_of(self, eid: int) -> list[int]:
+        """The row ids of element eid, the first row first."""
         key = self.keys[self._check_id(eid)]
-        rows = [self.book[(key >> s) & (MAX_ROWS - 1)] for s in _SHIFTS[self.dim]]
-        return GateMatrix(self.dim, b"".join(rows))
+        return [(key >> s) & (MAX_ROWS - 1) for s in _SHIFTS[self.dim]]
+
+    def element(self, eid: int) -> GateMatrix:
+        return GateMatrix(self.dim, b"".join([self.book[r] for r in self.rows_of(eid)]))
 
     def row_ids(self, ids: int | slice | np.ndarray) -> np.ndarray:
         """The row ids of the elements `ids`, one more axis of dim at the end."""
@@ -240,11 +243,14 @@ class GroupTable:
         """Element id of m, or None when m is not in the group."""
         if m.dim != self.dim:
             return None
-        size, key = self.dim * ENTRY_BYTES, 0
-        for at in range(0, len(m.data), size):
-            r = self._row_of.get(m.data[at : at + size])
-            if r is None:  # a row outside the book
-                return None
+        size = self.dim * ENTRY_BYTES
+        rows = [self._row_of.get(m.data[at : at + size]) for at in range(0, len(m.data), size)]
+        return None if None in rows else self.find(rows)  # None: a row outside the book
+
+    def find(self, rows: Iterable[int]) -> Optional[int]:
+        """The id of the element with row ids `rows`, the first row first, or None."""
+        key = 0
+        for r in rows:
             key = key << ROW_BITS | r
         eid = bisect_left(self.keys, key)
         return eid if eid < len(self) and self.keys[eid] == key else None

@@ -6,17 +6,19 @@ impossible because a local layer never changes the orbit and one CZ moves
 at most one edge in the quotient graph.
 
 The synthesizer gathers row ids and multiplies no matrices. Each orbit O_i
-is the left coset LC2 * a_i of its anchor a_i: the identity for O1, else the
-graph's witness for its edge to the lowest-numbered orbit one layer down.
-So every element e of O_i is v * a_i for one v in LC2, its factor, and v is
-e * a_i^-1. As CZ * CZ = 1, a_i = CZ * factor(CZ * a_i) * a_j with O_j one
-layer down, so each orbit has a fixed circuit tail, built once, shallow
-orbits first, that spells its anchor. Right multiplication by a_i acts on
-each row alone, as the row map of the tail's letters (`GroupTable.row_map`),
-a permutation of C2's row book; its inverse sends e's rows to v's, which
-LC2's keys find. An element's circuit is its factor's local layer, left out
-when both words are empty, then its orbit's tail, which starts with a CZ: no
-two local layers ever meet.
+is the left coset LC2 * a_i of its anchor a_i: the identity for O1, else
+O_i's least member that CZ sends into O_j, the lowest-numbered orbit one
+layer down. So every element e of O_i is v * a_i for one v in LC2, its
+factor, and v is e * a_i^-1. As CZ * CZ = 1, a_i is CZ times CZ * a_i, which
+lies in O_j, so each orbit has a fixed circuit tail that spells its anchor:
+CZ, then the circuit of CZ * a_i, built once, shallow orbits first. Right
+multiplication by a_i acts on each row alone, as the row map of the tail's
+letters (`GroupTable.row_map`), a permutation of C2's row book; its inverse
+sends e's rows to v's. Besides C1's words, the synthesizer stores only the
+20 tails and those 20 inverse maps, nothing per element: a query maps e's
+four row ids and finds v by one key search in LC2 (`GroupTable.find`). An
+element's circuit is v's local layer, left out when both words are empty,
+then its orbit's tail, which starts with a CZ: no two local layers ever meet.
 
 `evaluate`, which `synth --verify` runs, is the independent oracle: it reads
 no table, row map or action. It multiplies the lifted tensor of a local
@@ -109,7 +111,7 @@ def _letters(ops: tuple[Op, ...]) -> list[str]:
 
 
 class Synthesizer:
-    """Per-element factors and per-orbit circuit tails over a fixed workspace."""
+    """Each orbit's circuit tail and its inverse row map (array "H") over a workspace."""
 
     def __init__(
         self,
@@ -120,13 +122,13 @@ class Synthesizer:
         graph: CzGraph,
         cz: np.ndarray,
     ) -> None:
-        self.c1 = c1
         self.lc2 = lc2
         self.c2 = c2
         self.atlas = atlas
-        self.graph = graph
         self._c1_words = [c1.word_of(e) for e in range(len(c1))]
-        self._factor, self._tails = self._build_plans(cz)
+        self._tails: dict[int, tuple[Op, ...]] = {1: ()}
+        self._unmaps: dict[int, array] = {}
+        self._build_plans(graph, cz)
 
     def _local(self, lid: int) -> tuple[Op, ...]:
         """LC2 element lid's local layer as ops: none for two empty words."""
@@ -134,33 +136,21 @@ class Synthesizer:
         a, b = self._c1_words[ia], self._c1_words[ib]
         return (LocalOp(a, b),) if a or b else ()
 
-    def _build_plans(self, cz: np.ndarray) -> tuple[array, dict[int, tuple[Op, ...]]]:
-        """Each element's factor, as an lc2 id (array "h", int16), and each
-        orbit's tail, one orbit at a time, shallow orbits first: a tail reads
-        the factor of CZ times its anchor, one layer down, read off cz, CZ's left action."""
+    def _build_plans(self, graph: CzGraph, cz: np.ndarray) -> None:
+        """Each orbit's tail and inverse row map, shallow orbits first: a tail reads the
+        circuit of CZ times its anchor, one layer down, off cz, CZ's left action."""
         import numpy as np
-        atlas, graph, c2 = self.atlas, self.graph, self.c2
-        # CZ times each anchor below O1, shallow orbits first so each tail reuses the one below
-        pushed: dict[int, int] = {}
-        for oid in sorted(range(2, atlas.n_orbits + 1), key=atlas.layer):
-            below = [
-                j for j in graph.neighbors(oid)
-                if atlas.layer(j) == atlas.layer(oid) - 1
-            ]
-            if not below:
-                raise VerificationError(f"orbit {oid} has no downward edge")
-            pushed[oid] = int(cz[graph.witnesses[(oid, min(below))]])
-
-        factor = np.empty(len(c2), dtype=np.int32)
-        tails: dict[int, tuple[Op, ...]] = {}
-        for oid in (1, *pushed):
-            tails[oid] = () if oid == 1 else (
-                CZ_OP, *self._local(factor[pushed[oid]]), *tails[atlas.orbit_of[pushed[oid]]])
-            # e's rows times a_i^-1: a_i's row map is a permutation; argsort inverts it
-            inverse = np.argsort(c2.row_map(_letters(tails[oid])))
-            members = atlas.orbit_members(oid)
-            factor[members] = self.lc2.ids_of(inverse[c2.row_ids(members)])
-        return stdlib_array(factor, "h"), tails
+        atlas = self.atlas
+        for oid in sorted(range(1, atlas.n_orbits + 1), key=atlas.layer):
+            if oid > 1:
+                below = [j for j in graph.neighbors(oid) if atlas.layer(j) == atlas.layer(oid) - 1]
+                # the anchor: the least member that CZ sends into the lowest orbit below
+                anchor = next(u for u in atlas.orbit_members(oid)
+                              if atlas.orbit_of[cz[u]] == below[0])
+                self._tails[oid] = (CZ_OP, *self.synthesize_id(int(cz[anchor])).ops)
+            # a_i's row map is a permutation; argsort inverts it
+            self._unmaps[oid] = stdlib_array(
+                np.argsort(self.c2.row_map(_letters(self._tails[oid]))), "H")
 
     def synthesize(self, m: GateMatrix) -> Circuit:
         eid = self.c2.contains(m)
@@ -169,5 +159,9 @@ class Synthesizer:
         return self.synthesize_id(eid)
 
     def synthesize_id(self, eid: int) -> Circuit:
-        tail = self._tails[self.atlas.orbit_of[self.c2._check_id(eid)]]
-        return Circuit((*self._local(self._factor[eid]), *tail))
+        rows = self.c2.rows_of(eid)  # which checks eid
+        oid = self.atlas.orbit_of[eid]
+        lid = self.lc2.find([self._unmaps[oid][r] for r in rows])
+        if lid is None:
+            raise VerificationError(f"element {eid} has no local factor over its orbit's anchor")
+        return Circuit((*self._local(lid), *self._tails[oid]))

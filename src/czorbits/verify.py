@@ -166,11 +166,13 @@ def synthesis(ws: Workspace) -> Lines:
     atlas, c2 = ws.atlas, ws.c2
     failures = max_cz = 0
     for eid in range(len(c2)):
-        circ = ws.synthesizer.synthesize_id(eid)
-        max_cz = max(max_cz, circ.cz_count)
-        if circ.cz_count != atlas.layer(atlas.orbit_of[eid]):
+        try:
+            circ = ws.synthesizer.synthesize_id(eid)
+        except VerificationError:  # no local factor: a broken row map
             failures += 1
-        elif evaluate(circ) != c2.element(eid):
+            continue
+        max_cz = max(max_cz, circ.cz_count)
+        if circ.cz_count != atlas.layer(atlas.orbit_of[eid]) or evaluate(circ) != c2.element(eid):
             failures += 1
     yield "synthesis-full-sweep-failures", 0, failures
     yield "synthesis-max-cz", 3, max_cz
@@ -219,9 +221,13 @@ def samples(ws: Workspace) -> Lines:
         yield f"{name}-sample", SAMPLE_SIZE, sum(1 for _ in range(SAMPLE_SIZE) if trial())
 
 
-def tables(ws: Workspace) -> Lines:
-    """Every entry of the three right tables and of C2's gathered CZ and CNOT left actions."""
+def right_tables(ws: Workspace) -> Lines:
+    """Every entry of the three right tables, against the batched kernel."""
     yield "right-table-exact", [0, 0, 0], [_right_mismatches(t) for t in (ws.c1, ws.lc2, ws.c2)]
+
+
+def left_gathers(ws: Workspace) -> Lines:
+    """Every entry of C2's gathered CZ and CNOT left actions."""
     yield "left-gather-exact", [0, 0, 0], [_gather_mismatches(ws.c2, g)
                                            for g in (CZ, CNOT_T2, CNOT_T1)]
 
@@ -235,7 +241,8 @@ def determinism(ws: Workspace) -> Lines:
     yield "determinism-rebuild", True, same
 
 
-CHECKS = (orders, orbits, graph, layers, synthesis, unitarity, samples, tables, determinism)
+CHECKS = (orders, orbits, graph, layers, synthesis, unitarity, samples, right_tables, left_gathers,
+          determinism)
 
 
 def run_verification(ws: Workspace) -> VerificationReport:

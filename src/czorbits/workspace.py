@@ -10,8 +10,8 @@ which catches truncation or editing without trusting any cached state.
 A cold build derives C1's `right` and tree and LC2's `right`, for LC2's
 factor pairs, and nothing of C2's: CZ's left action is one row gather
 (`groups.left_action`), which the partition, the graph and the synthesis
-tails read, and the synthesis factors are row maps too. C2's `right` and
-tree stay underived until `verify` or a test reads them.
+anchors read, and the synthesizer keeps one inverse row map per orbit. C2's
+`right` and tree stay underived until `verify` or a test reads them.
 
 A workspace holds numpy arrays only in what its tables derive on first use,
 which pickling leaves out (`groups.DERIVED`); everything else is plain

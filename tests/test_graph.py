@@ -52,17 +52,11 @@ class TestIntersectionLaw:
         for row in ws.graph.weight:
             assert sum(row) == 4608
 
-    def test_witnesses_recorded_for_every_edge(self, ws):
-        for a, b, _ in ws.graph.edges():
-            assert (a, b) in ws.graph.witnesses
-            assert (b, a) in ws.graph.witnesses
-
 
 class TestOneGraph:
     def test_relabeled_graph_equals_a_fresh_build(self, ws):
         fresh = build_graph(ws.atlas, left_action(ws.c2, CZ))
         assert fresh.weight == ws.graph.weight
-        assert fresh.witnesses == ws.graph.witnesses
 
     def test_build_workspace_builds_the_graph_once(self, monkeypatch):
         from czorbits import workspace

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from czorbits import kernels
+from czorbits.encoding import ENTRY_BYTES, pack_values
 from czorbits.errors import NotInGroupError, VerificationError
 from czorbits.groups import GroupTable, bfs_fill, left_action
 from czorbits.matrices import CNOT_T1, CNOT_T2, CZ, H, I2, I4, P, SWAP, GateMatrix
@@ -36,51 +37,56 @@ def bfs_distance_from_identity_orbit(graph, oid):
     return dist[oid]
 
 
-def local_ops(synth, v):
+def local_ops(ws, v):
     """The local layer of an LC2 matrix, spelled by its factor pair's c1
     words, as ops: none when both words are empty."""
-    lid = synth.lc2.contains(v)
+    lid = ws.lc2.contains(v)
     if lid is None:
         raise VerificationError("descent produced a non-local factor")
-    ia, ib = synth.lc2.pairs[lid]
-    a, b = synth.c1.word_of(ia), synth.c1.word_of(ib)
+    ia, ib = ws.lc2.pairs[lid]
+    a, b = ws.c1.word_of(ia), ws.c1.word_of(ib)
     return (LocalOp(a, b),) if a or b else ()
 
 
-def factors_by_left_fill(synth):
+def factors_by_left_fill(ws):
     """Reference: each element's LC2 factor, filled breadth-first from the
     identity and the anchors (factor: the identity) along the left actions of
-    LC2's generators on c2 and on lc2 (`left_fill`), as g * (v * a) = (g * v) * a."""
-    atlas, graph = synth.atlas, synth.graph
-    anchors = [synth.c2.identity_id]
+    LC2's generators on c2 and on lc2 (`left_fill`), as g * (v * a) = (g * v) * a.
+    Each anchor below O1 is its orbit's least member that CZ sends into the
+    lowest-numbered orbit one layer down, found by a scan of the members."""
+    atlas, c2_left = ws.atlas, left_fill(ws.c2)
+    cz = c2_left[list(ws.c2.alphabet).index("CZ")]
+    anchors = [ws.c2.identity_id]
     for oid in range(2, atlas.n_orbits + 1):
-        below = [j for j in graph.neighbors(oid) if atlas.layer(j) == atlas.layer(oid) - 1]
-        anchors.append(graph.witnesses[(oid, min(below))])
-    factor = np.full(len(synth.c2), -1, dtype=np.int32)
-    factor[anchors] = synth.lc2.identity_id
-    c2_left, lc2_left = left_fill(synth.c2), left_fill(synth.lc2)
-    cols = [list(synth.c2.alphabet).index(g) for g in synth.lc2.alphabet]
+        members = atlas.orbit_members(oid)
+        below = min(atlas.orbit_of[cz[u]] for u in members
+                    if atlas.layer(atlas.orbit_of[cz[u]]) == atlas.layer(oid) - 1)
+        anchors.append(min(u for u in members if atlas.orbit_of[cz[u]] == below))
+    factor = np.full(len(ws.c2), -1, dtype=np.int32)
+    factor[anchors] = ws.lc2.identity_id
+    lc2_left = left_fill(ws.lc2)
+    cols = [list(ws.c2.alphabet).index(g) for g in ws.lc2.alphabet]
     return bfs_fill(factor, [(c2_left[c], lc2_left[i]) for i, c in enumerate(cols)])
 
 
-def synthesize_by_scan(synth, m):
+def synthesize_by_scan(ws, m):
     """Reference descent: first LC2 witness in canonical order.
 
     Quadratic per element; cross-validates the plan-based path with exact
     products and membership lookups only.
     """
-    eid = synth.c2.contains(m)
+    eid = ws.c2.contains(m)
     if eid is None:
         raise NotInGroupError("matrix is not an element of the group")
-    d = synth.atlas.layer(synth.atlas.orbit_of[eid])
+    d = ws.atlas.layer(ws.atlas.orbit_of[eid])
     if d == 0:
-        return Circuit(local_ops(synth, m))
-    for v in map(synth.lc2.element, range(len(synth.lc2))):
+        return Circuit(local_ops(ws, m))
+    for v in map(ws.lc2.element, range(len(ws.lc2))):
         pushed = CZ * v * m
-        j = synth.atlas.orbit_of[synth.c2.contains(pushed)]
-        if synth.atlas.layer(j) == d - 1:
-            rest = synthesize_by_scan(synth, pushed)
-            return Circuit((*local_ops(synth, v.dagger()), CZ_OP, *rest.ops))
+        j = ws.atlas.orbit_of[ws.c2.contains(pushed)]
+        if ws.atlas.layer(j) == d - 1:
+            rest = synthesize_by_scan(ws, pushed)
+            return Circuit((*local_ops(ws, v.dagger()), CZ_OP, *rest.ops))
     raise VerificationError("no descent witness found")
 
 
@@ -141,7 +147,7 @@ class TestRoundTrip:
         for eid in rng.sample(range(len(ws.c2)), 10):
             m = ws.c2.element(eid)
             fast = ws.synthesizer.synthesize(m)
-            slow = synthesize_by_scan(ws.synthesizer, m)
+            slow = synthesize_by_scan(ws, m)
             assert fast.cz_count == slow.cz_count
             assert evaluate(fast) == m
             assert evaluate(slow) == m
@@ -177,9 +183,24 @@ class TestRoundTrip:
             assert evaluate(circuit) == m
 
     def test_factors_equal_the_left_action_fill(self, ws):
-        want = factors_by_left_fill(ws.synthesizer)
+        # every element's circuit is its filled factor's local layer, then its orbit's tail
+        want, synth = factors_by_left_fill(ws), ws.synthesizer
         assert (want >= 0).all()
-        assert np.array_equal(np.array(ws.synthesizer._factor), want)
+        for eid in range(len(ws.c2)):
+            tail = synth._tails[ws.atlas.orbit_of[eid]]
+            assert synth.synthesize_id(eid).ops == (*synth._local(want[eid]), *tail), eid
+
+    def test_unmaps_invert_the_tails_row_maps(self, ws):
+        # row r times the tail's product, one exact product, goes back to r
+        synth, book, size = ws.synthesizer, ws.c2.book, 4 * ENTRY_BYTES
+        zero_rows = pack_values([0] * 5 * 4) * 3
+        assert sorted(synth._unmaps) == list(range(1, ws.atlas.n_orbits + 1))
+        for oid, unmap in synth._unmaps.items():
+            assert unmap.typecode == "H" and sorted(unmap) == list(range(len(book)))
+            tail = evaluate(Circuit(synth._tails[oid])).data
+            images = [ws.c2._row_of[kernels.mat_mul(row + zero_rows, tail, 4)[:size]]
+                      for row in book]
+            assert [unmap[s] for s in images] == list(range(len(book))), oid
 
     def test_non_member_rejected(self, ws):
         double = GateMatrix.from_entries(

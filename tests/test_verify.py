@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from czorbits import groups, verify
+from czorbits.errors import VerificationError
 from czorbits.graph import CzGraph
 from czorbits.matrices import CNOT_T1, CNOT_T2, CZ, P, SWAP
 from czorbits.verify import (
@@ -16,8 +17,10 @@ from czorbits.verify import (
     determinism,
     graph,
     layers,
+    left_gathers,
+    right_tables,
     samples,
-    tables,
+    synthesis,
 )
 from czorbits.workspace import build_workspace
 from ringref import left_fill, to_numpy
@@ -97,7 +100,7 @@ class TestChecksAlone:
         weight = [row[:] for row in ws.graph.weight]
         assert (weight[0][1], weight[0][k]) == (512, 0)
         weight[0][1], weight[0][k] = weight[0][k], weight[0][1]
-        broken = ws._replace(graph=CzGraph(weight, ws.graph.witnesses))
+        broken = ws._replace(graph=CzGraph(weight))
         assert [name for name, exp, obs in graph(broken) if exp != obs] == failed
         assert all(exp == obs for _, exp, obs in graph(ws))
 
@@ -120,7 +123,8 @@ class TestChecksAlone:
         assert c2.right[100, 4] != c2.right[101, 4]
         c2.right[100, 4] = c2.right[101, 4]
         broken = ws._replace(c2=c2)
-        assert [name for name, exp, obs in tables(broken) if exp != obs] == [
+        lines = [*right_tables(broken), *left_gathers(broken)]
+        assert [name for name, exp, obs in lines if exp != obs] == [
             "right-table-exact", "left-gather-exact"]
 
     def test_swapped_gather_ids_fail_the_left_gather_check(self, ws, monkeypatch):
@@ -131,9 +135,9 @@ class TestChecksAlone:
             return action
 
         monkeypatch.setattr(verify, "left_action", swapped)
-        lines = list(tables(ws))
-        assert [name for name, exp, obs in lines if exp != obs] == ["left-gather-exact"]
-        assert all(count > 0 for count in lines[1][2])
+        [(name, expected, observed)] = left_gathers(ws)
+        assert name == "left-gather-exact" and expected != observed
+        assert all(count > 0 for count in observed)
 
     def test_layers_alone_derive_no_cayley_table_of_c2(self):
         # the CNOT check gathers rows, so C2's `right` and tree stay underived
@@ -152,9 +156,25 @@ class TestChecksAlone:
         broken = ws._replace(c2=c2)
         # CZ's gather meets a negated row that the book no longer holds, and
         # the report counts that gate as failing instead of raising
-        lines = {name: obs for name, exp, obs in tables(broken) if exp != obs}
+        lines = {name: obs for name, exp, obs in [*right_tables(broken), *left_gathers(broken)]
+                 if exp != obs}
         assert list(lines) == ["right-table-exact", "left-gather-exact"]
         assert lines["left-gather-exact"][0] == len(c2)
+
+    def test_swapped_row_map_entries_fail_the_synthesis_sweep(self, ws):
+        # two rows that a member of O7 holds trade places in O7's inverse row
+        # map: the members holding either row find no local factor, which the
+        # library raises and the sweep counts
+        synth = copy.copy(ws.synthesizer)
+        synth._unmaps = {**ws.synthesizer._unmaps, 7: copy.copy(ws.synthesizer._unmaps[7])}
+        member = ws.atlas.orbit_members(7)[0]
+        r, s = ws.c2.rows_of(member)[:2]
+        synth._unmaps[7][r], synth._unmaps[7][s] = synth._unmaps[7][s], synth._unmaps[7][r]
+        with pytest.raises(VerificationError):
+            synth.synthesize_id(member)
+        lines = list(synthesis(ws._replace(synthesizer=synth)))
+        assert [name for name, exp, obs in lines if exp != obs] == [
+            "synthesis-full-sweep-failures"]
 
     def test_swapped_orbit_labels_fail_the_rebuild_check(self, ws):
         # elements 0 and 1 trade orbits: every orbit keeps its size, so no
